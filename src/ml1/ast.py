@@ -206,10 +206,6 @@ def walk(node) -> Iterator[object]:
         yield from walk(child)
 
 
-def count_nodes(node) -> int:
-    return sum(1 for _ in walk(node))
-
-
 def strip_import_annotations(unit: CompilationUnit) -> CompilationUnit:
     """Copy of `unit` with annotations removed from every import clause."""
 

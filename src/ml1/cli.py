@@ -47,8 +47,7 @@ def _load_units(paths: list[str]) -> list[ast.CompilationUnit]:
         try:
             units.append(parse_unit(tokenize(source), path))
         except (LexError, ParseError) as err:
-            code = getattr(err, "code", None)
-            label = f"{code}: " if code else ""
+            label = f"{err.code}: " if err.code else ""
             print(f"{path}: {label}{err}", file=sys.stderr)
             raise _Exit(FAILURE) from err
     return units
@@ -96,10 +95,7 @@ def _resolution_document(graph: ScopeGraph, resolution: Resolution) -> dict:
         units_doc.append({"unit": unit_name, "refs": by_unit[unit_name]})
     closures_doc = []
     for fqn in sorted(fqn for fqn, sym in graph.symbols.items() if sym.kind == "template"):
-        entries = sorted(
-            export_closure(graph, fqn).entries,
-            key=lambda e: (e.visible_name, e.symbol.fqn, [edge.label() for edge in e.path]),
-        )
+        entries = export_closure(graph, fqn).entries
         closures_doc.append(
             {
                 "template": fqn,

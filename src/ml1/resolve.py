@@ -127,13 +127,9 @@ def _member_lookup(graph: ScopeGraph, tfqn: str, name: str) -> Hit | None:
         if inherited is not None:
             return Hit((inherited,), TIER_MEMBER)
     for parent in parents:
-        matches = {
-            entry.symbol
-            for entry in export_closure(graph, parent).entries
-            if entry.visible_name == name
-        }
+        matches = export_closure(graph, parent).lookup(name)
         if matches:
-            return Hit(tuple(sorted(matches, key=lambda s: s.fqn)), TIER_MEMBER)
+            return Hit(matches, TIER_MEMBER)
     return None
 
 
@@ -349,7 +345,7 @@ def implicit_candidates(
         if target is None or not clause.selectors.wildcard:
             continue
         names = set(graph.scope_members(target))
-        names.update(e.visible_name for e in export_closure(graph, target).entries)
+        names.update(export_closure(graph, target).by_name)
         for name in sorted(names):
             if clause.selectors.mentions(name):
                 continue

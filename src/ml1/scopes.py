@@ -2,13 +2,25 @@
 
 A template's `@exported` imports become edges; the names they make visible
 (directly or through further exported imports) form the template's export
-closure. Closure traversal keeps a per-path visited set, so cyclic edges
+closure. A closure path may enter each scope at most once, so cyclic edges
 terminate while every finitely derivable name is still found.
+
+`export_closure` is the one closure engine. It keeps a single witness path
+per (visible name, symbol) pair: the shortest, then the lowest by its list
+of edge labels. Paths are expanded breadth-first in that order. A path's
+selectors compose into one filter, which is then restricted to the names
+a later edge can still deliver to it. A path stops exactly when it cannot
+add a pair or a smaller witness: once that filter hides every name, or once
+the same scope was already reached under the same filter with a visited set
+that is a subset of this path's. Closures are memoized on the graph, which
+stays valid because exports and members are complete before any closure is
+asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ml1 import ast
 from ml1.diagnostics import (
@@ -66,10 +78,25 @@ class ClosureEntry:
 
 @dataclass(frozen=True)
 class ExportClosure:
-    entries: frozenset[ClosureEntry]
+    """One entry per (visible name, symbol) pair, ordered by visible name
+    then symbol FQN."""
+
+    entries: tuple[ClosureEntry, ...]
+
+    @cached_property
+    def by_name(self) -> dict[str, tuple[SymbolId, ...]]:
+        """Each visible name with its symbols, ordered by FQN."""
+        index: dict[str, list[SymbolId]] = {}
+        for entry in self.entries:
+            index.setdefault(entry.visible_name, []).append(entry.symbol)
+        return {name: tuple(syms) for name, syms in index.items()}
 
     def pairs(self) -> set[tuple[str, str]]:
         return {(e.visible_name, e.symbol.fqn) for e in self.entries}
+
+    def lookup(self, name: str) -> tuple[SymbolId, ...]:
+        """Symbols the closure makes visible under `name`, ordered by FQN."""
+        return self.by_name.get(name, ())
 
 
 @dataclass
@@ -85,6 +112,8 @@ class ScopeGraph:
     units_by_name: dict[str, ast.CompilationUnit] = field(default_factory=dict)
     import_targets: dict[int, str] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # export_closure's memo, keyed by scope FQN.
+    closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
 
     # Lookup helpers.
 
@@ -148,50 +177,155 @@ def _visited_ids(graph: ScopeGraph, fqn: str) -> set[str]:
 
 
 def export_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
-    """All (visible name, symbol, edge path) triples reachable from `fqn`
-    through exported imports.
+    """Every (visible name, symbol) pair reachable from `fqn` through
+    exported imports, each with its witness path: the shortest edge path
+    that yields the pair, then the lowest by edge labels.
 
     Each path may enter a scope at most once; selector filters compose
     along the path, so a rename or hide on an outer edge applies to every
-    name carried through it.
+    name carried through it. The result is memoized on the graph.
     """
-    if fqn not in graph.symbols:
-        raise KeyError(f"unknown scope: {fqn}")
-    entries: list[ClosureEntry] = []
-
-    def walk(scope: str, visited: set[str], path: tuple[ExportEdge, ...], filters) -> None:
-        for edge in graph.edges_of(scope):
-            target = edge.resolved_target
-            if target in visited:
-                continue
-            edge_path = path + (edge,)
-            edge_filters = filters + (edge.selectors,)
-            for name, sym in graph.scope_members(target).items():
-                visible = _apply_filters(name, edge_filters)
-                if visible is not None:
-                    entries.append(ClosureEntry(visible, sym, edge_path))
-            walk(target, visited | _visited_ids(graph, target), edge_path, edge_filters)
-
-    walk(fqn, _visited_ids(graph, fqn), (), ())
-    return ExportClosure(frozenset(entries))
+    closure = graph.closures.get(fqn)
+    if closure is None:
+        if fqn not in graph.symbols:
+            raise KeyError(f"unknown scope: {fqn}")
+        closure = graph.closures[fqn] = _witness_closure(graph, fqn)
+    return closure
 
 
-def _apply_filters(name: str, filters: tuple[ast.ImportSelectors, ...]) -> str | None:
-    # Innermost edge filter first, then outward toward the closure origin.
-    current: str | None = name
-    for sel in reversed(filters):
-        current = sel.apply(current)
-        if current is None:
-            return None
-    return current
+# A combined selector filter: (wildcard, explicit map). A name in the map
+# becomes its value (None hides it); any other name passes unchanged when
+# wildcard is set and is hidden otherwise. Maps are kept normal (no entry
+# that repeats the default), so equal filters have equal keys. Filters are
+# shared between paths and never mutated.
+_Filter = tuple[bool, dict[str, "str | None"]]
+_IDENTITY: _Filter = (True, {})
+
+
+def _compose(outer: _Filter, inner: _Filter) -> _Filter:
+    """The filter of a path extended by one edge: `inner` (the new edge's
+    selectors) applies first, then `outer` (the path so far)."""
+    outer_wild, outer_map = outer
+    inner_wild, inner_map = inner
+    if inner_wild and not inner_map:
+        return outer
+    if outer_wild and not outer_map:
+        return inner
+    wild = outer_wild and inner_wild
+    out: dict[str, str | None] = {}
+    for name, mid in inner_map.items():
+        if mid is None:
+            visible = None
+        elif mid in outer_map:
+            visible = outer_map[mid]
+        else:
+            visible = mid if outer_wild else None
+        if visible != (name if wild else None):
+            out[name] = visible
+    if inner_wild:
+        for name, visible in outer_map.items():
+            if name not in inner_map and visible != (name if wild else None):
+                out[name] = visible
+    return wild, out
+
+
+def _selector_filter(selectors: ast.ImportSelectors) -> _Filter:
+    names: dict[str, str | None] = {}
+    for sel in selectors.names:
+        names.setdefault(sel.source, sel.target)  # the first selector of a name wins
+    wild = selectors.wildcard
+    return wild, {name: to for name, to in names.items() if to != (name if wild else None)}
+
+
+def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
+    # Every scope reachable from `fqn`, with its edges in label order.
+    steps: dict[str, list[tuple[ExportEdge, str, frozenset[str], _Filter]]] = {}
+    pending = [fqn]
+    while pending:
+        scope = pending.pop()
+        if scope in steps:
+            continue
+        steps[scope] = [
+            (
+                edge,
+                edge.resolved_target,
+                frozenset(_visited_ids(graph, edge.resolved_target)),
+                _selector_filter(edge.selectors),
+            )
+            for edge in sorted(graph.edges_of(scope), key=ExportEdge.label)
+        ]
+        pending.extend(target for _, target, _, _ in steps[scope])
+    members = {scope: graph.scope_members(scope) for scope in steps}
+    # A name can reach a path's filter from a later edge only as a member of
+    # a scope the path has not visited yet, or as some selector's new name.
+    born_in: dict[str, list[str]] = {}
+    for scope, found in members.items():
+        for name in found:
+            born_in.setdefault(name, []).append(scope)
+    renamed = {
+        to
+        for edges in steps.values()
+        for _, _, _, (_, names) in edges
+        for name, to in names.items()
+        if to is not None and to != name
+    }
+
+    # Breadth-first over simple edge paths, each level in label order: the
+    # first path to yield a pair is its witness.
+    expanded: dict[tuple, list[frozenset[str]]] = {}
+    witness: dict[tuple[str, str], tuple[SymbolId, tuple[ExportEdge, ...]]] = {}
+    frontier = [(fqn, _IDENTITY, frozenset(_visited_ids(graph, fqn)), ())]
+    while frontier:
+        next_frontier = []
+        for scope, path_filter, visited, path in frontier:
+            for edge, target, target_ids, edge_filter in steps[scope]:
+                if target in visited:
+                    continue
+                wild, names = _compose(path_filter, edge_filter)
+                if not wild and not names:
+                    continue  # hides every name, here and beyond
+                target_path = path + (edge,)
+                found = members[target]
+                if wild:
+                    visible_syms = ((names.get(name, name), sym) for name, sym in found.items())
+                else:
+                    visible_syms = ((visible, found.get(name)) for name, visible in names.items())
+                for visible, sym in visible_syms:
+                    if visible is not None and sym is not None:
+                        key = (visible, sym.fqn)
+                        if key not in witness:
+                            witness[key] = (sym, target_path)
+                target_visited = visited | target_ids
+                carried = {
+                    name: visible
+                    for name, visible in names.items()
+                    if name in renamed
+                    or any(t not in target_visited for t in born_in.get(name, ()))
+                }
+                if not wild and not carried:
+                    continue  # nothing further can pass
+                seen = expanded.setdefault((target, wild, frozenset(carried.items())), [])
+                if any(earlier <= target_visited for earlier in seen):
+                    continue  # an earlier, smaller path reaches all this one can
+                seen.append(target_visited)
+                next_frontier.append((target, (wild, carried), target_visited, target_path))
+        frontier = next_frontier
+    return ExportClosure(
+        tuple(
+            ClosureEntry(name, sym, path)
+            for (name, _), (sym, path) in sorted(witness.items())
+        )
+    )
 
 
 def inherited_exports(graph: ScopeGraph, tfqn: str) -> ExportClosure:
-    """Union of the export closures of a template's transitive parents."""
-    entries: set[ClosureEntry] = set()
+    """Union of the export closures of a template's transitive parents; a
+    pair several parents provide keeps the first parent's witness."""
+    entries: dict[tuple[str, str], ClosureEntry] = {}
     for parent in graph.linearized_parents(tfqn):
-        entries |= export_closure(graph, parent).entries
-    return ExportClosure(frozenset(entries))
+        for entry in export_closure(graph, parent).entries:
+            entries.setdefault((entry.visible_name, entry.symbol.fqn), entry)
+    return ExportClosure(tuple(entry for _, entry in sorted(entries.items())))
 
 
 # Graph construction ---------------------------------------------------------
@@ -405,12 +539,7 @@ def scope_lookup(graph: ScopeGraph, scope_fqn: str, name: str) -> tuple[SymbolId
     direct = graph.scope_members(scope_fqn).get(name)
     if direct is not None:
         return (direct,)
-    matches = {
-        entry.symbol
-        for entry in export_closure(graph, scope_fqn).entries
-        if entry.visible_name == name
-    }
-    return tuple(sorted(matches, key=lambda s: s.fqn))
+    return export_closure(graph, scope_fqn).lookup(name)
 
 
 def clause_target(graph: ScopeGraph, clause: ast.ImportClause) -> str | None:

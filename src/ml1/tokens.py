@@ -31,6 +31,18 @@ LITERAL = "literal"
 
 _SINGLE_PUNCT = frozenset(".,{}()@;=_")
 
+# Character classes are ASCII only: `str.isdigit` and friends also accept
+# characters such as "²" that `int()` and the rest of the pipeline reject.
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+_BLANKS = frozenset(" \t\r\f\v")  # newlines are counted separately
+
+# Lex error codes.
+E_ILLEGAL_CHARACTER = "E_ILLEGAL_CHARACTER"
+E_UNTERMINATED_STRING = "E_UNTERMINATED_STRING"
+E_UNSUPPORTED_ESCAPE = "E_UNSUPPORTED_ESCAPE"
+
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
@@ -51,18 +63,11 @@ class Token:
 
 
 class LexError(Exception):
-    def __init__(self, span: Span, message: str):
+    def __init__(self, span: Span, message: str, code: str):
         super().__init__(f"{span.start}-{span.end}: {message}")
         self.span = span
         self.message = message
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+        self.code = code
 
 
 def string_value(raw: str) -> str:
@@ -92,7 +97,7 @@ def tokenize(source: str) -> list[Token]:
             line += 1
             i += 1
             continue
-        if ch.isspace():
+        if ch in _BLANKS:
             i += 1
             continue
         if ch == "/" and source.startswith("//", i):
@@ -100,8 +105,8 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         start = i
-        if _is_ident_start(ch):
-            while i < n and _is_ident_char(source[i]):
+        if ch in _IDENT_START:
+            while i < n and source[i] in _IDENT_CHARS:
                 i += 1
             text = source[start:i]
             if text == "_":
@@ -112,8 +117,8 @@ def tokenize(source: str) -> list[Token]:
                 kind = IDENT
             tokens.append(Token(kind, text, Span(start, i), line))
             continue
-        if ch.isdigit():
-            while i < n and source[i].isdigit():
+        if ch in _DIGITS:
+            while i < n and source[i] in _DIGITS:
                 i += 1
             tokens.append(Token(LITERAL, source[start:i], Span(start, i), line))
             continue
@@ -121,10 +126,10 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             while True:
                 if i >= n or source[i] == "\n":
-                    raise LexError(Span(start, i), "unterminated string literal")
+                    raise LexError(Span(start, i), "unterminated string literal", E_UNTERMINATED_STRING)
                 if source[i] == "\\":
                     if i + 1 >= n or source[i + 1] not in _ESCAPES:
-                        raise LexError(Span(i, i + 2), "unsupported escape sequence")
+                        raise LexError(Span(i, i + 2), "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
                     i += 2
                     continue
                 if source[i] == '"':
@@ -141,5 +146,5 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             tokens.append(Token(PUNCT, ch, Span(start, i), line))
             continue
-        raise LexError(Span(i, i + 1), f"illegal character {ch!r}")
+        raise LexError(Span(i, i + 1), f"illegal character {ch!r}", E_ILLEGAL_CHARACTER)
     return tokens

@@ -141,6 +141,56 @@ def closure_oracle(spec: GraphSpec, start: int) -> set[tuple[str, str]]:
     return results
 
 
+def edge_label(spec: GraphSpec, edge: EdgeSpec) -> str:
+    """The label the scope graph gives `edge`: its origin, its position among
+    the origin's exported imports, and its target."""
+    same_origin = [e for e in spec.edges if e.origin == edge.origin]
+    index = next(i for i, e in enumerate(same_origin) if e is edge)
+    return f"{spec.template_name(edge.origin)}[{index}]=>{spec.template_name(edge.target)}"
+
+
+def closure_witness_oracle(spec: GraphSpec, start: int) -> dict[tuple[str, str], tuple[str, ...]]:
+    """(visible name, member FQN) -> edge labels of the witness path: the
+    minimum by (length, labels) over every simple edge path from `start`
+    that yields the pair, found by exhaustive enumeration."""
+    best: dict[tuple[str, str], tuple[int, tuple[str, ...]]] = {}
+    worklist: list[tuple[int, frozenset[int], tuple[EdgeSpec, ...]]] = [
+        (start, frozenset({start}), ())
+    ]
+    while worklist:
+        scope, visited, path = worklist.pop()
+        for edge in spec.edges:
+            if edge.origin != scope or edge.target in visited:
+                continue
+            new_path = path + (edge,)
+            rank = (len(new_path), tuple(edge_label(spec, e) for e in new_path))
+            for member in spec.members[edge.target]:
+                visible: str | None = member
+                for step in reversed(new_path):
+                    visible = _edge_filter(step, visible)
+                    if visible is None:
+                        break
+                if visible is not None:
+                    pair = (visible, f"{spec.template_name(edge.target)}.{member}")
+                    if pair not in best or rank < best[pair]:
+                        best[pair] = rank
+            worklist.append((edge.target, visited | {edge.target}, new_path))
+    return {pair: labels for pair, (_, labels) in best.items()}
+
+
+def dense_family_sources(k: int, vals: int = 2) -> list[tuple[str, str]]:
+    """k templates, each wildcard-exporting all the others, with `vals`
+    members of its own: D{i} declares v{i}_0 .. v{i}_{vals-1}."""
+    sources = []
+    for i in range(k):
+        lines = [f"object D{i} {{"]
+        lines += [f"  @exported import D{j}._" for j in range(k) if j != i]
+        lines += [f"  val v{i}_{m} = {m}" for m in range(vals)]
+        lines.append("}")
+        sources.append((f"d{i}.ml1", "\n".join(lines) + "\n"))
+    return sources
+
+
 # Random units for round-trip and rewriter-law testing -------------------------
 
 

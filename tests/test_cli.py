@@ -284,3 +284,24 @@ def test_dumps_are_deterministic(capsys):
 def test_exit_code_contract(capsys, argv, expected):
     status, _, _ = run_cli(capsys, *argv)
     assert status == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse"],
+        ["resolve", "--dump"],
+        ["rewrite"],
+        ["run", "--entry", "A.f"],
+        ["lint", "--marker", "Context"],
+    ],
+)
+@pytest.mark.parametrize("text", ["print(²)", "print(٣)", "print(é)"])
+def test_non_ascii_source_is_a_coded_lex_error(tmp_path, capsys, argv, text):
+    unit = tmp_path / "unit.ml1"
+    unit.write_text(f"object A {{\n  def f() = {text}\n}}\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, *argv, str(unit))
+    assert status == 2
+    assert out == ""
+    assert "E_ILLEGAL_CHARACTER" in err
+    assert "internal error" not in err

@@ -13,7 +13,13 @@ from ml1.scopes import (
 )
 
 from conftest import build_project, parse_fixture, parse_source
-from gen import closure_oracle, graph_spec_sources, random_graph_spec
+from gen import (
+    closure_oracle,
+    closure_witness_oracle,
+    dense_family_sources,
+    graph_spec_sources,
+    random_graph_spec,
+)
 
 
 def codes(graph):
@@ -132,6 +138,62 @@ def test_random_graphs_match_the_path_enumeration_oracle():
             if got != expected:
                 mismatches += 1
     assert mismatches == 0
+
+
+def witnesses(closure):
+    """(visible name, symbol FQN) -> edge labels of the entry's path; fails
+    when a pair carries more than one entry."""
+    table = {
+        (e.visible_name, e.symbol.fqn): tuple(edge.label() for edge in e.path)
+        for e in closure.entries
+    }
+    assert len(table) == len(closure.entries)
+    return table
+
+
+def test_random_graphs_match_the_witness_oracle():
+    rng = random.Random(17)
+    for _ in range(200):
+        spec = random_graph_spec(rng)
+        units = [parse_source(source, name) for name, source in graph_spec_sources(spec)]
+        graph = build_project(*units)
+        for index in range(len(spec.members)):
+            got = witnesses(export_closure(graph, spec.template_name(index)))
+            assert got == closure_witness_oracle(spec, index)
+
+
+def test_dense_wildcard_family_has_one_direct_witness_per_pair():
+    # With k=12 there are 11! simple paths out of each template; only the
+    # exact pruning keeps this test to milliseconds.
+    k = 12
+    graph = build_project(*[parse_source(src, name) for name, src in dense_family_sources(k)])
+    for i in range(k):
+        closure = export_closure(graph, f"D{i}")
+        expected = {
+            (f"v{j}_{m}", f"D{j}.v{j}_{m}"): (f"D{i}[{j if j < i else j - 1}]=>D{j}",)
+            for j in range(k)
+            if j != i
+            for m in range(2)
+        }
+        assert witnesses(closure) == expected
+
+
+def test_repeated_closure_is_the_same_object(salat_after_units):
+    graph = build_project(*salat_after_units)
+    pkgobj = graph.package_objects["com.mycompany.salat"]
+    assert export_closure(graph, pkgobj) is export_closure(graph, pkgobj)
+
+
+def test_graphs_from_different_units_do_not_share_closures():
+    base = parse_source("object Base {\n  val a = 1\n  val b = 2\n}", "base.ml1")
+    narrow = parse_source("object Top {\n  @exported import Base.{a}\n}", "top.ml1")
+    wide = parse_source("object Top {\n  @exported import Base._\n}", "top.ml1")
+    first = build_project(base, narrow)
+    assert export_closure(first, "Top").pairs() == {("a", "Base.a")}
+    second = build_project(base, wide)
+    assert second.closures is not first.closures
+    assert export_closure(second, "Top").pairs() == {("a", "Base.a"), ("b", "Base.b")}
+    assert export_closure(first, "Top").pairs() == {("a", "Base.a")}
 
 
 def test_adding_an_edge_never_removes_closure_pairs():

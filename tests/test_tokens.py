@@ -3,7 +3,16 @@ import random
 import pytest
 
 from ml1.printer import pretty_print
-from ml1.tokens import IDENT, KEYWORD, LITERAL, PUNCT, LexError, string_value, tokenize
+from ml1.tokens import (
+    E_ILLEGAL_CHARACTER,
+    IDENT,
+    KEYWORD,
+    LITERAL,
+    PUNCT,
+    LexError,
+    string_value,
+    tokenize,
+)
 
 from gen import random_unit
 
@@ -63,6 +72,27 @@ def test_unterminated_string_is_a_lex_error():
 def test_illegal_character_is_a_lex_error():
     with pytest.raises(LexError):
         tokenize("a ? b")
+
+
+@pytest.mark.parametrize(
+    "source, offset",
+    [
+        ("print(²)", 6),  # superscript digit: str.isdigit accepts it, int() does not
+        ("print(٣)", 6),  # Arabic-Indic digit
+        ("val é = 1", 4),  # non-ASCII letter
+        ("x1²", 2),  # non-ASCII digit inside an identifier
+        ("a\u00a0b", 1),  # no-break space
+    ],
+)
+def test_non_ascii_characters_are_coded_lex_errors(source, offset):
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert info.value.code == E_ILLEGAL_CHARACTER
+    assert (info.value.span.start, info.value.span.end) == (offset, offset + 1)
+
+
+def test_non_ascii_text_inside_strings_and_comments_is_kept():
+    assert kinds_and_texts('"²é" // ٣ ü\nx') == [(LITERAL, '"²é"'), (IDENT, "x")]
 
 
 def test_line_numbers_follow_newlines():
