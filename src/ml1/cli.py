@@ -192,8 +192,7 @@ def cmd_run(args) -> int:
     if _report_diagnostics(final_graph, resolution):
         return SEMANTIC
     trace = interp.run(final_graph, resolution, args.entry)
-    for event in trace.events:
-        print(event)
+    sys.stdout.write("".join(event + "\n" for event in trace.events))
     if trace.failed:
         print(f"error: {trace.error.message}", file=sys.stderr)
         for suppressed in trace.error.suppressed:

@@ -1,24 +1,47 @@
-"""Tree-walking evaluator with deferred-thunk frames.
+"""Closure-compiled evaluator with deferred-thunk frames.
+
+Each expression node is compiled once, the first time it is needed, into a
+Python closure from an environment to a value (Feeley and Lapalme, "Using
+closures for code generation", 1987): a def's body when the def is first
+called, a thunk's body when it first runs, a template val's body when it
+is first read. The closures are cached per interpreter by node identity.
+Each reference is classified once by its resolved symbol, constant
+results are built once, and a block becomes a list of steps; block locals
+are still read by name from the run-time environment. Errors are raised
+when a closure runs, never when it is compiled, so an ill-formed node in
+code that never runs does no harm.
 
 `__frame { ... }` pushes a frame for the duration of the body; thunks
 registered via `__defer(thunk { ... })` run when the frame is left, in
 reverse registration order, on normal and failing exits alike. The frame's
 result (or its original error) is fixed before any thunk runs; errors
 raised by thunks are kept on the suppressed list of the primary error, and
-on a normal exit the first thunk error becomes the primary one.
+on a normal exit the first thunk error becomes the primary one. When
+Python's stack runs out (deep expressions inside deep calls), the
+innermost frame or call turns the RecursionError into the error
+"evaluation nested too deeply", so every frame entered still runs its
+thunks.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ml1 import ast
 from ml1.diagnostics import E_NO_ENTRY, E_NO_FRAME
 from ml1.resolve import Resolution
-from ml1.scopes import DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph, SymbolId
+from ml1.scopes import DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph
 from ml1.tokens import Span
 
 _MAX_CALL_DEPTH = 200
+# Python frames one call may take, with room for nested arguments and
+# blocks. `run` raises Python's recursion limit to at least the default of
+# 1000 plus this much per allowed call, so the interpreter's own depth
+# limit is reached first.
+_FRAMES_PER_CALL = 20
+_RECURSION_LIMIT = 1000 + _MAX_CALL_DEPTH * _FRAMES_PER_CALL
 
 
 @dataclass(frozen=True)
@@ -90,12 +113,11 @@ class Trace:
 
 
 class Env:
+    __slots__ = ("parent", "bindings")
+
     def __init__(self, parent: "Env | None" = None):
         self.parent = parent
         self.bindings: dict[str, Value] = {}
-
-    def bind(self, name: str, value: Value) -> None:
-        self.bindings[name] = value
 
     def lookup(self, name: str) -> Value:
         env: Env | None = self
@@ -104,6 +126,29 @@ class Env:
                 return env.bindings[name]
             env = env.parent
         raise EvalError(f"{name} is not bound at runtime")
+
+
+Code = Callable[[Env], Value]
+
+
+def _constant(value: Value) -> Code:
+    return lambda env: value
+
+
+def _failure(message: str, span: Span | None) -> Code:
+    def fail(env: Env) -> Value:
+        raise EvalError(message, span)
+
+    return fail
+
+
+def _eval_error(err: EvalError | RecursionError, span: Span | None) -> EvalError:
+    """`err` as an evaluation error. A RecursionError means Python's stack
+    ran out below the call-depth limit: deeply nested expressions inside
+    deep calls."""
+    if isinstance(err, EvalError):
+        return err
+    return EvalError("evaluation nested too deeply", span)
 
 
 def render(value: Value) -> str:
@@ -129,6 +174,9 @@ class Interpreter:
         self.frames: list[list[ThunkV]] = []
         self.events: list[str] = []
         self.depth = 0
+        # Compiled closures, keyed by node identity: structurally equal
+        # nodes may be bound to different symbols.
+        self.code: dict[int, Code] = {}
 
     # Entry ------------------------------------------------------------------
 
@@ -141,83 +189,145 @@ class Interpreter:
                 f"{entry_fqn} is not a zero-argument def", code=E_NO_ENTRY
             )
             return trace
+        # The recursion limit is process-wide, so `run` is not thread-safe.
+        # It only ever raises the limit to one fixed value, so a run started
+        # while another is active leaves the limit alone.
+        limit = sys.getrecursionlimit()
+        if limit < _RECURSION_LIMIT:
+            sys.setrecursionlimit(_RECURSION_LIMIT)
         try:
             trace.value = self.call_def(DefV(None, decl), [], decl.span)
         except EvalError as err:
             trace.error = err
+        finally:
+            if limit < _RECURSION_LIMIT:
+                sys.setrecursionlimit(limit)
         return trace
 
-    # Evaluation -------------------------------------------------------------
+    # Compilation ------------------------------------------------------------
 
-    def eval_expr(self, env: Env, expr: ast.Expr) -> Value:
-        if isinstance(expr, ast.IntLit):
-            return IntV(expr.value)
-        if isinstance(expr, ast.StrLit):
-            return StrV(expr.value)
-        if isinstance(expr, ast.Ref):
-            return self.eval_ref(env, expr)
-        if isinstance(expr, ast.Call):
-            callee = self.eval_ref(env, expr.callee)
-            args = [self.eval_expr(env, a) for a in expr.args]
-            return self.apply(callee, args, expr.span)
-        if isinstance(expr, ast.Block):
-            return self.eval_block(env, expr)
-        if isinstance(expr, ast.FrameExpr):
-            return self.frame_eval(env, expr.body)
-        if isinstance(expr, ast.ThunkExpr):
-            return ThunkV(env, expr.body)
-        if isinstance(expr, ast.DeferRegister):
-            thunk = self.eval_expr(env, expr.thunk)
-            assert isinstance(thunk, ThunkV)
-            return self.defer_register(thunk, expr.span)
-        if isinstance(expr, ast.DeferCandidate):
-            raise EvalError(
-                "defer has no meaning here; the unit was not rewritten",
-                expr.span,
-            )
-        raise EvalError(f"cannot evaluate {type(expr).__name__}", getattr(expr, "span", None))
+    def compile(self, node: ast.Expr) -> Code:
+        """The closure that evaluates `node`, compiled on first use.
+        Compiling never fails; an ill-formed node compiles to a closure that
+        raises its error when evaluated."""
+        code = self.code.get(id(node))
+        if code is None:
+            code = self.code[id(node)] = self._compile(node)
+        return code
 
-    def eval_ref(self, env: Env, ref: ast.Ref) -> Value:
+    def _compile(self, node: ast.Expr) -> Code:
+        if isinstance(node, ast.IntLit):
+            return _constant(IntV(node.value))
+        if isinstance(node, ast.StrLit):
+            return _constant(StrV(node.value))
+        if isinstance(node, ast.Ref):
+            return self.compile_ref(node)
+        if isinstance(node, ast.Call):
+            return self._compile_call(node)
+        if isinstance(node, ast.Block):
+            return self._compile_block(node)
+        if isinstance(node, ast.FrameExpr):
+            return self._compile_frame(node)
+        if isinstance(node, ast.ThunkExpr):
+            block = node.body
+            return lambda env: ThunkV(env, block)
+        if isinstance(node, ast.DeferRegister):
+            make_thunk = self.compile(node.thunk)
+            register, span = self.defer_register, node.span
+
+            def defer(env: Env) -> Value:
+                thunk = make_thunk(env)
+                assert isinstance(thunk, ThunkV)
+                return register(thunk, span)
+
+            return defer
+        if isinstance(node, ast.DeferCandidate):
+            return _failure("defer has no meaning here; the unit was not rewritten", node.span)
+        return _failure(f"cannot evaluate {type(node).__name__}", getattr(node, "span", None))
+
+    def compile_ref(self, ref: ast.Ref) -> Code:
+        """Classify a reference once, by its resolved symbol."""
         symbol = self.resolution.symbol_for(ref)
         if symbol is None:
-            raise EvalError(f"{ast.dotted(ref.parts)} was not resolved", ref.span)
-        return self.value_of(env, symbol, ref)
 
-    def value_of(self, env: Env, symbol: SymbolId, ref: ast.Ref) -> Value:
+            def unresolved(env: Env) -> Value:
+                raise EvalError(f"{ast.dotted(ref.parts)} was not resolved", ref.span)
+
+            return unresolved
         if symbol.fqn.startswith("<builtin>."):
-            return BuiltinV(symbol.short_name())
+            return _constant(BuiltinV(symbol.short_name()))
         decl = self.graph.decls.get(symbol.fqn)
         if decl is None:
             # A block-local binding: the innermost run-time binding wins.
-            return env.lookup(ref.parts[-1])
+            name = ref.parts[-1]
+            return lambda env: env.lookup(name)
         if symbol.kind == VAL and isinstance(decl, ast.DefDecl):
-            return self.eval_expr(Env(), decl.body)
+            # A template val is evaluated afresh on every read.
+            body, compile = decl.body, self.compile
+            return lambda env: compile(body)(Env())
         if symbol.kind == DEF and isinstance(decl, ast.DefDecl):
-            return DefV(None, decl)
+            return _constant(DefV(None, decl))
         if symbol.kind in (TEMPLATE, PACKAGE):
-            return ObjRef(symbol.fqn)
-        raise EvalError(f"{symbol.fqn} has no runtime value", ref.span)
+            return _constant(ObjRef(symbol.fqn))
+        return _failure(f"{symbol.fqn} has no runtime value", ref.span)
 
-    def eval_block(self, env: Env, block: ast.Block) -> Value:
-        inner = Env(env)
-        result: Value = UNIT
-        for stat in block.stats:
-            if isinstance(stat, ast.DefDecl):
-                if stat.is_val:
-                    inner.bind(stat.name, self.eval_expr(inner, stat.body))
-                else:
-                    inner.bind(stat.name, DefV(inner, stat))
-                result = UNIT
-            else:
-                result = self.eval_expr(inner, stat)
-        return result
+    def _compile_call(self, node: ast.Call) -> Code:
+        callee = self.compile_ref(node.callee)
+        args = tuple(self.compile(arg) for arg in node.args)
+        call_def, call_builtin, span = self.call_def, self.call_builtin, node.span
 
-    def apply(self, callee: Value, args: list[Value], span: Span) -> Value:
-        if isinstance(callee, BuiltinV):
-            return self.call_builtin(callee.name, args, span)
-        if isinstance(callee, DefV):
-            return self.call_def(callee, args, span)
-        raise EvalError(f"{render(callee)} is not callable", span)
+        def call(env: Env) -> Value:
+            fn = callee(env)
+            # A loop, not a comprehension: on CPython 3.11 a comprehension
+            # adds a function object and a frame per call. On `defer_tree`
+            # it was slower at 28 of 36 stack offsets, by a quarter in the mean.
+            values = []
+            for arg in args:
+                values.append(arg(env))
+            if isinstance(fn, DefV):
+                return call_def(fn, values, span)
+            if isinstance(fn, BuiltinV):
+                return call_builtin(fn.name, values, span)
+            raise EvalError(f"{render(fn)} is not callable", span)
+
+        return call
+
+    def _compile_block(self, block: ast.Block) -> Code:
+        steps = tuple(self._compile_stat(stat) for stat in block.stats)
+        # A block that declares nothing needs no environment of its own.
+        scoped = any(isinstance(stat, ast.DefDecl) for stat in block.stats)
+
+        def run_block(env: Env) -> Value:
+            if scoped:
+                env = Env(env)
+            result: Value = UNIT
+            for step in steps:
+                result = step(env)
+            return result
+
+        return run_block
+
+    def _compile_stat(self, stat: ast.Stat) -> Code:
+        """One block step; it runs in the block's own environment."""
+        if not isinstance(stat, ast.DefDecl):
+            return self.compile(stat)
+        name = stat.name
+        if stat.is_val:
+            body = self.compile(stat.body)
+
+            def bind_val(env: Env) -> Value:
+                env.bindings[name] = body(env)
+                return UNIT
+
+            return bind_val
+
+        def bind_def(env: Env) -> Value:
+            env.bindings[name] = DefV(env, stat)
+            return UNIT
+
+        return bind_def
+
+    # Evaluation -------------------------------------------------------------
 
     def call_def(self, fn: DefV, args: list[Value], span: Span) -> Value:
         decl = fn.decl
@@ -228,41 +338,47 @@ class Interpreter:
         if self.depth >= _MAX_CALL_DEPTH:
             raise EvalError("call depth exceeded", span)
         env = Env(fn.env)
-        for param, arg in zip(decl.params, args):
-            env.bind(param, arg)
+        env.bindings.update(zip(decl.params, args))
+        body = self.compile(decl.body)
         self.depth += 1
         try:
-            body = decl.body
-            if isinstance(body, ast.Block):
-                return self.eval_block(env, body)
-            return self.eval_expr(env, body)
+            return body(env)
+        except RecursionError as err:
+            raise _eval_error(err, span) from None
         finally:
             self.depth -= 1
 
     # Deferred frames ----------------------------------------------------------
 
-    def frame_eval(self, env: Env, body: ast.Block) -> Value:
-        frame: list[ThunkV] = []
-        self.frames.append(frame)
-        primary: EvalError | None = None
-        value: Value = UNIT
-        try:
-            value = self.eval_block(env, body)
-        except EvalError as err:
-            primary = err
-        finally:
-            self.frames.pop()
-        for thunk in reversed(frame):
+    def _compile_frame(self, node: ast.FrameExpr) -> Code:
+        body, frames, compile = self.compile(node.body), self.frames, self.compile
+        span = node.span
+
+        def run_frame(env: Env) -> Value:
+            frame: list[ThunkV] = []
+            frames.append(frame)
+            primary: EvalError | None = None
+            value: Value = UNIT
             try:
-                self.eval_block(Env(thunk.env), thunk.body)
-            except EvalError as err:
-                if primary is None:
-                    primary = err
-                else:
-                    primary.suppressed.append(err)
-        if primary is not None:
-            raise primary
-        return value
+                value = body(env)
+            except (EvalError, RecursionError) as err:
+                primary = _eval_error(err, span)
+            finally:
+                frames.pop()
+            for thunk in reversed(frame):
+                try:
+                    compile(thunk.body)(thunk.env)
+                except (EvalError, RecursionError) as err:
+                    error = _eval_error(err, thunk.body.span)
+                    if primary is None:
+                        primary = error
+                    else:
+                        primary.suppressed.append(error)
+            if primary is not None:
+                raise primary
+            return value
+
+        return run_frame
 
     def defer_register(self, thunk: ThunkV, span: Span) -> Value:
         if not self.frames:

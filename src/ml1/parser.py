@@ -13,6 +13,14 @@ from ml1.tokens import IDENT, KEYWORD, LITERAL, PUNCT, Span, Token, string_value
 
 # Annotated imports are only legal as template statements.
 E_ANNOTATION_AT_TOP_LEVEL = "E_ANNOTATION_AT_TOP_LEVEL"
+E_NESTING_TOO_DEEP = "E_NESTING_TOO_DEEP"
+
+# Blocks and argument lists nest at most this deep. Every later phase
+# recurses over the tree, so the limit sits well below Python's recursion
+# limit. A `defer { ... }` counts as two levels, the depth of the
+# `__defer(thunk { ... })` that `go.defer` lowers it to, so a rewritten
+# unit parses again.
+MAX_NESTING = 100
 
 _EXPR_KEYWORDS = frozenset({"defer"})
 
@@ -35,6 +43,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.source_name = source_name
+        self.nesting = 0
 
     # Token access helpers.
 
@@ -80,6 +89,17 @@ class _Parser:
     def same_line(self, offset: int = 0) -> bool:
         tok = self.peek(offset)
         return tok is not None and tok.line == self.prev_line()
+
+    def nest(self) -> None:
+        """Enter a block, an argument list or a defer's extra level, opening
+        at the current token."""
+        if self.nesting == MAX_NESTING:
+            raise self.error(
+                f"at most {MAX_NESTING} nested blocks and argument lists (a defer counts two)",
+                f"{MAX_NESTING + 1} levels",
+                code=E_NESTING_TOO_DEEP,
+            )
+        self.nesting += 1
 
     def span_from(self, start: int) -> Span:
         end = self.tokens[self.pos - 1].span.end if self.pos > 0 else 0
@@ -265,6 +285,7 @@ class _Parser:
         return ast.DefDecl(name, tuple(params), body, False, self.span_from(start))
 
     def block(self) -> ast.Block:
+        self.nest()
         start = self.expect("{").span.start
         stats: list[ast.Stat] = []
         while not self.at("}"):
@@ -277,6 +298,7 @@ class _Parser:
             else:
                 stats.append(self.expr())
         self.expect("}")
+        self.nesting -= 1
         return ast.Block(tuple(stats), self.span_from(start))
 
     def statement_boundary(self) -> None:
@@ -304,7 +326,9 @@ class _Parser:
             return self.block()
         if tok.text == "defer":
             self.take()
+            self.nest()
             body = self.block()
+            self.nesting -= 1
             return ast.DeferCandidate(body, Span(tok.span.start, body.span.end))
         if tok.kind == IDENT:
             if tok.text == "__frame" and self.at("{", 1) and self.peek(1).line == tok.line:
@@ -327,6 +351,7 @@ class _Parser:
         ref = ast.Ref(tuple(parts), self.span_from(start))
         if not (self.at("(") and self.same_line()):
             return ref
+        self.nest()
         self.take()
         args: list[ast.Expr] = []
         if not self.at(")"):
@@ -335,6 +360,7 @@ class _Parser:
                 self.take()
                 args.append(self.expr())
         self.expect(")")
+        self.nesting -= 1
         span = self.span_from(start)
         if parts == ["__defer"]:
             if len(args) != 1 or not isinstance(args[0], ast.ThunkExpr):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from ml1 import ast
 from ml1.diagnostics import (
@@ -114,22 +116,41 @@ class ScopeGraph:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     # export_closure's memo, keyed by scope FQN.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
+    # The name maps below, keyed by (map, scope FQN). Lookups start once
+    # every symbol is declared, so each map is built once and shared
+    # read-only.
+    member_maps: dict[tuple[str, str], Mapping[str, SymbolId]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
-    # Lookup helpers.
+    # Lookup helpers. On a repeated short name the last symbol wins.
 
-    def template_members(self, tfqn: str) -> dict[str, SymbolId]:
-        return {sym.short_name(): sym for sym in self.members.get(tfqn, ())}
+    def template_members(self, tfqn: str) -> Mapping[str, SymbolId]:
+        found = self.member_maps.get(("template", tfqn))
+        if found is None:
+            found = self.member_maps[("template", tfqn)] = _by_short_name(self.members.get(tfqn, ()))
+        return found
 
-    def package_scope_members(self, pkg: str) -> dict[str, SymbolId]:
+    def package_direct_members(self, pkg: str) -> Mapping[str, SymbolId]:
+        """A package's templates and subpackages."""
+        found = self.member_maps.get(("package", pkg))
+        if found is None:
+            found = self.member_maps[("package", pkg)] = _by_short_name(self.package_members.get(pkg, ()))
+        return found
+
+    def package_scope_members(self, pkg: str) -> Mapping[str, SymbolId]:
         """Names a wildcard import of package `pkg` provides directly:
         its templates and subpackages, plus its package object's members."""
-        out = {sym.short_name(): sym for sym in self.package_members.get(pkg, ())}
-        pkgobj = self.package_objects.get(pkg)
-        if pkgobj is not None:
-            out.update(self.template_members(pkgobj))
-        return out
+        found = self.member_maps.get(("scope", pkg))
+        if found is None:
+            out = dict(self.package_direct_members(pkg))
+            pkgobj = self.package_objects.get(pkg)
+            if pkgobj is not None:
+                out.update(self.template_members(pkgobj))
+            found = self.member_maps[("scope", pkg)] = MappingProxyType(out)
+        return found
 
-    def scope_members(self, fqn: str) -> dict[str, SymbolId]:
+    def scope_members(self, fqn: str) -> Mapping[str, SymbolId]:
         sym = self.symbols.get(fqn)
         if sym is None:
             return {}
@@ -162,6 +183,10 @@ class ScopeGraph:
 
     def ancestors(self, tfqn: str) -> set[str]:
         return set(self.linearized_parents(tfqn))
+
+
+def _by_short_name(symbols: Iterable[SymbolId]) -> Mapping[str, SymbolId]:
+    return MappingProxyType({sym.short_name(): sym for sym in symbols})
 
 
 def _visited_ids(graph: ScopeGraph, fqn: str) -> set[str]:
@@ -579,9 +604,9 @@ def package_walk_lookup(graph: ScopeGraph, package_path: ast.QualName, name: str
     its direct members, then its package object's members."""
     for depth in range(len(package_path), -1, -1):
         pkg = ".".join(package_path[:depth])
-        members = {sym.short_name(): sym for sym in graph.package_members.get(pkg, ())}
-        if name in members:
-            return members[name]
+        hit = graph.package_direct_members(pkg).get(name)
+        if hit is not None:
+            return hit
         pkgobj = graph.package_objects.get(pkg)
         if pkgobj is not None:
             hit = graph.template_members(pkgobj).get(name)

@@ -1,10 +1,21 @@
 import json
+import sys
 
 import pytest
 
 from ml1.cli import main
+from ml1.printer import pretty_print
+from ml1.rewrite import DEFER_REWRITER, Intrinsic, apply_rewriter, builtin_registry
 
-from conftest import COMPOSE, FIXTURES, INHERIT, SALAT_AFTER, SALAT_BEFORE, fixture_paths
+from conftest import (
+    COMPOSE,
+    FIXTURES,
+    INHERIT,
+    SALAT_AFTER,
+    SALAT_BEFORE,
+    fixture_paths,
+    parse_source,
+)
 
 
 def run_cli(capsys, *argv):
@@ -305,3 +316,150 @@ def test_non_ascii_source_is_a_coded_lex_error(tmp_path, capsys, argv, text):
     assert out == ""
     assert "E_ILLEGAL_CHARACTER" in err
     assert "internal error" not in err
+
+
+ALL_COMMANDS = [
+    ["parse", "--dump-ast"],
+    ["resolve", "--dump"],
+    ["rewrite"],
+    ["run", "--entry", "Main.main"],
+    ["lint", "--marker", "Context"],
+]
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS)
+def test_deep_nesting_is_a_coded_parse_error(tmp_path, capsys, argv):
+    unit = tmp_path / "deep.ml1"
+    unit.write_text(
+        "object Main {\n  def main() = " + "{ " * 1000 + "1" + " }" * 1000 + "\n}\n",
+        encoding="utf-8",
+    )
+    status, out, err = run_cli(capsys, *argv, str(unit))
+    assert status == 2
+    assert out == ""
+    assert "E_NESTING_TOO_DEEP" in err
+    assert "internal error" not in err
+
+
+# Def bodies nested exactly as deep as the parser allows, in the shapes the
+# phases recurse over: blocks, argument lists, defers (two levels each) and
+# explicit frames.
+NESTED_AT_THE_LIMIT = {
+    "blocks": "{ " * 99 + "print(1)" + " }" * 99,
+    "arguments": "{ print(" + "concat(" * 98 + '"a"' + ', "b")' * 98 + ") }",
+    "defers": "{ " + "defer { " * 49 + "print(1)" + " }" * 49 + " }",
+    "frames": "{ " + "__frame { __defer(thunk { " * 33 + "1" + " }) }" * 33 + " }",
+}
+
+
+def nested_unit(shape: str) -> str:
+    return (
+        "import go.defer._\n\nobject Main {\n  def main() = "
+        + NESTED_AT_THE_LIMIT[shape]
+        + "\n}\n"
+    )
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS)
+@pytest.mark.parametrize("shape", sorted(NESTED_AT_THE_LIMIT))
+def test_nesting_at_the_limit_keeps_the_exit_contract(tmp_path, capsys, argv, shape):
+    unit = tmp_path / "nested.ml1"
+    unit.write_text(nested_unit(shape), encoding="utf-8")
+    status, _, err = run_cli(capsys, *argv, *fixture_paths("lib/go_defer.ml1"), str(unit))
+    assert status in (0, 1, 2)
+    assert "internal error" not in err
+    assert "E_NESTING_TOO_DEEP" not in err
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_AT_THE_LIMIT))
+def test_rewrite_output_at_the_limit_parses_again(shape):
+    unit = parse_source(nested_unit(shape))
+    lowered, _ = apply_rewriter(Intrinsic(DEFER_REWRITER), unit, builtin_registry())
+    assert parse_source(pretty_print(lowered)) == lowered
+
+
+def test_one_defer_past_the_limit_is_a_coded_parse_error(tmp_path, capsys):
+    unit = tmp_path / "nested.ml1"
+    unit.write_text(nested_unit("defers").replace("print(1)", "defer { 1 }"), encoding="utf-8")
+    status, out, err = run_cli(capsys, "parse", str(unit))
+    assert status == 2
+    assert out == ""
+    assert "E_NESTING_TOO_DEEP" in err
+
+
+def deferring_chain(length: int, nesting: int = 0) -> str:
+    """main calls f0, and each f<i> defers printing "u<i>-a", prints "d<i>"
+    and then calls f<i+1>; the last prints "bottom". `nesting` wraps each
+    call in that many concat argument lists."""
+    defs = []
+    for i in range(length):
+        call = f"f{i + 1}(x)" if i + 1 < length else 'print("bottom")'
+        for _ in range(nesting):
+            call = f'concat({call}, "")'
+        defs.append(
+            f"  def f{i}(x) = {{\n    defer {{\n      print(concat(\"u{i}-\", x))\n    }}\n"
+            f'    print("d{i}")\n    {call}\n  }}\n'
+        )
+    return (
+        "import go.defer._\n\nobject Main {\n  def main() = {\n    f0(\"a\")\n  }\n"
+        + "".join(defs)
+        + "}\n"
+    )
+
+
+def entered_and_left(frames: int, bottom: tuple[str, ...] = ()) -> list[str]:
+    """The events of a deferring chain whose first `frames` defs were
+    entered: each def's entry print, then every deferred print in reverse."""
+    return [f"d{i}" for i in range(frames)] + [*bottom] + [f"u{i}-a" for i in reversed(range(frames))]
+
+
+@pytest.mark.parametrize("length", [150, 199, 250])
+def test_deferring_chains_reach_the_call_depth_limit_first(tmp_path, capsys, length):
+    unit = tmp_path / "chain.ml1"
+    unit.write_text(deferring_chain(length), encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    status, out, err = run_cli(
+        capsys, "run", "--entry", "Main.main", *fixture_paths("lib/go_defer.ml1"), str(unit)
+    )
+    assert sys.getrecursionlimit() == limit
+    assert "internal error" not in err
+    if length < 200:
+        assert status == 0
+        assert err == ""
+        assert out.splitlines() == entered_and_left(length, ("bottom",))
+    else:
+        # main's call is the first; f199's would be the 201st.
+        assert status == 2
+        assert err.splitlines() == ["error: call depth exceeded"]
+        assert out.splitlines() == entered_and_left(199)
+
+
+def test_deep_expressions_in_deep_calls_fail_with_a_coded_error(tmp_path, capsys):
+    unit = tmp_path / "chain.ml1"
+    unit.write_text(deferring_chain(199, nesting=60), encoding="utf-8")
+    status, out, err = run_cli(
+        capsys, "run", "--entry", "Main.main", *fixture_paths("lib/go_defer.ml1"), str(unit)
+    )
+    assert status == 2
+    assert err.splitlines() == ["error: evaluation nested too deeply"]
+    # Python's stack ran out some way down the chain, and every def entered
+    # before that, the innermost included, still ran its deferred print.
+    entered = sum(line.startswith("d") for line in out.splitlines())
+    assert 0 < entered < 199
+    assert out.splitlines() == entered_and_left(entered)
+
+
+def test_run_leaves_a_higher_recursion_limit_alone(tmp_path, capsys):
+    unit = tmp_path / "chain.ml1"
+    unit.write_text(deferring_chain(199), encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10_000)
+    try:
+        status, out, _ = run_cli(
+            capsys, "run", "--entry", "Main.main", *fixture_paths("lib/go_defer.ml1"), str(unit)
+        )
+        assert sys.getrecursionlimit() == limit + 10_000
+    finally:
+        sys.setrecursionlimit(limit)
+    assert status == 0
+    assert out.splitlines() == entered_and_left(199, ("bottom",))

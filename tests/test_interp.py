@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 
+from ml1 import ast
 from ml1.diagnostics import E_NO_ENTRY, E_NO_FRAME
 from ml1.interp import IntV, UnitV, Interpreter, run
 from ml1.resolve import resolve_units
@@ -243,3 +245,116 @@ def test_generated_programs_match_the_simulator():
         else:
             assert trace.failed and trace.error.message == primary
             assert [s.message for s in trace.error.suppressed] == suppressed
+
+
+def resolved(*units):
+    graph = build_scope_graph(list(units))
+    resolution = resolve_units(graph, list(units))
+    assert not graph.diagnostics and not resolution.diagnostics
+    return graph, resolution
+
+
+def with_body(unit, tname, dname, body):
+    """Copy of `unit` with def `tname.dname` given another body."""
+    templates = []
+    for stat in unit.top_stats:
+        if isinstance(stat, ast.TemplateDef) and stat.name == tname:
+            stats = tuple(
+                replace(s, body=body) if isinstance(s, ast.DefDecl) and s.name == dname else s
+                for s in stat.stats
+            )
+            stat = replace(stat, stats=stats)
+        templates.append(stat)
+    return replace(unit, top_stats=tuple(templates))
+
+
+ILL_FORMED = ast.Block(
+    (ast.Call(ast.Ref(("print",)), (ast.StrLit("before"),)), ast.ImportClause((), ("p",), ast.WILDCARD))
+)
+
+
+def test_ill_formed_node_in_a_def_never_called_is_harmless():
+    unit = parse_source(
+        "object Main {\n  def unused() = {\n    1\n  }\n"
+        "  def main() = {\n    print(\"ran\")\n  }\n}",
+        "m.ml1",
+    )
+    graph, resolution = resolved(with_body(unit, "Main", "unused", ILL_FORMED))
+    trace = run(graph, resolution, "Main.main")
+    assert trace.events == ["ran"]
+    assert not trace.failed
+
+
+def test_ill_formed_node_fails_when_it_is_evaluated():
+    unit = parse_source(
+        "object Main {\n  def bad() = {\n    1\n  }\n"
+        "  def main() = {\n    print(\"first\")\n    bad()\n  }\n}",
+        "m.ml1",
+    )
+    graph, resolution = resolved(with_body(unit, "Main", "bad", ILL_FORMED))
+    trace = run(graph, resolution, "Main.main")
+    # The statements before the bad node still ran.
+    assert trace.events == ["first", "before"]
+    assert trace.error.message == "cannot evaluate ImportClause"
+
+
+def test_reached_defer_candidate_keeps_its_message_and_span():
+    source = (
+        "object Main {\n  def main() = {\n    print(\"before\")\n"
+        "    defer {\n      print(1)\n    }\n    print(\"after\")\n  }\n}"
+    )
+    trace = run_program(parse_source(source, "m.ml1"), entry="Main.main")
+    assert trace.events == ["before"]
+    assert trace.error.message == "defer has no meaning here; the unit was not rewritten"
+    span = trace.error.span
+    assert source[span.start : span.end] == "defer {\n      print(1)\n    }"
+
+
+def test_equal_references_evaluate_their_own_bindings():
+    unit = parse_source(
+        "object A {\n  val v = \"a\"\n  def f() = {\n    v\n  }\n}\n"
+        "object B {\n  val v = \"b\"\n  def f() = {\n    v\n  }\n}\n"
+        "object Main {\n  def main() = {\n    print(A.f())\n    print(B.f())\n  }\n}",
+        "m.ml1",
+    )
+    graph, resolution = resolved(unit)
+    ref_a = graph.decls["A.f"].body.stats[0]
+    ref_b = graph.decls["B.f"].body.stats[0]
+    assert ref_a == ref_b and ref_a is not ref_b
+    assert resolution.symbol_for(ref_a).fqn == "A.v"
+    assert resolution.symbol_for(ref_b).fqn == "B.v"
+    assert run(graph, resolution, "Main.main").events == ["a", "b"]
+
+
+def test_repeated_runs_on_one_graph_give_identical_traces():
+    lowered, _ = apply_rewriter(
+        Intrinsic("go.defer.rewriter"), parse_fixture("defer", "copy_boom.ml1"), builtin_registry()
+    )
+    graph, resolution = resolved(GO_DEFER, lowered)
+    traces = []
+    machine = Interpreter(graph, resolution)
+    for _ in range(2):
+        fresh = run(graph, resolution, "copyfile.Main.main")
+        traces.append((fresh.events, fresh.error.message, fresh.error.suppressed))
+        before = len(machine.events)
+        again = machine.run("copyfile.Main.main")  # reuses the compiled closures
+        assert machine.frames == []
+        assert machine.depth == 0
+        traces.append((again.events[before:], again.error.message, again.error.suppressed))
+    assert all(trace == traces[0] for trace in traces)
+    assert traces[0][0] == ["open-in", "open-out", "transfer", "close-out", "close-in"]
+
+
+def test_block_locals_and_template_vals_keep_their_runtime_rules():
+    # Undecided semantics (ROADMAP item 3), pinned as they stand: a read
+    # before a block `val` sees the parameter of the same name, and a
+    # template `val` is evaluated again on every read.
+    unit = parse_source(
+        "object M {\n  val x = {\n    print(\"eval-x\")\n    1\n  }\n"
+        "  def f(x) = {\n    print(x)\n    val x = \"inner\"\n    x\n  }\n"
+        "  def main() = {\n    print(f(\"param\"))\n    print(add(x, x))\n  }\n}",
+        "m.ml1",
+    )
+    graph, resolution = resolved(unit)
+    trace = run(graph, resolution, "M.main")
+    assert trace.events == ["param", "inner", "eval-x", "eval-x", "2"]

@@ -1,7 +1,13 @@
 import pytest
 
 from ml1 import ast
-from ml1.parser import E_ANNOTATION_AT_TOP_LEVEL, ParseError, parse_unit
+from ml1.parser import (
+    E_ANNOTATION_AT_TOP_LEVEL,
+    E_NESTING_TOO_DEEP,
+    MAX_NESTING,
+    ParseError,
+    parse_unit,
+)
 from ml1.tokens import tokenize
 
 from conftest import parse_fixture, parse_source
@@ -172,3 +178,33 @@ def test_spans_cover_node_extents():
 def test_parse_is_pure():
     tokens = tokenize("object A {\n  val x = 1\n}")
     assert parse_unit(tokens, "a.ml1") == parse_unit(tokens, "a.ml1")
+
+
+def nested_blocks(depth: int) -> str:
+    """A def whose body is `depth` blocks deep, the body itself included."""
+    return "object A {\n  def f() = " + "{ " * depth + "1" + " }" * depth + "\n}"
+
+
+def nested_calls(depth: int) -> str:
+    """A def body holding argument lists `depth` deep (plus its own block)."""
+    return "object A {\n  def f() = { " + "g(" * depth + "1" + ")" * depth + " }\n}"
+
+
+def test_nesting_up_to_the_limit_parses():
+    parse_source(nested_blocks(MAX_NESTING))
+    parse_source(nested_calls(MAX_NESTING - 1))
+
+
+@pytest.mark.parametrize("source", [nested_blocks(MAX_NESTING + 1), nested_calls(MAX_NESTING)])
+def test_nesting_past_the_limit_is_a_coded_parse_error(source):
+    with pytest.raises(ParseError) as info:
+        parse_source(source)
+    assert info.value.code == E_NESTING_TOO_DEEP
+    # The span points at the bracket that opens the level too many.
+    assert source[info.value.span.start] in "{("
+
+
+def test_nesting_far_past_the_limit_is_still_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_source(nested_blocks(5000))
+    assert info.value.code == E_NESTING_TOO_DEEP

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from ml1.diagnostics import (
     E_DUPLICATE_SYMBOL,
     E_UNKNOWN_IMPORT_ANNOTATION,
@@ -270,3 +272,23 @@ def test_closure_is_deterministic(salat_after_units):
     graph = build_project(*salat_after_units)
     pkgobj = graph.package_objects["com.mycompany.salat"]
     assert export_closure(graph, pkgobj) == export_closure(graph, pkgobj)
+
+
+def test_member_maps_are_built_once_and_read_only():
+    units = [
+        parse_source("package p\n\nobject T {\n  def f() = {\n    1\n  }\n}", "t.ml1"),
+        parse_source("package p\n\npackage object q {\n  def g() = {\n    1\n  }\n}", "q.ml1"),
+        parse_source("package p.q\n\nobject U {\n}", "u.ml1"),
+    ]
+    graph = build_project(*units)
+    for lookup, fqn, expected in [
+        (graph.template_members, "p.T", {"f": "p.T.f"}),
+        (graph.package_direct_members, "p.q", {"U": "p.q.U"}),
+        (graph.package_scope_members, "p.q", {"U": "p.q.U", "g": "p.q.g"}),
+        (graph.package_scope_members, "p", {"T": "p.T", "q": "p.q"}),
+    ]:
+        members = lookup(fqn)
+        assert {name: sym.fqn for name, sym in members.items()} == expected
+        assert lookup(fqn) is members
+        with pytest.raises(TypeError):
+            members["x"] = members[next(iter(members))]
