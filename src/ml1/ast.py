@@ -180,23 +180,51 @@ class CompilationUnit:
                 yield stat
 
 
+# Which fields of each node hold its children, in source order. A child
+# field holds one node or a tuple of nodes. Every node class has an entry;
+# leaves have an empty one.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    IntLit: (),
+    StrLit: (),
+    Ref: (),
+    Call: ("callee", "args"),
+    Block: ("stats",),
+    DeferCandidate: ("body",),
+    FrameExpr: ("body",),
+    ThunkExpr: ("body",),
+    DeferRegister: ("thunk",),
+    DefDecl: ("body",),
+    ImportClause: (),
+    TemplateDef: ("stats",),
+    CompilationUnit: ("top_stats",),
+}
+
+
 def child_nodes(node) -> Iterator[object]:
     """Direct AST children of a node, in source order."""
-    if isinstance(node, CompilationUnit):
-        yield from node.top_stats
-    elif isinstance(node, TemplateDef):
-        yield from node.stats
-    elif isinstance(node, DefDecl):
-        yield node.body
-    elif isinstance(node, Call):
-        yield node.callee
-        yield from node.args
-    elif isinstance(node, Block):
-        yield from node.stats
-    elif isinstance(node, (DeferCandidate, FrameExpr, ThunkExpr)):
-        yield node.body
-    elif isinstance(node, DeferRegister):
-        yield node.thunk
+    for name in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is tuple:
+            yield from value
+        else:
+            yield value
+
+
+def map_children(node, fn):
+    """`node` with `fn` applied to each direct child, in source order. When
+    `fn` returns every child itself, the result is `node` itself."""
+    changes = {}
+    for name in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is tuple:
+            new = tuple(fn(child) for child in value)
+            if any(a is not b for a, b in zip(new, value)):
+                changes[name] = new
+        else:
+            new = fn(value)
+            if new is not value:
+                changes[name] = new
+    return replace(node, **changes) if changes else node
 
 
 def walk(node) -> Iterator[object]:
@@ -209,28 +237,14 @@ def walk(node) -> Iterator[object]:
 def strip_import_annotations(unit: CompilationUnit) -> CompilationUnit:
     """Copy of `unit` with annotations removed from every import clause."""
 
-    def strip_clause(clause: ImportClause) -> ImportClause:
-        if not clause.annotations:
-            return clause
-        return replace(clause, annotations=())
+    def strip(node):
+        if isinstance(node, ImportClause):
+            return replace(node, annotations=()) if node.annotations else node
+        if isinstance(node, (CompilationUnit, TemplateDef)):
+            return map_children(node, strip)
+        return node  # imports occur only at unit and template level
 
-    changed = False
-    top: list[TopStat] = []
-    for stat in unit.top_stats:
-        if isinstance(stat, ImportClause):
-            new = strip_clause(stat)
-        elif isinstance(stat, TemplateDef):
-            body = tuple(
-                strip_clause(s) if isinstance(s, ImportClause) else s for s in stat.stats
-            )
-            new = stat if body == stat.stats else replace(stat, stats=body)
-        else:
-            new = stat
-        changed = changed or new is not stat
-        top.append(new)
-    if not changed:
-        return unit
-    return replace(unit, top_stats=tuple(top))
+    return strip(unit)
 
 
 def _camel(name: str) -> str:

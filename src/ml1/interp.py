@@ -13,10 +13,12 @@ code that never runs does no harm.
 
 `__frame { ... }` pushes a frame for the duration of the body; thunks
 registered via `__defer(thunk { ... })` run when the frame is left, in
-reverse registration order, on normal and failing exits alike. The frame's
-result (or its original error) is fixed before any thunk runs; errors
-raised by thunks are kept on the suppressed list of the primary error, and
-on a normal exit the first thunk error becomes the primary one. When
+reverse registration order, on normal and failing exits alike. The frame
+stays active while it unwinds, so a thunk's own defers run right after
+that thunk (Go order for nested defers). The frame's result (or its
+original error) is fixed before any thunk runs; errors raised by thunks
+are kept on the suppressed list of the primary error, and on a normal
+exit the first thunk error becomes the primary one. When
 Python's stack runs out (deep expressions inside deep calls), the
 innermost frame or call turns the RecursionError into the error
 "evaluation nested too deeply", so every frame entered still runs its
@@ -181,6 +183,7 @@ class Interpreter:
     # Entry ------------------------------------------------------------------
 
     def run(self, entry_fqn: str) -> Trace:
+        self.events = []
         trace = Trace(events=self.events)
         sym = self.graph.symbols.get(entry_fqn)
         decl = self.graph.decls.get(entry_fqn)
@@ -360,20 +363,24 @@ class Interpreter:
             primary: EvalError | None = None
             value: Value = UNIT
             try:
-                value = body(env)
-            except (EvalError, RecursionError) as err:
-                primary = _eval_error(err, span)
+                try:
+                    value = body(env)
+                except (EvalError, RecursionError) as err:
+                    primary = _eval_error(err, span)
+                # The frame stays active while it unwinds: a thunk's own
+                # defers land on it and run right after that thunk.
+                while frame:
+                    thunk = frame.pop()
+                    try:
+                        compile(thunk.body)(thunk.env)
+                    except (EvalError, RecursionError) as err:
+                        error = _eval_error(err, thunk.body.span)
+                        if primary is None:
+                            primary = error
+                        else:
+                            primary.suppressed.append(error)
             finally:
                 frames.pop()
-            for thunk in reversed(frame):
-                try:
-                    compile(thunk.body)(thunk.env)
-                except (EvalError, RecursionError) as err:
-                    error = _eval_error(err, thunk.body.span)
-                    if primary is None:
-                        primary = error
-                    else:
-                        primary.suppressed.append(error)
             if primary is not None:
                 raise primary
             return value

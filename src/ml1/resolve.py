@@ -21,16 +21,17 @@ from ml1.diagnostics import (
 )
 from ml1.scopes import (
     DEF,
+    IMPORT_NAMED,
+    IMPORT_WILDCARD,
     PACKAGE,
     TEMPLATE,
     VAL,
     ScopeGraph,
     SymbolId,
     scope_lookup,
-    clause_named_lookup,
     clause_target,
-    clause_wildcard_lookup,
     export_closure,
+    import_lookup,
     package_walk_lookup,
     template_fqn_of,
 )
@@ -41,8 +42,8 @@ BUILTINS = {name: SymbolId(f"<builtin>.{name}", DEF) for name in BUILTIN_NAMES}
 
 TIER_LOCAL = "local"
 TIER_MEMBER = "member"
-TIER_IMPORT_NAMED = "import-named"
-TIER_IMPORT_WILDCARD = "import-wildcard"
+TIER_IMPORT_NAMED = IMPORT_NAMED
+TIER_IMPORT_WILDCARD = IMPORT_WILDCARD
 TIER_PACKAGE = "package"
 TIER_BUILTIN = "builtin"
 
@@ -101,14 +102,9 @@ def resolve_name(graph: ScopeGraph, site: Site, name: str) -> Hit | None:
         hit = _member_lookup(graph, site.template, name)
         if hit is not None:
             return hit
-    for clause in reversed(site.imports):
-        hits = clause_named_lookup(graph, clause, name)
-        if hits:
-            return Hit(hits, TIER_IMPORT_NAMED)
-    for clause in reversed(site.imports):
-        hits = clause_wildcard_lookup(graph, clause, name)
-        if hits:
-            return Hit(hits, TIER_IMPORT_WILDCARD)
+    found = import_lookup(graph, site.imports, name)
+    if found is not None:
+        return Hit(*found)
     pkg_hit = package_walk_lookup(graph, site.unit.package_path, name)
     if pkg_hit is not None:
         return Hit((pkg_hit,), TIER_PACKAGE)
@@ -223,17 +219,11 @@ class _UnitWalker:
     def walk_expr(self, expr: ast.Expr, site: Site, owner: str) -> None:
         if isinstance(expr, ast.Ref):
             self.resolve_ref(expr, site)
-        elif isinstance(expr, ast.Call):
-            self.resolve_ref(expr.callee, site)
-            for arg in expr.args:
-                self.walk_expr(arg, site, owner)
         elif isinstance(expr, ast.Block):
             self.walk_block(expr, site, owner)
-        elif isinstance(expr, (ast.DeferCandidate, ast.FrameExpr, ast.ThunkExpr)):
-            self.walk_expr(expr.body, site, owner)
-        elif isinstance(expr, ast.DeferRegister):
-            self.walk_expr(expr.thunk.body, site, owner)
-        # Literals bind nothing.
+        else:
+            for child in ast.child_nodes(expr):
+                self.walk_expr(child, site, owner)
 
     def walk_block(self, block: ast.Block, site: Site, owner: str) -> None:
         bindings: dict[str, SymbolId] = {}
@@ -293,9 +283,7 @@ class _UnitWalker:
         )
 
 
-def erase_import_annotations(
-    resolution: Resolution, units: list[ast.CompilationUnit]
-) -> list[ast.CompilationUnit]:
+def erase_import_annotations(units: list[ast.CompilationUnit]) -> list[ast.CompilationUnit]:
     """Strip annotations from every import clause; the scope graph already
     carries their meaning. Idempotent."""
     return [ast.strip_import_annotations(unit) for unit in units]

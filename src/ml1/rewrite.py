@@ -295,125 +295,35 @@ def defer_lowering(tpl: ast.TemplateDef) -> ast.TemplateDef:
     enclosing def (template statement or template-level val) has no method
     scope to attach to.
     """
-    new_stats: list[ast.TemplateStat] = []
-    for stat in tpl.stats:
-        if isinstance(stat, ast.DefDecl):
-            if stat.is_val:
-                _reject_stray_defer(stat.body)
-                new_stats.append(_lower_nested(stat))
-            else:
-                new_stats.append(_lower_def(stat))
-        elif isinstance(stat, ast.ImportClause):
-            new_stats.append(stat)
-        else:
-            _reject_stray_defer(stat)
-            new_stats.append(_lower_nested(stat))
-    lowered = tuple(new_stats)
-    if lowered == tpl.stats:
-        return tpl
-    return replace(tpl, stats=lowered)
+    return ast.map_children(tpl, lambda stat: _lower(stat, None))
 
 
-def _reject_stray_defer(expr: ast.Expr) -> None:
-    if isinstance(expr, ast.DeferCandidate):
-        raise SemanticError(
-            Diagnostic(
-                E_DEFER_OUTSIDE_METHOD,
-                "defer used outside any def; there is no method scope to leave",
-                span=expr.span,
+def _lower(node, hits: list[ast.DeferCandidate] | None):
+    """Lower the defers under `node`, collecting those that register on the
+    enclosing def in `hits`; None means there is no enclosing def."""
+    if isinstance(node, ast.DeferCandidate):
+        if hits is None:
+            raise SemanticError(
+                Diagnostic(
+                    E_DEFER_OUTSIDE_METHOD,
+                    "defer used outside any def; there is no method scope to leave",
+                    span=node.span,
+                )
             )
-        )
-    for child in ast.child_nodes(expr):
-        if isinstance(child, ast.DefDecl):
-            if child.is_val:
-                _reject_stray_defer(child.body)
-            continue  # a nested def provides its own method scope
-        _reject_stray_defer(child)
+        hits.append(node)
+        thunk = ast.ThunkExpr(_lower(node.body, hits), node.span)
+        return ast.DeferRegister(thunk, node.span)
+    if isinstance(node, ast.DefDecl) and not node.is_val:
+        return _lower_def(node)
+    return ast.map_children(node, lambda child: _lower(child, hits))
 
 
 def _lower_def(decl: ast.DefDecl) -> ast.DefDecl:
-    replaced, body = _lower_in(decl.body)
-    if isinstance(body, ast.Block) and replaced:
-        framed = ast.Block((ast.FrameExpr(body, body.span),), body.span)
-        return replace(decl, body=framed)
-    if body is decl.body:
-        return decl
-    return replace(decl, body=body)
-
-
-def _lower_in(expr: ast.Expr) -> tuple[bool, ast.Expr]:
-    """Lower defers belonging to the current def. Returns whether any
-    replacement happened at this def's scope."""
-    if isinstance(expr, ast.DeferCandidate):
-        _, body = _lower_in(expr.body)
-        thunk = ast.ThunkExpr(body, expr.span)
-        return True, ast.DeferRegister(thunk, expr.span)
-    if isinstance(expr, ast.Block):
-        replaced = False
-        stats: list[ast.Stat] = []
-        for stat in expr.stats:
-            if isinstance(stat, ast.DefDecl):
-                if stat.is_val:
-                    hit, body = _lower_in(stat.body)
-                    replaced = replaced or hit
-                    stats.append(stat if body is stat.body else replace(stat, body=body))
-                else:
-                    stats.append(_lower_def(stat))
-            else:
-                hit, lowered = _lower_in(stat)
-                replaced = replaced or hit
-                stats.append(lowered)
-        new_stats = tuple(stats)
-        if new_stats == expr.stats:
-            return replaced, expr
-        return replaced, replace(expr, stats=new_stats)
-    if isinstance(expr, ast.Call):
-        replaced = False
-        args: list[ast.Expr] = []
-        for arg in expr.args:
-            hit, lowered = _lower_in(arg)
-            replaced = replaced or hit
-            args.append(lowered)
-        new_args = tuple(args)
-        if new_args == expr.args:
-            return replaced, expr
-        return replaced, replace(expr, args=new_args)
-    if isinstance(expr, (ast.FrameExpr, ast.ThunkExpr)):
-        hit, body = _lower_in(expr.body)
-        if body is expr.body:
-            return hit, expr
-        return hit, replace(expr, body=body)
-    if isinstance(expr, ast.DeferRegister):
-        hit, body = _lower_in(expr.thunk.body)
-        if body is expr.thunk.body:
-            return hit, expr
-        return hit, replace(expr, thunk=replace(expr.thunk, body=body))
-    return False, expr
-
-
-def _lower_nested(node):
-    """Lower defs nested under a template-level statement whose own defers
-    were already rejected."""
-    if isinstance(node, ast.DefDecl):
-        if node.is_val:
-            body = _lower_nested(node.body)
-            return node if body is node.body else replace(node, body=body)
-        return _lower_def(node)
-    if isinstance(node, ast.Block):
-        stats = tuple(_lower_nested(s) for s in node.stats)
-        return node if stats == node.stats else replace(node, stats=stats)
-    if isinstance(node, ast.Call):
-        args = tuple(_lower_nested(a) for a in node.args)
-        return node if args == node.args else replace(node, args=args)
-    if isinstance(node, (ast.FrameExpr, ast.ThunkExpr)):
-        body = _lower_nested(node.body)
-        return node if body is node.body else replace(node, body=body)
-    if isinstance(node, ast.DeferRegister):
-        body = _lower_nested(node.thunk.body)
-        if body is node.thunk.body:
-            return node
-        return replace(node, thunk=replace(node.thunk, body=body))
-    return node
+    hits: list[ast.DeferCandidate] = []
+    body = _lower(decl.body, hits)
+    if hits and isinstance(body, ast.Block):
+        body = ast.Block((ast.FrameExpr(body, body.span),), body.span)
+    return decl if body is decl.body else replace(decl, body=body)
 
 
 # Built-in intrinsic: a trivially observable second rewriter -----------------
@@ -422,36 +332,10 @@ def _lower_nested(node):
 def uppercase_defs(tpl: ast.TemplateDef) -> ast.TemplateDef:
     """Rename every def (not val) to its upper-cased name."""
 
-    def rename(decl: ast.DefDecl) -> ast.DefDecl:
-        body = in_expr(decl.body)
-        name = decl.name if decl.is_val else decl.name.upper()
-        if name == decl.name and body is decl.body:
-            return decl
-        return replace(decl, name=name, body=body)
+    def rename(node):
+        node = ast.map_children(node, rename)
+        if isinstance(node, ast.DefDecl) and not node.is_val and node.name != node.name.upper():
+            return replace(node, name=node.name.upper())
+        return node
 
-    def in_expr(expr: ast.Expr) -> ast.Expr:
-        if isinstance(expr, ast.Block):
-            stats = tuple(
-                rename(s) if isinstance(s, ast.DefDecl) else in_expr(s) for s in expr.stats
-            )
-            return expr if stats == expr.stats else replace(expr, stats=stats)
-        if isinstance(expr, ast.Call):
-            args = tuple(in_expr(a) for a in expr.args)
-            return expr if args == expr.args else replace(expr, args=args)
-        if isinstance(expr, (ast.DeferCandidate, ast.FrameExpr, ast.ThunkExpr)):
-            body = in_expr(expr.body)
-            return expr if body is expr.body else replace(expr, body=body)
-        if isinstance(expr, ast.DeferRegister):
-            body = in_expr(expr.thunk.body)
-            if body is expr.thunk.body:
-                return expr
-            return replace(expr, thunk=replace(expr.thunk, body=body))
-        return expr
-
-    stats = tuple(
-        rename(s) if isinstance(s, ast.DefDecl) else s if isinstance(s, ast.ImportClause) else in_expr(s)
-        for s in tpl.stats
-    )
-    if stats == tpl.stats:
-        return tpl
-    return replace(tpl, stats=stats)
+    return rename(tpl)

@@ -46,6 +46,10 @@ PACKAGE_OBJECT_MEMBER = "package"
 
 REWRITER_MARKER = "DefaultRewriter"
 
+# Tiers of `import_lookup`.
+IMPORT_NAMED = "import-named"
+IMPORT_WILDCARD = "import-wildcard"
+
 
 @dataclass(frozen=True)
 class SymbolId:
@@ -554,8 +558,9 @@ def _link_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
         graph.inherits[tfqn] = resolved
 
 
-# Per-clause lookup primitives. The full resolver composes these into its
-# precedence tiers; graph construction reuses them for parent names.
+# Per-clause lookup primitives and `import_lookup`, the one import
+# precedence policy; the full resolver and graph construction (for parent
+# names) both use it.
 
 
 def scope_lookup(graph: ScopeGraph, scope_fqn: str, name: str) -> tuple[SymbolId, ...]:
@@ -599,6 +604,24 @@ def clause_wildcard_lookup(graph: ScopeGraph, clause: ast.ImportClause, name: st
     return scope_lookup(graph, target, name)
 
 
+def import_lookup(
+    graph: ScopeGraph, clauses: tuple[ast.ImportClause, ...], name: str
+) -> tuple[tuple[SymbolId, ...], str] | None:
+    """The import precedence policy: named selectors before wildcards, and
+    a later clause (in textual order) shadows an earlier one. Returns the
+    winning clause's symbols, several when it is ambiguous, and the tier
+    (IMPORT_NAMED or IMPORT_WILDCARD); None when no clause provides `name`."""
+    for clause in reversed(clauses):
+        hits = clause_named_lookup(graph, clause, name)
+        if hits:
+            return hits, IMPORT_NAMED
+    for clause in reversed(clauses):
+        hits = clause_wildcard_lookup(graph, clause, name)
+        if hits:
+            return hits, IMPORT_WILDCARD
+    return None
+
+
 def package_walk_lookup(graph: ScopeGraph, package_path: ast.QualName, name: str) -> SymbolId | None:
     """Innermost enclosing package outward to the root; each package offers
     its direct members, then its package object's members."""
@@ -619,27 +642,15 @@ def lookup_at_unit_scope(graph: ScopeGraph, unit: ast.CompilationUnit, parts: as
     """Resolve a qualified name using only the unit's top imports and its
     enclosing packages. Ambiguous heads miss; the full resolver reports
     ambiguity with candidates."""
-    head = _head_at_unit_scope(graph, unit, parts[0])
+    found = import_lookup(graph, tuple(unit.top_imports()), parts[0])
+    if found is None:
+        head = package_walk_lookup(graph, unit.package_path, parts[0])
+    else:
+        hits = found[0]
+        head = hits[0] if len(hits) == 1 else None
     if head is None:
         return None
     return navigate(graph, head, parts[1:])
-
-
-def _head_at_unit_scope(graph: ScopeGraph, unit: ast.CompilationUnit, name: str) -> SymbolId | None:
-    clauses = list(unit.top_imports())
-    for clause in reversed(clauses):  # later imports shadow earlier ones
-        hits = clause_named_lookup(graph, clause, name)
-        if len(hits) == 1:
-            return hits[0]
-        if hits:
-            return None
-    for clause in reversed(clauses):
-        hits = clause_wildcard_lookup(graph, clause, name)
-        if len(hits) == 1:
-            return hits[0]
-        if hits:
-            return None
-    return package_walk_lookup(graph, unit.package_path, name)
 
 
 def navigate(graph: ScopeGraph, base: SymbolId, rest: ast.QualName) -> SymbolId | None:

@@ -203,6 +203,44 @@ def test_body_error_wins_over_thunk_errors():
     assert [s.message for s in trace.error.suppressed] == ["cleanup-fail"]
 
 
+def test_nested_defers_run_in_go_order():
+    # A thunk's own defers run right after that thunk, on the same frame.
+    unit = parse_source(
+        "import go.defer._\n\nobject Main {\n  def main() = {\n"
+        "    defer {\n      print(\"a\")\n      defer {\n        print(\"b\")\n      }\n"
+        "      print(\"c\")\n    }\n"
+        "    defer {\n      print(\"d\")\n    }\n"
+        "    print(\"body\")\n  }\n}",
+        "m.ml1",
+    )
+    trace = run_program(GO_DEFER, unit, entry="Main.main")
+    assert trace.events == ["body", "d", "a", "c", "b"]
+    assert not trace.failed
+
+
+def test_inner_thunk_errors_are_primary_or_suppressed():
+    def nested(body_stat):
+        return parse_source(
+            "import go.defer._\n\nobject Main {\n  def main() = {\n"
+            "    defer {\n      error(\"outer\")\n    }\n"
+            "    defer {\n      defer {\n        error(\"inner\")\n      }\n"
+            "      print(\"t1\")\n    }\n"
+            f"    {body_stat}\n  }}\n}}",
+            "m.ml1",
+        )
+
+    # Normal exit: the inner thunk fails first and becomes primary.
+    trace = run_program(GO_DEFER, nested('print("body")'), entry="Main.main")
+    assert trace.events == ["body", "t1"]
+    assert trace.error.message == "inner"
+    assert [s.message for s in trace.error.suppressed] == ["outer"]
+    # Failing body: the body's error stays primary.
+    trace = run_program(GO_DEFER, nested('error("boom")'), entry="Main.main")
+    assert trace.events == ["t1"]
+    assert trace.error.message == "boom"
+    assert [s.message for s in trace.error.suppressed] == ["inner", "outer"]
+
+
 def test_frame_stack_is_balanced_after_runs():
     unit = parse_fixture("defer", "copy.ml1")
     graph = build_project(GO_DEFER, unit)
@@ -336,11 +374,10 @@ def test_repeated_runs_on_one_graph_give_identical_traces():
     for _ in range(2):
         fresh = run(graph, resolution, "copyfile.Main.main")
         traces.append((fresh.events, fresh.error.message, fresh.error.suppressed))
-        before = len(machine.events)
         again = machine.run("copyfile.Main.main")  # reuses the compiled closures
         assert machine.frames == []
         assert machine.depth == 0
-        traces.append((again.events[before:], again.error.message, again.error.suppressed))
+        traces.append((again.events, again.error.message, again.error.suppressed))
     assert all(trace == traces[0] for trace in traces)
     assert traces[0][0] == ["open-in", "open-out", "transfer", "close-out", "close-in"]
 

@@ -240,11 +240,11 @@ def test_named_selector_consults_the_closure():
 def test_erasure_strips_annotations_and_is_idempotent(salat_after_units):
     graph = build_project(*salat_after_units)
     resolution = resolve_units(graph, salat_after_units)
-    erased = erase_import_annotations(resolution, salat_after_units)
+    erased = erase_import_annotations(salat_after_units)
     for unit in erased:
         for node in _all_imports(unit):
             assert node.annotations == ()
-    assert erase_import_annotations(resolution, erased) == erased
+    assert erase_import_annotations(erased) == erased
     assert len(resolution.erased_imports) == 4  # hub's three plus one re-export home
 
 
@@ -259,7 +259,7 @@ def _all_imports(unit):
 def test_erasure_changes_no_resolution_output(salat_after_units):
     graph = build_project(*salat_after_units)
     before = resolve_units(graph, salat_after_units)
-    erased = erase_import_annotations(before, salat_after_units)
+    erased = erase_import_annotations(salat_after_units)
     after = resolve_units(graph, erased)
     assert before.records == after.records
     assert [d.render() for d in before.diagnostics] == [
@@ -286,7 +286,7 @@ def test_erasure_preserves_self_visible_resolution():
     graph = build_project(*units)
     before = resolve_units(graph, units)
     assert not before.diagnostics
-    erased = erase_import_annotations(before, units)
+    erased = erase_import_annotations(units)
     after = resolve_units(graph, erased)
     assert after.records == before.records
     assert not after.diagnostics
