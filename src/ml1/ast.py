@@ -47,11 +47,9 @@ class ImportSelectors:
     wildcard: bool
     names: tuple[Selector, ...] = ()
 
-    def mentions(self, name: str) -> bool:
-        return any(s.source == name for s in self.names)
-
     def apply(self, name: str) -> str | None:
-        """Visible name this filter gives `name`, or None when filtered out."""
+        """Visible name this filter gives `name`, or None when filtered out.
+        The first selector naming `name` decides; a later one is ignored."""
         for sel in self.names:
             if sel.source == name:
                 return sel.target

@@ -139,6 +139,15 @@ def cmd_resolve(args) -> int:
     return SEMANTIC if had else OK
 
 
+def _rewrite_unit(
+    graph: ScopeGraph, unit: ast.CompilationUnit, registry: rewrite.RewriterRegistry
+) -> tuple[ast.CompilationUnit, rewrite.RewriteReport]:
+    """Bind the rewriter the unit's imports switch on and apply it."""
+    candidates = implicit_candidates(graph, unit, REWRITER_MARKER)
+    ref = rewrite.bind_rewriter(graph, candidates, registry)
+    return rewrite.apply_rewriter(ref, unit, registry)
+
+
 def cmd_rewrite(args) -> int:
     units = _load_units(args.files)
     graph = build_scope_graph(units)
@@ -148,9 +157,7 @@ def cmd_rewrite(args) -> int:
     status = OK
     for unit in units:
         try:
-            candidates = implicit_candidates(graph, unit, REWRITER_MARKER)
-            ref = rewrite.bind_rewriter(graph, candidates, registry)
-            rewritten, report = rewrite.apply_rewriter(ref, unit, registry)
+            rewritten, report = _rewrite_unit(graph, unit, registry)
         except SemanticError as err:
             print(err.diagnostic.render(), file=sys.stderr)
             status = SEMANTIC
@@ -164,26 +171,14 @@ def cmd_rewrite(args) -> int:
     return status
 
 
-def _rewrite_all(
-    graph: ScopeGraph, units: list[ast.CompilationUnit]
-) -> list[ast.CompilationUnit]:
-    registry = rewrite.builtin_registry()
-    out = []
-    for unit in units:
-        candidates = implicit_candidates(graph, unit, REWRITER_MARKER)
-        ref = rewrite.bind_rewriter(graph, candidates, registry)
-        rewritten, _report = rewrite.apply_rewriter(ref, unit, registry)
-        out.append(rewritten)
-    return out
-
-
 def cmd_run(args) -> int:
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     if _report_diagnostics(graph):
         return SEMANTIC
+    registry = rewrite.builtin_registry()
     try:
-        rewritten = _rewrite_all(graph, units)
+        rewritten = [_rewrite_unit(graph, unit, registry)[0] for unit in units]
     except SemanticError as err:
         print(err.diagnostic.render(), file=sys.stderr)
         return SEMANTIC

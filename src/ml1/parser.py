@@ -55,10 +55,6 @@ class _Parser:
         tok = self.peek(offset)
         return tok is not None and tok.text == text
 
-    def at_kind(self, kind: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok is not None and tok.kind == kind
-
     def take(self) -> Token:
         tok = self.peek()
         if tok is None:

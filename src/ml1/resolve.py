@@ -1,11 +1,10 @@
 """Name resolution over a built scope graph.
 
 Precedence, innermost first: block bindings, then template members
-(own, inherited, inherited re-exports), then named-selector imports,
-then wildcard imports, then enclosing packages, then builtins. Later
-imports shadow earlier ones; within one wildcard import a direct member
-of the imported scope beats names it re-exports, and two distinct
-re-exported symbols under one name are ambiguous.
+(own, inherited, inherited re-exports), then the site's import positions
+in the order `scopes.import_positions` gives them (named selectors,
+wildcards, enclosing packages), then builtins. The implicit scan walks
+the same positions in the same order.
 """
 
 from __future__ import annotations
@@ -21,50 +20,42 @@ from ml1.diagnostics import (
 )
 from ml1.scopes import (
     DEF,
-    IMPORT_NAMED,
-    IMPORT_WILDCARD,
-    PACKAGE,
     TEMPLATE,
     VAL,
+    ImportPosition,
     ScopeGraph,
     SymbolId,
-    scope_lookup,
-    clause_target,
     export_closure,
     import_lookup,
-    package_walk_lookup,
+    import_positions,
+    navigate,
     template_fqn_of,
+    unit_positions,
 )
 from ml1.tokens import Span
 
 BUILTIN_NAMES = ("print", "error", "concat", "add", "sub", "compose")
 BUILTINS = {name: SymbolId(f"<builtin>.{name}", DEF) for name in BUILTIN_NAMES}
 
+# A Hit's tier when no import position gave it; those tiers are
+# `scopes.IMPORT_NAMED`, `scopes.IMPORT_WILDCARD` and `scopes.ENCLOSING_PACKAGE`.
 TIER_LOCAL = "local"
 TIER_MEMBER = "member"
-TIER_IMPORT_NAMED = IMPORT_NAMED
-TIER_IMPORT_WILDCARD = IMPORT_WILDCARD
-TIER_PACKAGE = "package"
 TIER_BUILTIN = "builtin"
 
 
 @dataclass
 class Site:
-    """Where a reference occurs: its unit, enclosing template, the import
-    clauses in scope (textual order), and the chain of local scopes from
-    outermost to innermost."""
+    """Where a reference occurs: its enclosing template, the import
+    positions in scope (`scopes.import_positions`), and the chain of local
+    scopes from outermost to innermost."""
 
-    unit: ast.CompilationUnit
     template: str | None
-    imports: tuple[ast.ImportClause, ...]
+    positions: tuple[ImportPosition, ...]
     locals_chain: tuple[dict[str, SymbolId], ...] = ()
 
     def with_scope(self, bindings: dict[str, SymbolId]) -> "Site":
-        return Site(self.unit, self.template, self.imports, self.locals_chain + (bindings,))
-
-
-def unit_site(graph: ScopeGraph, unit: ast.CompilationUnit) -> Site:
-    return Site(unit, None, tuple(unit.top_imports()))
+        return Site(self.template, self.positions, self.locals_chain + (bindings,))
 
 
 def template_site(
@@ -76,10 +67,10 @@ def template_site(
     if decl is None:
         found = graph.decls.get(tfqn)
         decl = found if isinstance(found, ast.TemplateDef) else None
-    clauses = tuple(unit.top_imports())
+    clauses = list(unit.top_imports())
     if decl is not None:
-        clauses += tuple(s for s in decl.stats if isinstance(s, ast.ImportClause))
-    return Site(unit, tfqn, clauses)
+        clauses += [s for s in decl.stats if isinstance(s, ast.ImportClause)]
+    return Site(tfqn, import_positions(graph, clauses, unit.package_path))
 
 
 @dataclass(frozen=True)
@@ -102,12 +93,9 @@ def resolve_name(graph: ScopeGraph, site: Site, name: str) -> Hit | None:
         hit = _member_lookup(graph, site.template, name)
         if hit is not None:
             return hit
-    found = import_lookup(graph, site.imports, name)
+    found = import_lookup(graph, site.positions, name)
     if found is not None:
         return Hit(*found)
-    pkg_hit = package_walk_lookup(graph, site.unit.package_path, name)
-    if pkg_hit is not None:
-        return Hit((pkg_hit,), TIER_PACKAGE)
     if name in BUILTINS:
         return Hit((BUILTINS[name],), TIER_BUILTIN)
     return None
@@ -180,7 +168,7 @@ class _UnitWalker:
             site = (
                 template_site(self.graph, self.unit, tfqn, tpl)
                 if tfqn
-                else unit_site(self.graph, self.unit)
+                else Site(None, unit_positions(self.graph, self.unit))
             )
             for stat in tpl.stats:
                 if isinstance(stat, ast.ImportClause):
@@ -250,23 +238,17 @@ class _UnitWalker:
     def _resolve_parts(
         self, parts: ast.QualName, span: Span, site: Site
     ) -> tuple[SymbolId | None, Diagnostic | None]:
-        name = ast.dotted(parts)
         hit = resolve_name(self.graph, site, parts[0])
         if hit is None:
             return None, self._unresolved(parts[0], span)
         if hit.symbol is None:
             return None, self._ambiguous(parts[0], span, hit.symbols)
-        current = hit.symbol
-        for segment in parts[1:]:
-            if current.kind not in (PACKAGE, TEMPLATE):
-                return None, self._unresolved(name, span)
-            hits = scope_lookup(self.graph, current.fqn, segment)
-            if not hits:
-                return None, self._unresolved(name, span)
-            if len(hits) > 1:
-                return None, self._ambiguous(segment, span, hits)
-            current = hits[0]
-        return current, None
+        hits, failed = navigate(self.graph, hit.symbol, parts[1:])
+        if failed is None:
+            return hits[0], None
+        if hits:
+            return None, self._ambiguous(failed, span, hits)
+        return None, self._unresolved(ast.dotted(parts), span)
 
     def _unresolved(self, name: str, span: Span) -> Diagnostic:
         return Diagnostic(
@@ -299,9 +281,6 @@ class ImplicitCandidate:
     position: int
 
 
-_TIER_RANK = {TIER_IMPORT_NAMED: 0, TIER_IMPORT_WILDCARD: 1, TIER_PACKAGE: 2}
-
-
 def _is_marker_implicit(graph: ScopeGraph, sym: SymbolId, marker_fqn: str) -> bool:
     if sym.kind != TEMPLATE:
         return False
@@ -315,64 +294,36 @@ def implicit_candidates(
     graph: ScopeGraph, unit: ast.CompilationUnit, marker_fqn: str
 ) -> list[ImplicitCandidate]:
     """Implicit objects extending `marker_fqn` visible at the unit's top
-    scope, ordered by tier then textual import position."""
+    scope, in the order of its import positions (`scopes.unit_positions`),
+    highest precedence first; within one position ordered by FQN."""
     found: list[ImplicitCandidate] = []
-    clauses = list(unit.top_imports())
-    for pos, clause in enumerate(clauses):
-        target = clause_target(graph, clause)
-        if target is None:
-            continue
-        for sel in clause.selectors.names:
-            if sel.target is ast.HIDDEN:
-                continue
-            for sym in scope_lookup(graph, target, sel.source):
-                if _is_marker_implicit(graph, sym, marker_fqn):
-                    found.append(ImplicitCandidate(sym, TIER_IMPORT_NAMED, pos))
-    for pos, clause in enumerate(clauses):
-        target = clause_target(graph, clause)
-        if target is None or not clause.selectors.wildcard:
-            continue
-        names = set(graph.scope_members(target))
-        names.update(export_closure(graph, target).by_name)
-        for name in sorted(names):
-            if clause.selectors.mentions(name):
-                continue
-            for sym in scope_lookup(graph, target, name):
-                if _is_marker_implicit(graph, sym, marker_fqn):
-                    found.append(ImplicitCandidate(sym, TIER_IMPORT_WILDCARD, pos))
-    package_path = unit.package_path
-    for depth in range(len(package_path), -1, -1):
-        pos = len(package_path) - depth  # innermost package first
-        pkg = ".".join(package_path[:depth])
-        for sym in graph.package_scope_members(pkg).values():
-            if _is_marker_implicit(graph, sym, marker_fqn):
-                found.append(ImplicitCandidate(sym, TIER_PACKAGE, pos))
-    deduped: list[ImplicitCandidate] = []
-    seen: set[tuple[str, str, int]] = set()
-    for cand in sorted(found, key=lambda c: (_TIER_RANK[c.tier], c.position, c.symbol.fqn)):
-        key = (cand.symbol.fqn, cand.tier, cand.position)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(cand)
-    return deduped
+    for position in unit_positions(graph, unit):
+        symbols = {
+            sym
+            for name in position.names(graph)
+            for sym in position.lookup(graph, name)
+            if _is_marker_implicit(graph, sym, marker_fqn)
+        }
+        found += (
+            ImplicitCandidate(sym, position.tier, position.index)
+            for sym in sorted(symbols, key=lambda s: s.fqn)
+        )
+    return found
 
 
 def select_implicit(
     candidates: list[ImplicitCandidate],
 ) -> tuple[SymbolId | None, tuple[SymbolId, ...]]:
-    """Apply the selection policy: lowest tier wins; within an import tier
-    the last import wins, within the package tier the innermost package.
-    Returns (winner, tied): several distinct symbols at the winning
-    position tie, and the winner is None."""
+    """Apply the selection policy to candidates in precedence order: the
+    first candidate's position wins. Returns (winner, tied): several
+    distinct symbols at the winning position tie, and the winner is None."""
     if not candidates:
         return None, ()
-    best_rank = min(_TIER_RANK[c.tier] for c in candidates)
-    at_tier = [c for c in candidates if _TIER_RANK[c.tier] == best_rank]
-    if best_rank == _TIER_RANK[TIER_PACKAGE]:
-        best_pos = min(c.position for c in at_tier)
-    else:
-        best_pos = max(c.position for c in at_tier)
-    winners = sorted({c.symbol for c in at_tier if c.position == best_pos}, key=lambda s: s.fqn)
+    first = candidates[0]
+    winners = sorted(
+        {c.symbol for c in candidates if (c.tier, c.position) == (first.tier, first.position)},
+        key=lambda s: s.fqn,
+    )
     if len(winners) == 1:
         return winners[0], ()
     return None, tuple(winners)

@@ -46,9 +46,10 @@ PACKAGE_OBJECT_MEMBER = "package"
 
 REWRITER_MARKER = "DefaultRewriter"
 
-# Tiers of `import_lookup`.
+# Tiers of an import position (see `import_positions`).
 IMPORT_NAMED = "import-named"
 IMPORT_WILDCARD = "import-wildcard"
+ENCLOSING_PACKAGE = "package"
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,6 @@ class ScopeGraph:
     decls: dict[str, object] = field(default_factory=dict)
     owner_unit: dict[str, str] = field(default_factory=dict)
     units_by_name: dict[str, ast.CompilationUnit] = field(default_factory=dict)
-    import_targets: dict[int, str] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     # export_closure's memo, keyed by scope FQN.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
@@ -132,22 +132,18 @@ class ScopeGraph:
     def template_members(self, tfqn: str) -> Mapping[str, SymbolId]:
         found = self.member_maps.get(("template", tfqn))
         if found is None:
-            found = self.member_maps[("template", tfqn)] = _by_short_name(self.members.get(tfqn, ()))
-        return found
-
-    def package_direct_members(self, pkg: str) -> Mapping[str, SymbolId]:
-        """A package's templates and subpackages."""
-        found = self.member_maps.get(("package", pkg))
-        if found is None:
-            found = self.member_maps[("package", pkg)] = _by_short_name(self.package_members.get(pkg, ()))
+            found = self.member_maps[("template", tfqn)] = MappingProxyType(
+                {sym.short_name(): sym for sym in self.members.get(tfqn, ())}
+            )
         return found
 
     def package_scope_members(self, pkg: str) -> Mapping[str, SymbolId]:
-        """Names a wildcard import of package `pkg` provides directly:
-        its templates and subpackages, plus its package object's members."""
+        """Names package `pkg` provides directly: its templates and
+        subpackages, plus its package object's members. A member's FQN is
+        `pkg.name` either way, so the two never share a name."""
         found = self.member_maps.get(("scope", pkg))
         if found is None:
-            out = dict(self.package_direct_members(pkg))
+            out = {sym.short_name(): sym for sym in self.package_members.get(pkg, ())}
             pkgobj = self.package_objects.get(pkg)
             if pkgobj is not None:
                 out.update(self.template_members(pkgobj))
@@ -187,10 +183,6 @@ class ScopeGraph:
 
     def ancestors(self, tfqn: str) -> set[str]:
         return set(self.linearized_parents(tfqn))
-
-
-def _by_short_name(symbols: Iterable[SymbolId]) -> Mapping[str, SymbolId]:
-    return MappingProxyType({sym.short_name(): sym for sym in symbols})
 
 
 def _visited_ids(graph: ScopeGraph, fqn: str) -> set[str]:
@@ -258,10 +250,15 @@ def _compose(outer: _Filter, inner: _Filter) -> _Filter:
     return wild, out
 
 
+def _selector_map(selectors: ast.ImportSelectors) -> dict[str, str | None]:
+    """Each name a selector mentions, with the name `ImportSelectors.apply`
+    makes it visible as (None hides it): the first selector of a name
+    decides."""
+    return {sel.source: selectors.apply(sel.source) for sel in selectors.names}
+
+
 def _selector_filter(selectors: ast.ImportSelectors) -> _Filter:
-    names: dict[str, str | None] = {}
-    for sel in selectors.names:
-        names.setdefault(sel.source, sel.target)  # the first selector of a name wins
+    names = _selector_map(selectors)
     wild = selectors.wildcard
     return wild, {name: to for name, to in names.items() if to != (name if wild else None)}
 
@@ -430,19 +427,16 @@ def _declare_unit(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
     _ensure_package(graph, unit.package_path, unit)
     pkg = ast.dotted(unit.package_path)
     for tpl in unit.templates():
+        tfqn = template_fqn_of(unit, tpl)
+        sym = SymbolId(tfqn, TEMPLATE)
         if tpl.kind == ast.PACKAGE_OBJECT:
-            owned = f"{pkg}.{tpl.name}" if pkg else tpl.name
-            _ensure_package(graph, tuple(owned.split(".")), unit)
-            tfqn = f"{owned}.{PACKAGE_OBJECT_MEMBER}"
-            member_prefix = owned
-            sym = SymbolId(tfqn, TEMPLATE)
+            member_prefix = tfqn.rpartition(".")[0]  # the package it belongs to
+            _ensure_package(graph, tuple(member_prefix.split(".")), unit)
             if not _declare_symbol(graph, sym, tpl, unit.source_name):
                 continue
-            graph.package_objects[owned] = tfqn
+            graph.package_objects[member_prefix] = tfqn
         else:
-            tfqn = f"{pkg}.{tpl.name}" if pkg else tpl.name
             member_prefix = tfqn
-            sym = SymbolId(tfqn, TEMPLATE)
             if not _declare_symbol(graph, sym, tpl, unit.source_name):
                 continue
             graph.package_members.setdefault(pkg, []).append(sym)
@@ -474,7 +468,7 @@ def resolve_import_path(graph: ScopeGraph, path: ast.QualName) -> str | None:
 
 
 def _link_imports(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
-    def resolve_clause(clause: ast.ImportClause) -> None:
+    def resolve_clause(clause: ast.ImportClause) -> str | None:
         target = resolve_import_path(graph, clause.path)
         if target is None:
             graph.diagnostics.append(
@@ -485,8 +479,7 @@ def _link_imports(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
                     clause.span,
                 )
             )
-            return
-        graph.import_targets[id(clause)] = target
+        return target
 
     for clause in unit.top_imports():
         resolve_clause(clause)
@@ -506,8 +499,7 @@ def _link_imports(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
                     )
                 )
                 continue
-            resolve_clause(stat)
-            target = graph.import_targets.get(id(stat))
+            target = resolve_clause(stat)
             if stat.annotations == ("exported",) and target is not None and tfqn is not None:
                 edges = graph.exports[tfqn]
                 edges.append(
@@ -558,9 +550,9 @@ def _link_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
         graph.inherits[tfqn] = resolved
 
 
-# Per-clause lookup primitives and `import_lookup`, the one import
-# precedence policy; the full resolver and graph construction (for parent
-# names) both use it.
+# Import positions and `import_lookup`, the one lookup policy over them;
+# the resolver, the implicit scan and graph construction (for parent
+# names) all use it.
 
 
 def scope_lookup(graph: ScopeGraph, scope_fqn: str, name: str) -> tuple[SymbolId, ...]:
@@ -572,96 +564,110 @@ def scope_lookup(graph: ScopeGraph, scope_fqn: str, name: str) -> tuple[SymbolId
     return export_closure(graph, scope_fqn).lookup(name)
 
 
-def clause_target(graph: ScopeGraph, clause: ast.ImportClause) -> str | None:
-    """The scope a clause imports from. Clause objects may be rebuilt (for
-    example by annotation erasure), so fall back to the absolute path when
-    the build-time identity cache misses."""
-    hit = graph.import_targets.get(id(clause))
-    if hit is None:
-        hit = resolve_import_path(graph, clause.path)
-    return hit
+@dataclass(frozen=True)
+class ImportPosition:
+    """One entry of a site's precedence list: the named selectors of one
+    clause (IMPORT_NAMED), the wildcard of one clause (IMPORT_WILDCARD) or
+    one enclosing package (ENCLOSING_PACKAGE). `index` is the clause's
+    textual index, or the package's distance from the innermost one;
+    `scope` is the imported scope or the package."""
+
+    tier: str
+    index: int
+    scope: str
+    renames: Mapping[str, str] = field(default_factory=dict)  # named: visible name -> source
+    excluded: frozenset[str] = frozenset()  # wildcard: the names a selector mentions
+
+    def lookup(self, graph: ScopeGraph, name: str) -> tuple[SymbolId, ...]:
+        """Symbols this position provides under `name`."""
+        if self.tier == IMPORT_NAMED:
+            source = self.renames.get(name)
+            return () if source is None else scope_lookup(graph, self.scope, source)
+        if self.tier == IMPORT_WILDCARD:
+            return () if name in self.excluded else scope_lookup(graph, self.scope, name)
+        hit = graph.package_scope_members(self.scope).get(name)
+        return () if hit is None else (hit,)
+
+    def names(self, graph: ScopeGraph) -> Iterable[str]:
+        """Every name `lookup` may find symbols under."""
+        if self.tier == IMPORT_NAMED:
+            return self.renames
+        if self.tier == IMPORT_WILDCARD:
+            names = set(graph.scope_members(self.scope))
+            names.update(export_closure(graph, self.scope).by_name)
+            return names - self.excluded
+        return graph.package_scope_members(self.scope)
 
 
-def clause_named_lookup(graph: ScopeGraph, clause: ast.ImportClause, name: str) -> tuple[SymbolId, ...]:
-    """Hits under `name` via this clause's named selectors (renames apply)."""
-    target = clause_target(graph, clause)
-    if target is None:
-        return ()
-    for sel in clause.selectors.names:
-        if sel.target == name:
-            return scope_lookup(graph, target, sel.source)
-    return ()
+def import_positions(
+    graph: ScopeGraph, clauses: Iterable[ast.ImportClause], package_path: ast.QualName
+) -> tuple[ImportPosition, ...]:
+    """A site's precedence list, highest first: each clause's named
+    selectors, then each clause's wildcard, a later clause before an
+    earlier one in both; then the enclosing packages, innermost first.
+    Each clause's target is resolved here, once; a clause whose path does
+    not resolve provides nothing."""
+    named: list[ImportPosition] = []
+    wildcards: list[ImportPosition] = []
+    for index, clause in reversed(list(enumerate(clauses))):
+        target = resolve_import_path(graph, clause.path)
+        if target is None:
+            continue
+        selected = _selector_map(clause.selectors)
+        renames = {visible: source for source, visible in selected.items() if visible is not None}
+        if renames:
+            named.append(ImportPosition(IMPORT_NAMED, index, target, renames=renames))
+        if clause.selectors.wildcard:
+            wildcards.append(ImportPosition(IMPORT_WILDCARD, index, target, excluded=frozenset(selected)))
+    packages = [
+        ImportPosition(ENCLOSING_PACKAGE, len(package_path) - depth, ".".join(package_path[:depth]))
+        for depth in range(len(package_path), -1, -1)
+    ]
+    return (*named, *wildcards, *packages)
 
 
-def clause_wildcard_lookup(graph: ScopeGraph, clause: ast.ImportClause, name: str) -> tuple[SymbolId, ...]:
-    """Hits under `name` via this clause's wildcard part; names mentioned by
-    a selector (renamed away or hidden) are excluded."""
-    target = clause_target(graph, clause)
-    if target is None or not clause.selectors.wildcard:
-        return ()
-    if clause.selectors.mentions(name):
-        return ()
-    return scope_lookup(graph, target, name)
+def unit_positions(graph: ScopeGraph, unit: ast.CompilationUnit) -> tuple[ImportPosition, ...]:
+    """The precedence list at a unit's top scope."""
+    return import_positions(graph, unit.top_imports(), unit.package_path)
 
 
 def import_lookup(
-    graph: ScopeGraph, clauses: tuple[ast.ImportClause, ...], name: str
+    graph: ScopeGraph, positions: tuple[ImportPosition, ...], name: str
 ) -> tuple[tuple[SymbolId, ...], str] | None:
-    """The import precedence policy: named selectors before wildcards, and
-    a later clause (in textual order) shadows an earlier one. Returns the
-    winning clause's symbols, several when it is ambiguous, and the tier
-    (IMPORT_NAMED or IMPORT_WILDCARD); None when no clause provides `name`."""
-    for clause in reversed(clauses):
-        hits = clause_named_lookup(graph, clause, name)
+    """The lookup policy: the first position that provides `name` wins.
+    Returns its symbols, several when it is ambiguous, and its tier; None
+    when no position provides `name`."""
+    for position in positions:
+        hits = position.lookup(graph, name)
         if hits:
-            return hits, IMPORT_NAMED
-    for clause in reversed(clauses):
-        hits = clause_wildcard_lookup(graph, clause, name)
-        if hits:
-            return hits, IMPORT_WILDCARD
-    return None
-
-
-def package_walk_lookup(graph: ScopeGraph, package_path: ast.QualName, name: str) -> SymbolId | None:
-    """Innermost enclosing package outward to the root; each package offers
-    its direct members, then its package object's members."""
-    for depth in range(len(package_path), -1, -1):
-        pkg = ".".join(package_path[:depth])
-        hit = graph.package_direct_members(pkg).get(name)
-        if hit is not None:
-            return hit
-        pkgobj = graph.package_objects.get(pkg)
-        if pkgobj is not None:
-            hit = graph.template_members(pkgobj).get(name)
-            if hit is not None:
-                return hit
+            return hits, position.tier
     return None
 
 
 def lookup_at_unit_scope(graph: ScopeGraph, unit: ast.CompilationUnit, parts: ast.QualName) -> SymbolId | None:
-    """Resolve a qualified name using only the unit's top imports and its
-    enclosing packages. Ambiguous heads miss; the full resolver reports
-    ambiguity with candidates."""
-    found = import_lookup(graph, tuple(unit.top_imports()), parts[0])
-    if found is None:
-        head = package_walk_lookup(graph, unit.package_path, parts[0])
-    else:
-        hits = found[0]
-        head = hits[0] if len(hits) == 1 else None
-    if head is None:
+    """Resolve a qualified name at the unit's top scope: `import_lookup`
+    over its top imports and enclosing packages, then `navigate`. A name
+    that is ambiguous or missing at any segment misses; the full resolver
+    reports it with its candidates."""
+    found = import_lookup(graph, unit_positions(graph, unit), parts[0])
+    if found is None or len(found[0]) != 1:
         return None
-    return navigate(graph, head, parts[1:])
+    hits, failed = navigate(graph, found[0][0], parts[1:])
+    return None if failed is not None else hits[0]
 
 
-def navigate(graph: ScopeGraph, base: SymbolId, rest: ast.QualName) -> SymbolId | None:
-    """Follow qualified-name segments through packages and templates,
-    consulting export closures when a direct member is missing."""
+def navigate(
+    graph: ScopeGraph, base: SymbolId, rest: ast.QualName
+) -> tuple[tuple[SymbolId, ...], str | None]:
+    """Follow qualified-name segments from `base` through packages and
+    templates, consulting export closures when a direct member is missing.
+    Returns the symbol reached, as a one-tuple, and None; or the first
+    segment that does not name exactly one symbol, with its hits (none, or
+    several when it is ambiguous)."""
     current = base
     for segment in rest:
-        if current.kind not in (PACKAGE, TEMPLATE):
-            return None
-        hits = scope_lookup(graph, current.fqn, segment)
+        hits = scope_lookup(graph, current.fqn, segment) if current.kind in (PACKAGE, TEMPLATE) else ()
         if len(hits) != 1:
-            return None
+            return hits, segment
         current = hits[0]
-    return current
+    return (current,), None

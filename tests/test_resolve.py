@@ -1,3 +1,5 @@
+import pytest
+
 from ml1 import ast
 from ml1.diagnostics import E_AMBIGUOUS, E_UNRESOLVED
 from ml1.resolve import (
@@ -143,6 +145,33 @@ def test_clause_level_hide_suppresses_a_direct_member():
     )
     _, resolution = resolve_project(lib, unit)
     assert [d.code for d in resolution.diagnostics] == [E_UNRESOLVED]
+
+
+def test_first_selector_of_a_name_decides():
+    lib = parse_source("package p\n\nobject L {\n  def x() = {\n    1\n  }\n}", "l.ml1")
+    unit = parse_source(
+        "import p.L.{x => _, x}\n\nobject A {\n  def f() = {\n    x()\n  }\n}", "a.ml1"
+    )
+    _, resolution = resolve_project(lib, unit)
+    assert [d.code for d in resolution.diagnostics] == [E_UNRESOLVED]
+    assert ref_symbols(resolution, "x") == [("a.ml1", None)]
+
+
+@pytest.mark.parametrize(
+    "selectors", ["{x => _, x}", "{x, x => _}", "{x => y, x}", "{x, x => y}", "{x => _, x, _}"]
+)
+def test_plain_and_exported_imports_agree_on_repeated_selectors(selectors):
+    """A clause naming one source twice shows the same names whether it is
+    imported directly or re-exported through a hub."""
+    lib = parse_source("package p\n\nobject L {\n  val x = 1\n  val y = 2\n}", "l.ml1")
+    body = "object A {\n  def f() = {\n    x\n    y\n  }\n}"
+    plain = parse_source(f"import p.L.{selectors}\n\n{body}", "plain.ml1")
+    hub = parse_source(f"object Hub {{\n  @exported import p.L.{selectors}\n}}", "hub.ml1")
+    via_hub = parse_source(f"import Hub._\n\n{body}", "via_hub.ml1")
+    _, direct = resolve_project(lib, plain)
+    _, exported = resolve_project(lib, hub, via_hub)
+    seen = [(rec.name, rec.symbol) for rec in direct.records]
+    assert seen == [(rec.name, rec.symbol) for rec in exported.records]
 
 
 def test_two_export_paths_to_the_same_symbol_are_fine():
@@ -328,6 +357,39 @@ def test_last_import_wins_among_rewriters():
     winner, tied = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
     assert tied == ()
     assert winner.fqn == "demo.upper.rewriter"
+
+
+def test_candidates_come_in_precedence_order():
+    units = [
+        parse_fixture("lib", "go_defer.ml1"),
+        parse_fixture("lib", "demo_upper.ml1"),
+        parse_source(
+            "package demo\n\nimplicit object near extends DefaultRewriter {\n}", "near.ml1"
+        ),
+        parse_source(
+            "package demo.app\n\nimport go.defer._\nimport demo.upper.rewriter\n"
+            "import demo.upper._\n\nobject Main {\n}",
+            "main.ml1",
+        ),
+    ]
+    graph = build_project(*units)
+    candidates = implicit_candidates(graph, units[-1], REWRITER_MARKER)
+    assert [(c.symbol.fqn, c.tier, c.position) for c in candidates] == [
+        ("demo.upper.rewriter", "import-named", 1),
+        ("demo.upper.rewriter", "import-wildcard", 2),
+        ("go.defer.rewriter", "import-wildcard", 0),
+        ("demo.near", "package", 1),
+    ]
+    assert select_implicit(candidates) == (candidates[0].symbol, ())
+
+
+def test_implicit_scan_uses_the_first_selector_of_a_name():
+    lib = parse_fixture("lib", "go_defer.ml1")
+    unit = parse_source(
+        "import go.defer.{rewriter => _, rewriter}\n\nobject Main {\n}", "main.ml1"
+    )
+    graph = build_project(lib, unit)
+    assert implicit_candidates(graph, unit, REWRITER_MARKER) == []
 
 
 def test_two_rewriters_at_one_position_tie():

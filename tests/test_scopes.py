@@ -283,7 +283,6 @@ def test_member_maps_are_built_once_and_read_only():
     graph = build_project(*units)
     for lookup, fqn, expected in [
         (graph.template_members, "p.T", {"f": "p.T.f"}),
-        (graph.package_direct_members, "p.q", {"U": "p.q.U"}),
         (graph.package_scope_members, "p.q", {"U": "p.q.U", "g": "p.q.g"}),
         (graph.package_scope_members, "p", {"T": "p.T", "q": "p.q"}),
     ]:
