@@ -12,6 +12,7 @@ E_UNRESOLVED_IMPORT_PATH = "E_UNRESOLVED_IMPORT_PATH"
 E_UNRESOLVED_PARENT = "E_UNRESOLVED_PARENT"
 E_UNRESOLVED = "E_UNRESOLVED"
 E_AMBIGUOUS = "E_AMBIGUOUS"
+E_FORWARD_REFERENCE = "E_FORWARD_REFERENCE"
 E_AMBIGUOUS_IMPLICIT = "E_AMBIGUOUS_IMPLICIT"
 E_UNREGISTERED_REWRITER = "E_UNREGISTERED_REWRITER"
 E_REWRITER_CYCLE = "E_REWRITER_CYCLE"

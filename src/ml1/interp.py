@@ -6,10 +6,15 @@ closures for code generation", 1987): a def's body when the def is first
 called, a thunk's body when it first runs, a template val's body when it
 is first read. The closures are cached per interpreter by node identity.
 Each reference is classified once by its resolved symbol, constant
-results are built once, and a block becomes a list of steps; block locals
-are still read by name from the run-time environment. Errors are raised
-when a closure runs, never when it is compiled, so an ill-formed node in
-code that never runs does no harm.
+results are built once, and a block becomes a list of steps. Errors are
+raised when a closure runs, never when it is compiled, so an ill-formed
+node in code that never runs does no harm.
+
+An environment is a frame: its parent frame, then one slot per local. A
+def call's frame holds its arguments; a declaring block's frame holds its
+declarations, and its local defs are bound on entry. A local reference
+reads the slot at the address `resolve` gave it. A template `val` is
+evaluated at its first read in a run.
 
 `__frame { ... }` pushes a frame for the duration of the body; thunks
 registered via `__defer(thunk { ... })` run when the frame is left, in
@@ -44,6 +49,7 @@ _MAX_CALL_DEPTH = 200
 # limit is reached first.
 _FRAMES_PER_CALL = 20
 _RECURSION_LIMIT = 1000 + _MAX_CALL_DEPTH * _FRAMES_PER_CALL
+_ARITY = {"print": 1, "error": 1, "concat": 2, "add": 2, "sub": 2}
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ class ThunkV:
     """A delayed block closing over the environment it was created in.
     Runs at most once, when its frame unwinds."""
 
-    def __init__(self, env: "Env | None", body: ast.Block):
+    def __init__(self, env: "Frame | None", body: ast.Block):
         self.env = env
         self.body = body
 
@@ -81,7 +87,7 @@ class ThunkV:
 class DefV:
     """A callable def; local defs close over their defining environment."""
 
-    def __init__(self, env: "Env | None", decl: ast.DefDecl):
+    def __init__(self, env: "Frame | None", decl: ast.DefDecl):
         self.env = env
         self.decl = decl
 
@@ -114,23 +120,8 @@ class Trace:
         return self.error is not None
 
 
-class Env:
-    __slots__ = ("parent", "bindings")
-
-    def __init__(self, parent: "Env | None" = None):
-        self.parent = parent
-        self.bindings: dict[str, Value] = {}
-
-    def lookup(self, name: str) -> Value:
-        env: Env | None = self
-        while env is not None:
-            if name in env.bindings:
-                return env.bindings[name]
-            env = env.parent
-        raise EvalError(f"{name} is not bound at runtime")
-
-
-Code = Callable[[Env], Value]
+Frame = list  # [parent frame or None, slot 0, slot 1, ...]
+Code = Callable[[Frame | None], Value]
 
 
 def _constant(value: Value) -> Code:
@@ -138,10 +129,24 @@ def _constant(value: Value) -> Code:
 
 
 def _failure(message: str, span: Span | None) -> Code:
-    def fail(env: Env) -> Value:
+    def fail(env: Frame | None) -> Value:
         raise EvalError(message, span)
 
     return fail
+
+
+def _local(depth: int, slot: int) -> Code:
+    """Read slot `slot` of the frame `depth` levels out."""
+    index = slot + 1
+    if depth == 0:
+        return lambda env: env[index]
+
+    def read(env: Frame) -> Value:
+        for _ in range(depth):
+            env = env[0]
+        return env[index]
+
+    return read
 
 
 def _eval_error(err: EvalError | RecursionError, span: Span | None) -> EvalError:
@@ -179,11 +184,14 @@ class Interpreter:
         # Compiled closures, keyed by node identity: structurally equal
         # nodes may be bound to different symbols.
         self.code: dict[int, Code] = {}
+        # Template vals read in this run, by FQN.
+        self.vals: dict[str, Value] = {}
 
     # Entry ------------------------------------------------------------------
 
     def run(self, entry_fqn: str) -> Trace:
         self.events = []
+        self.vals.clear()
         trace = Trace(events=self.events)
         sym = self.graph.symbols.get(entry_fqn)
         decl = self.graph.decls.get(entry_fqn)
@@ -235,39 +243,33 @@ class Interpreter:
             block = node.body
             return lambda env: ThunkV(env, block)
         if isinstance(node, ast.DeferRegister):
-            make_thunk = self.compile(node.thunk)
-            register, span = self.defer_register, node.span
-
-            def defer(env: Env) -> Value:
-                thunk = make_thunk(env)
-                assert isinstance(thunk, ThunkV)
-                return register(thunk, span)
-
-            return defer
+            thunk, register, span = node.thunk, self.defer_register, node.span
+            return lambda env: register(ThunkV(env, thunk.body), span)
         if isinstance(node, ast.DeferCandidate):
             return _failure("defer has no meaning here; the unit was not rewritten", node.span)
         return _failure(f"cannot evaluate {type(node).__name__}", getattr(node, "span", None))
 
     def compile_ref(self, ref: ast.Ref) -> Code:
-        """Classify a reference once, by its resolved symbol."""
+        """Classify a reference once, by its address or resolved symbol."""
+        address = self.resolution.addresses.get(id(ref))
+        if address is not None:
+            return _local(*address)
         symbol = self.resolution.symbol_for(ref)
         if symbol is None:
-
-            def unresolved(env: Env) -> Value:
-                raise EvalError(f"{ast.dotted(ref.parts)} was not resolved", ref.span)
-
-            return unresolved
+            return _failure(f"{ast.dotted(ref.parts)} was not resolved", ref.span)
         if symbol.fqn.startswith("<builtin>."):
             return _constant(BuiltinV(symbol.short_name()))
         decl = self.graph.decls.get(symbol.fqn)
-        if decl is None:
-            # A block-local binding: the innermost run-time binding wins.
-            name = ref.parts[-1]
-            return lambda env: env.lookup(name)
         if symbol.kind == VAL and isinstance(decl, ast.DefDecl):
-            # A template val is evaluated afresh on every read.
-            body, compile = decl.body, self.compile
-            return lambda env: compile(body)(Env())
+            fqn, body, compile, vals = symbol.fqn, decl.body, self.compile, self.vals
+
+            def read_val(env: Frame | None) -> Value:
+                value = vals.get(fqn)
+                if value is None:
+                    value = vals[fqn] = compile(body)(None)
+                return value
+
+            return read_val
         if symbol.kind == DEF and isinstance(decl, ast.DefDecl):
             return _constant(DefV(None, decl))
         if symbol.kind in (TEMPLATE, PACKAGE):
@@ -279,7 +281,7 @@ class Interpreter:
         args = tuple(self.compile(arg) for arg in node.args)
         call_def, call_builtin, span = self.call_def, self.call_builtin, node.span
 
-        def call(env: Env) -> Value:
+        def call(env: Frame | None) -> Value:
             fn = callee(env)
             # A loop, not a comprehension: on CPython 3.11 a comprehension
             # adds a function object and a frame per call. On `defer_tree`
@@ -296,39 +298,46 @@ class Interpreter:
         return call
 
     def _compile_block(self, block: ast.Block) -> Code:
-        steps = tuple(self._compile_stat(stat) for stat in block.stats)
-        # A block that declares nothing needs no environment of its own.
-        scoped = any(isinstance(stat, ast.DefDecl) for stat in block.stats)
+        decls: list[ast.DefDecl] = []
+        steps: list[Code] = []
+        for stat in block.stats:
+            if isinstance(stat, ast.DefDecl):
+                decls.append(stat)
+                steps.append(self._compile_decl(stat, len(decls)))
+            else:
+                steps.append(self.compile(stat))
 
-        def run_block(env: Env) -> Value:
-            if scoped:
-                env = Env(env)
+        def run_steps(env: Frame | None) -> Value:
             result: Value = UNIT
             for step in steps:
                 result = step(env)
             return result
 
+        # A block that declares nothing needs no frame of its own.
+        if not decls:
+            return run_steps
+        blank = (None,) * len(decls)
+        defs = tuple((index, decl) for index, decl in enumerate(decls, 1) if not decl.is_val)
+
+        def run_block(env: Frame | None) -> Value:
+            frame = [env, *blank]
+            for index, decl in defs:
+                frame[index] = DefV(frame, decl)
+            return run_steps(frame)
+
         return run_block
 
-    def _compile_stat(self, stat: ast.Stat) -> Code:
-        """One block step; it runs in the block's own environment."""
-        if not isinstance(stat, ast.DefDecl):
-            return self.compile(stat)
-        name = stat.name
-        if stat.is_val:
-            body = self.compile(stat.body)
+    def _compile_decl(self, stat: ast.DefDecl, index: int) -> Code:
+        """A declaration's step: a `val` fills frame index `index`; a def was bound on entry."""
+        if not stat.is_val:
+            return _constant(UNIT)
+        body = self.compile(stat.body)
 
-            def bind_val(env: Env) -> Value:
-                env.bindings[name] = body(env)
-                return UNIT
-
-            return bind_val
-
-        def bind_def(env: Env) -> Value:
-            env.bindings[name] = DefV(env, stat)
+        def bind_val(env: Frame) -> Value:
+            env[index] = body(env)
             return UNIT
 
-        return bind_def
+        return bind_val
 
     # Evaluation -------------------------------------------------------------
 
@@ -340,12 +349,10 @@ class Interpreter:
             )
         if self.depth >= _MAX_CALL_DEPTH:
             raise EvalError("call depth exceeded", span)
-        env = Env(fn.env)
-        env.bindings.update(zip(decl.params, args))
         body = self.compile(decl.body)
         self.depth += 1
         try:
-            return body(env)
+            return body([fn.env, *args])
         except RecursionError as err:
             raise _eval_error(err, span) from None
         finally:
@@ -357,7 +364,7 @@ class Interpreter:
         body, frames, compile = self.compile(node.body), self.frames, self.compile
         span = node.span
 
-        def run_frame(env: Env) -> Value:
+        def run_frame(env: Frame | None) -> Value:
             frame: list[ThunkV] = []
             frames.append(frame)
             primary: EvalError | None = None
@@ -400,18 +407,17 @@ class Interpreter:
     # Builtins -----------------------------------------------------------------
 
     def call_builtin(self, name: str, args: list[Value], span: Span) -> Value:
+        arity = _ARITY.get(name)
+        if arity is not None and len(args) != arity:
+            raise EvalError(f"{name} expects {arity} arguments, got {len(args)}", span)
         if name == "print":
-            self._arity(name, args, 1, span)
             self.events.append(render(args[0]))
             return UNIT
         if name == "error":
-            self._arity(name, args, 1, span)
             raise EvalError(render(args[0]), span)
         if name == "concat":
-            self._arity(name, args, 2, span)
             return StrV(render(args[0]) + render(args[1]))
         if name in ("add", "sub"):
-            self._arity(name, args, 2, span)
             a, b = args
             if not isinstance(a, IntV) or not isinstance(b, IntV):
                 raise EvalError(f"{name} needs integer arguments", span)
@@ -419,11 +425,6 @@ class Interpreter:
         if name == "compose":
             raise EvalError("compose is interpreted at rewrite time, not at runtime", span)
         raise EvalError(f"unknown builtin {name}", span)
-
-    @staticmethod
-    def _arity(name: str, args: list[Value], n: int, span: Span) -> None:
-        if len(args) != n:
-            raise EvalError(f"{name} expects {n} arguments, got {len(args)}", span)
 
 
 def run(graph: ScopeGraph, resolution: Resolution, entry_fqn: str) -> Trace:

@@ -22,8 +22,6 @@ E_NESTING_TOO_DEEP = "E_NESTING_TOO_DEEP"
 # unit parses again.
 MAX_NESTING = 100
 
-_EXPR_KEYWORDS = frozenset({"defer"})
-
 
 class ParseError(Exception):
     def __init__(self, span: Span, expected: str, found: str, code: str | None = None):
@@ -81,10 +79,6 @@ class _Parser:
 
     def prev_line(self) -> int:
         return self.tokens[self.pos - 1].line if self.pos > 0 else 0
-
-    def same_line(self, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok is not None and tok.line == self.prev_line()
 
     def nest(self) -> None:
         """Enter a block, an argument list or a defer's extra level, opening
@@ -162,15 +156,8 @@ class _Parser:
                 self.take()
                 parents.append(self.qual_id())
         self.expect("{")
-        stats: list[ast.TemplateStat] = []
-        while not self.at("}"):
-            if stats:
-                self.statement_boundary()
-            if self.at("}"):
-                break
-            stats.append(self.template_stat())
-        self.expect("}")
-        return ast.TemplateDef(kind, name, tuple(parents), tuple(stats), is_implicit, self.span_from(start))
+        stats = self.statements(self.template_stat)
+        return ast.TemplateDef(kind, name, tuple(parents), stats, is_implicit, self.span_from(start))
 
     def template_stat(self) -> ast.TemplateStat:
         if self.at("@"):
@@ -263,13 +250,7 @@ class _Parser:
         self.expect("def")
         name = self.expect_ident("a def name").text
         self.expect("(")
-        params: list[str] = []
-        if not self.at(")"):
-            params.append(self.expect_ident("a parameter name").text)
-            while self.at(","):
-                self.take()
-                params.append(self.expect_ident("a parameter name").text)
-        self.expect(")")
+        params = self.comma_list(lambda: self.expect_ident("a parameter name").text)
         self.expect("=")
         if self.at("{"):
             body: ast.Expr = self.block()
@@ -283,19 +264,21 @@ class _Parser:
     def block(self) -> ast.Block:
         self.nest()
         start = self.expect("{").span.start
-        stats: list[ast.Stat] = []
+        stats = self.statements(lambda: self.def_decl() if self.at("def") or self.at("val") else self.expr())
+        self.nesting -= 1
+        return ast.Block(stats, self.span_from(start))
+
+    def statements(self, statement) -> tuple:
+        """`statement`s separated by boundaries, up to and including `}`."""
+        stats: list = []
         while not self.at("}"):
             if stats:
                 self.statement_boundary()
             if self.at("}"):
                 break
-            if self.at("def") or self.at("val"):
-                stats.append(self.def_decl())
-            else:
-                stats.append(self.expr())
+            stats.append(statement())
         self.expect("}")
-        self.nesting -= 1
-        return ast.Block(tuple(stats), self.span_from(start))
+        return tuple(stats)
 
     def statement_boundary(self) -> None:
         """Require `;`, a line break, or a closing brace between statements."""
@@ -340,32 +323,34 @@ class _Parser:
 
     def ref_or_call(self) -> ast.Expr:
         start = self.peek().span.start
-        parts = [self.expect_ident("a reference").text]
-        while self.at(".") and self.peek(1) is not None and self.peek(1).kind in (IDENT, KEYWORD):
-            self.take()
-            parts.append(self.take().text)
-        ref = ast.Ref(tuple(parts), self.span_from(start))
-        if not (self.at("(") and self.same_line()):
+        parts = self.qual_id("a reference")
+        ref = ast.Ref(parts, self.span_from(start))
+        if not (self.at("(") and self.peek().line == self.prev_line()):
             return ref
         self.nest()
         self.take()
-        args: list[ast.Expr] = []
-        if not self.at(")"):
-            args.append(self.expr())
-            while self.at(","):
-                self.take()
-                args.append(self.expr())
-        self.expect(")")
+        args = self.comma_list(self.expr)
         self.nesting -= 1
         span = self.span_from(start)
-        if parts == ["__defer"]:
+        if parts == ("__defer",):
             if len(args) != 1 or not isinstance(args[0], ast.ThunkExpr):
                 raise ParseError(span, "__defer(thunk { ... })", "other arguments")
             return ast.DeferRegister(args[0], span)
         return ast.Call(ref, tuple(args), span)
 
-    def qual_id(self) -> ast.QualName:
-        parts = [self.expect_ident("a qualified name").text]
+    def comma_list(self, item) -> list:
+        """`item`s separated by commas, up to and including `)`."""
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.take()
+                items.append(item())
+        self.expect(")")
+        return items
+
+    def qual_id(self, what: str = "a qualified name") -> ast.QualName:
+        parts = [self.expect_ident(what).text]
         while self.at(".") and self.peek(1) is not None and self.peek(1).kind in (IDENT, KEYWORD):
             self.take()
             parts.append(self.take().text)

@@ -68,15 +68,9 @@ def _expr_lines(expr: ast.Expr) -> list[str]:
 
 
 def _call_lines(callee: str, args: tuple[ast.Expr, ...]) -> list[str]:
-    rendered = [_expr_lines(a) for a in args]
     lines = [callee + "("]
-    first = True
-    for arg in rendered:
-        if first:
-            lines[-1] += arg[0]
-            first = False
-        else:
-            lines[-1] += ", " + arg[0]
+    for i, arg in enumerate(_expr_lines(a) for a in args):
+        lines[-1] += (", " if i else "") + arg[0]
         lines.extend(arg[1:])
     lines[-1] += ")"
     return lines

@@ -1,10 +1,15 @@
 """Name resolution over a built scope graph.
 
-Precedence, innermost first: block bindings, then template members
-(own, inherited, inherited re-exports), then the site's import positions
-in the order `scopes.import_positions` gives them (named selectors,
-wildcards, enclosing packages), then builtins. The implicit scan walks
-the same positions in the same order.
+Precedence, innermost first: locals, then template members (own,
+inherited, inherited re-exports), then the site's import positions in the
+order `scopes.import_positions` gives them (named selectors, wildcards,
+enclosing packages), then builtins. The implicit scan walks the same
+positions in the same order.
+
+Only this module decides what a local name means: it gives each local
+reference the (depth, slot) of its binder (SICP §5.5.6) in the frames the
+interpreter makes, one per def call (its parameters) and one per block that
+declares something (its declarations, in statement order).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from ml1.diagnostics import (
     Diagnostic,
     Divergence,
     E_AMBIGUOUS,
+    E_FORWARD_REFERENCE,
     E_UNRESOLVED,
 )
 from ml1.scopes import (
@@ -29,7 +35,7 @@ from ml1.scopes import (
     import_lookup,
     import_positions,
     navigate,
-    template_fqn_of,
+    template_fqn,
     unit_positions,
 )
 from ml1.tokens import Span
@@ -44,32 +50,43 @@ TIER_MEMBER = "member"
 TIER_BUILTIN = "builtin"
 
 
+class LocalScope:
+    """The locals of one run-time frame, name -> (symbol, slot, statement
+    index or -1 for a parameter). A block local's scope is the whole block
+    (SLS §6.11); a name declared twice means its last declaration."""
+
+    def __init__(self, stats: tuple[ast.Stat, ...] = ()):
+        self.locals: dict[str, tuple[SymbolId, int, int]] = {}
+        self.stats = stats
+        self.at = 0  # index of the block statement being resolved
+
+
 @dataclass
 class Site:
     """Where a reference occurs: its enclosing template, the import
     positions in scope (`scopes.import_positions`), and the chain of local
-    scopes from outermost to innermost."""
+    scopes, one per run-time frame, from outermost to innermost."""
 
     template: str | None
     positions: tuple[ImportPosition, ...]
-    locals_chain: tuple[dict[str, SymbolId], ...] = ()
+    locals_chain: tuple[LocalScope, ...] = ()
 
-    def with_scope(self, bindings: dict[str, SymbolId]) -> "Site":
-        return Site(self.template, self.positions, self.locals_chain + (bindings,))
+    def with_scope(self, scope: LocalScope) -> "Site":
+        return Site(self.template, self.positions, self.locals_chain + (scope,))
+
+    def local(self, name: str) -> tuple[int, LocalScope, tuple[SymbolId, int, int]] | None:
+        """The innermost local `name`: its frame's depth, its scope, its entry."""
+        for depth, scope in enumerate(reversed(self.locals_chain)):
+            found = scope.locals.get(name)
+            if found is not None:
+                return depth, scope, found
+        return None
 
 
-def template_site(
-    graph: ScopeGraph,
-    unit: ast.CompilationUnit,
-    tfqn: str,
-    decl: ast.TemplateDef | None = None,
-) -> Site:
-    if decl is None:
-        found = graph.decls.get(tfqn)
-        decl = found if isinstance(found, ast.TemplateDef) else None
-    clauses = list(unit.top_imports())
-    if decl is not None:
-        clauses += [s for s in decl.stats if isinstance(s, ast.ImportClause)]
+def template_site(graph: ScopeGraph, unit: ast.CompilationUnit, tfqn: str) -> Site:
+    """The site of template `tfqn`'s body in `unit`, the unit declaring it
+    or a copy of that unit."""
+    clauses = [*unit.top_imports(), *(s for s in graph.decls[tfqn].stats if isinstance(s, ast.ImportClause))]
     return Site(tfqn, import_positions(graph, clauses, unit.package_path))
 
 
@@ -86,9 +103,9 @@ class Hit:
 def resolve_name(graph: ScopeGraph, site: Site, name: str) -> Hit | None:
     """Resolve a single identifier at `site`. None means not found; a Hit
     with several symbols means the winning position was ambiguous."""
-    for scope in reversed(site.locals_chain):
-        if name in scope:
-            return Hit((scope[name],), TIER_LOCAL)
+    found = site.local(name)
+    if found is not None:
+        return Hit((found[2][0],), TIER_LOCAL)
     if site.template is not None:
         hit = _member_lookup(graph, site.template, name)
         if hit is not None:
@@ -128,20 +145,14 @@ class RefRecord:
 @dataclass
 class Resolution:
     per_reference: dict[int, SymbolId] = field(default_factory=dict)
+    # The (depth, slot) of each local reference, keyed like `per_reference`.
+    addresses: dict[int, tuple[int, int]] = field(default_factory=dict)
     records: list[RefRecord] = field(default_factory=list)
     erased_imports: list[tuple[str, ast.QualName, Span]] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def symbol_for(self, node: ast.Ref) -> SymbolId | None:
         return self.per_reference.get(id(node))
-
-    def table(self) -> list[tuple[str, int, int, str, str]]:
-        """Flat deterministic view: (unit, start, end, name, fqn)."""
-        return [
-            (r.unit, r.span.start, r.span.end, r.name, r.symbol.fqn)
-            for r in self.records
-            if r.symbol is not None
-        ]
 
 
 def resolve_units(graph: ScopeGraph, units: list[ast.CompilationUnit]) -> Resolution:
@@ -158,45 +169,38 @@ class _UnitWalker:
         self.unit = unit
 
     def walk(self) -> None:
-        for clause in self.unit.top_imports():
-            if clause.annotations:
-                self.resolution.erased_imports.append(
-                    (self.unit.source_name, clause.path, clause.span)
-                )
+        clauses = [*self.unit.top_imports(), *(s for tpl in self.unit.templates() for s in tpl.stats)]
+        self.resolution.erased_imports += [
+            (self.unit.source_name, s.path, s.span)
+            for s in clauses
+            if isinstance(s, ast.ImportClause) and s.annotations
+        ]
         for tpl in self.unit.templates():
-            tfqn = self._template_fqn(tpl)
+            tfqn = template_fqn(self.graph, self.unit, tpl)
             site = (
-                template_site(self.graph, self.unit, tfqn, tpl)
+                template_site(self.graph, self.unit, tfqn)
                 if tfqn
                 else Site(None, unit_positions(self.graph, self.unit))
             )
             for stat in tpl.stats:
-                if isinstance(stat, ast.ImportClause):
-                    if stat.annotations:
-                        self.resolution.erased_imports.append(
-                            (self.unit.source_name, stat.path, stat.span)
-                        )
-                elif isinstance(stat, ast.DefDecl):
+                if isinstance(stat, ast.DefDecl):
                     owner = f"{tfqn}.{stat.name}" if tfqn else stat.name
                     self.walk_def(stat, site, owner)
-                else:
+                elif not isinstance(stat, ast.ImportClause):
                     self.walk_expr(stat, site, tfqn or "")
-
-    def _template_fqn(self, tpl: ast.TemplateDef) -> str | None:
-        fqn = template_fqn_of(self.unit, tpl)
-        return fqn if fqn in self.graph.symbols else None
 
     def walk_def(self, decl: ast.DefDecl, site: Site, owner: str) -> None:
         if decl.is_val:
             self.walk_expr(decl.body, site, owner)
             return
-        params = {p: self._local_symbol(site, owner, p, VAL) for p in decl.params}
-        body_site = site.with_scope(params)
-        self.walk_expr(decl.body, body_site, owner)
+        params = LocalScope()
+        for slot, name in enumerate(decl.params):
+            params.locals[name] = (self._local_symbol(site, owner, name, VAL), slot, -1)
+        self.walk_expr(decl.body, site.with_scope(params), owner)
 
     def _local_symbol(self, site: Site, owner: str, name: str, kind: str) -> SymbolId:
         fqn = f"{owner}.{name}"
-        taken = {sym.fqn for scope in site.locals_chain for sym in scope.values()}
+        taken = {sym.fqn for scope in site.locals_chain for sym, _, _ in scope.locals.values()}
         k = 2
         candidate = fqn
         while candidate in taken:
@@ -214,41 +218,58 @@ class _UnitWalker:
                 self.walk_expr(child, site, owner)
 
     def walk_block(self, block: ast.Block, site: Site, owner: str) -> None:
-        bindings: dict[str, SymbolId] = {}
-        inner = site.with_scope(bindings)
-        for stat in block.stats:
+        # A block that declares nothing has no frame of its own.
+        scope = LocalScope(block.stats)
+        decls = [(i, stat) for i, stat in enumerate(block.stats) if isinstance(stat, ast.DefDecl)]
+        for slot, (i, stat) in enumerate(decls):
+            symbol = self._local_symbol(site, owner, stat.name, VAL if stat.is_val else DEF)
+            scope.locals[stat.name] = (symbol, slot, i)
+        inner = site.with_scope(scope) if decls else site
+        for i, stat in enumerate(block.stats):
+            scope.at = i
             if isinstance(stat, ast.DefDecl):
-                kind = VAL if stat.is_val else DEF
-                bindings[stat.name] = self._local_symbol(site, owner, stat.name, kind)
-        for stat in block.stats:
-            if isinstance(stat, ast.DefDecl):
-                self.walk_def(stat, inner, bindings[stat.name].fqn)
+                self.walk_def(stat, inner, scope.locals[stat.name][0].fqn)
             else:
                 self.walk_expr(stat, inner, owner)
 
     def resolve_ref(self, ref: ast.Ref, site: Site) -> None:
-        symbol, diag = self._resolve_parts(ref.parts, ref.span, site)
+        symbol, address, diag = self._resolve_parts(ref.parts, ref.span, site)
         if diag is not None:
             self.resolution.diagnostics.append(diag)
         record = RefRecord(self.unit.source_name, ref.span, ast.dotted(ref.parts), symbol)
         self.resolution.records.append(record)
         if symbol is not None:
             self.resolution.per_reference[id(ref)] = symbol
+        if address is not None:
+            self.resolution.addresses[id(ref)] = address
 
     def _resolve_parts(
         self, parts: ast.QualName, span: Span, site: Site
-    ) -> tuple[SymbolId | None, Diagnostic | None]:
+    ) -> tuple[SymbolId | None, tuple[int, int] | None, Diagnostic | None]:
+        """The symbol `parts` names, its lexical address when it is a
+        local, and the diagnostic when it names no single symbol."""
+        found = site.local(parts[0])
+        if found is not None:
+            depth, scope, (symbol, slot, stat) = found
+            # A reference to a local declared at or after its own statement
+            # may not extend over a `val` (SLS §4, forward references).
+            for over in scope.stats[scope.at : stat + 1]:
+                if isinstance(over, ast.DefDecl) and over.is_val:
+                    message = f"forward reference to {parts[0]} extends over the definition of val {over.name}"
+                    return None, None, Diagnostic(E_FORWARD_REFERENCE, message, self.unit.source_name, span)
+            if len(parts) == 1:
+                return symbol, (depth, slot), None
         hit = resolve_name(self.graph, site, parts[0])
         if hit is None:
-            return None, self._unresolved(parts[0], span)
+            return None, None, self._unresolved(parts[0], span)
         if hit.symbol is None:
-            return None, self._ambiguous(parts[0], span, hit.symbols)
+            return None, None, self._ambiguous(parts[0], span, hit.symbols)
         hits, failed = navigate(self.graph, hit.symbol, parts[1:])
         if failed is None:
-            return hits[0], None
+            return hits[0], None, None
         if hits:
-            return None, self._ambiguous(failed, span, hits)
-        return None, self._unresolved(ast.dotted(parts), span)
+            return None, None, self._ambiguous(failed, span, hits)
+        return None, None, self._unresolved(ast.dotted(parts), span)
 
     def _unresolved(self, name: str, span: Span) -> Diagnostic:
         return Diagnostic(
@@ -287,7 +308,7 @@ def _is_marker_implicit(graph: ScopeGraph, sym: SymbolId, marker_fqn: str) -> bo
     decl = graph.decls.get(sym.fqn)
     if not isinstance(decl, ast.TemplateDef) or not decl.is_implicit:
         return False
-    return marker_fqn in graph.ancestors(sym.fqn)
+    return marker_fqn in graph.linearized_parents(sym.fqn)
 
 
 def implicit_candidates(

@@ -168,14 +168,10 @@ def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
 
     for stat in decl.stats:
         if isinstance(stat, ast.DefDecl):
-            body = stat.body
-            if isinstance(body, ast.Block) and len(body.stats) == 1:
-                body = body.stats[0]
-            hit = match(body) if not isinstance(body, ast.DefDecl) else None
-        elif isinstance(stat, ast.ImportClause):
-            hit = None
-        else:
-            hit = match(stat)
+            stat = stat.body
+            if isinstance(stat, ast.Block) and len(stat.stats) == 1:
+                stat = stat.stats[0]
+        hit = match(stat)  # None for anything but a call
         if hit is not None:
             return hit
     return None
@@ -190,7 +186,7 @@ def _resolve_rewriter_arg(graph: ScopeGraph, owner_fqn: str, parts: ast.QualName
     sym = lookup_at_unit_scope(graph, unit, parts)
     if sym is None or sym.kind != "template":
         return None
-    if REWRITER_MARKER not in graph.ancestors(sym.fqn):
+    if REWRITER_MARKER not in graph.linearized_parents(sym.fqn):
         return None
     return sym.fqn
 

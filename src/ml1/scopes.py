@@ -181,9 +181,6 @@ class ScopeGraph:
         visit(tfqn)
         return order
 
-    def ancestors(self, tfqn: str) -> set[str]:
-        return set(self.linearized_parents(tfqn))
-
 
 def _visited_ids(graph: ScopeGraph, fqn: str) -> set[str]:
     """A scope and its aliases for cycle prevention: a package and its
@@ -253,8 +250,15 @@ def _compose(outer: _Filter, inner: _Filter) -> _Filter:
 def _selector_map(selectors: ast.ImportSelectors) -> dict[str, str | None]:
     """Each name a selector mentions, with the name `ImportSelectors.apply`
     makes it visible as (None hides it): the first selector of a name
-    decides."""
-    return {sel.source: selectors.apply(sel.source) for sel in selectors.names}
+    decides. Beside a rename, the clause's wildcard hides the rename's new
+    name, unless a selector names it as a source: in `{a => b, _}`, `b`
+    means `a` only."""
+    names = {sel.source: selectors.apply(sel.source) for sel in selectors.names}
+    if selectors.wildcard:
+        for sel in selectors.names:
+            if sel.target and sel.target not in names:
+                names[sel.target] = None
+    return names
 
 
 def _selector_filter(selectors: ast.ImportSelectors) -> _Filter:
@@ -283,18 +287,18 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
         pending.extend(target for _, target, _, _ in steps[scope])
     members = {scope: graph.scope_members(scope) for scope in steps}
     # A name can reach a path's filter from a later edge only as a member of
-    # a scope the path has not visited yet, or as some selector's new name.
-    born_in: dict[str, list[str]] = {}
+    # a scope the path has not visited yet, or as the new name a selector
+    # gives it on an edge of the path's last scope or of an unvisited one:
+    # name -> (scope, whether by a rename) for each such source.
+    arrives: dict[str, list[tuple[str, bool]]] = {}
     for scope, found in members.items():
         for name in found:
-            born_in.setdefault(name, []).append(scope)
-    renamed = {
-        to
-        for edges in steps.values()
-        for _, _, _, (_, names) in edges
-        for name, to in names.items()
-        if to is not None and to != name
-    }
+            arrives.setdefault(name, []).append((scope, False))
+    for scope, edges in steps.items():
+        for _, _, _, (_, names) in edges:
+            for name, to in names.items():
+                if to is not None and to != name:
+                    arrives.setdefault(to, []).append((scope, True))
 
     # Breadth-first over simple edge paths, each level in label order: the
     # first path to yield a pair is its witness.
@@ -325,8 +329,7 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
                 carried = {
                     name: visible
                     for name, visible in names.items()
-                    if name in renamed
-                    or any(t not in target_visited for t in born_in.get(name, ()))
+                    if any(s not in target_visited or renamed and s == target for s, renamed in arrives.get(name, ()))
                 }
                 if not wild and not carried:
                     continue  # nothing further can pass
@@ -484,7 +487,7 @@ def _link_imports(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
     for clause in unit.top_imports():
         resolve_clause(clause)
     for tpl in unit.templates():
-        tfqn = _template_fqn(graph, unit, tpl)
+        tfqn = template_fqn(graph, unit, tpl)
         for stat in tpl.stats:
             if not isinstance(stat, ast.ImportClause):
                 continue
@@ -523,14 +526,22 @@ def template_fqn_of(unit: ast.CompilationUnit, tpl: ast.TemplateDef) -> str:
     return f"{pkg}.{tpl.name}" if pkg else tpl.name
 
 
-def _template_fqn(graph: ScopeGraph, unit: ast.CompilationUnit, tpl: ast.TemplateDef) -> str | None:
+def template_fqn(graph: ScopeGraph, unit: ast.CompilationUnit, tpl: ast.TemplateDef) -> str | None:
+    """The FQN of the symbol `tpl` declared; None for a duplicate, which
+    declared none. A copy of the declaring unit, such as one with its
+    import annotations erased, declares what the original did: there the
+    first template of that FQN counts."""
     fqn = template_fqn_of(unit, tpl)
-    return fqn if graph.decls.get(fqn) is tpl else None
+    decl = graph.decls.get(fqn)
+    copied = isinstance(decl, ast.TemplateDef) and graph.owner_unit[fqn] == unit.source_name
+    if decl is tpl or copied and next(t for t in unit.templates() if template_fqn_of(unit, t) == fqn) is tpl:
+        return fqn
+    return None
 
 
 def _link_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
     for tpl in unit.templates():
-        tfqn = _template_fqn(graph, unit, tpl)
+        tfqn = template_fqn(graph, unit, tpl)
         if tfqn is None:
             continue
         resolved: list[str] = []

@@ -6,6 +6,7 @@ texts plus the skipped whitespace/comments reproduces the input exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset(
@@ -72,17 +73,7 @@ class LexError(Exception):
 
 def string_value(raw: str) -> str:
     """Decode a raw string-literal token (including quotes) to its value."""
-    out: list[str] = []
-    i = 1
-    while i < len(raw) - 1:
-        ch = raw[i]
-        if ch == "\\":
-            out.append(_ESCAPES[raw[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: _ESCAPES[m.group(1)], raw[1:-1])
 
 
 def tokenize(source: str) -> list[Token]:

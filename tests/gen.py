@@ -113,6 +113,8 @@ def _edge_filter(edge: EdgeSpec, name: str) -> str | None:
     for source, target in edge.named:
         if source == name:
             return target
+    if any(target == name for _, target in edge.named):
+        return None  # a rename onto `name` shadows the wildcard's `name`
     return name if edge.wildcard else None
 
 
@@ -347,7 +349,8 @@ def random_program(rng: random.Random) -> list[Action]:
             if roll < 0.42:
                 out.append(Action("print", fresh()))
             elif roll < 0.62 and allow_defer:
-                out.append(Action("defer", body=actions(depth - 1, False, allow_error)))
+                # A deferred block may defer again, down to depth 0.
+                out.append(Action("defer", body=actions(depth - 1, depth > 1, allow_error)))
             elif roll < 0.75 and depth > 0:
                 out.append(Action("block", body=actions(depth - 1, allow_defer, allow_error)))
             elif allow_error and roll < 0.82:
@@ -361,7 +364,9 @@ def random_program(rng: random.Random) -> list[Action]:
 
 def simulate(program: list[Action]) -> tuple[list[str], str | None, list[str]]:
     """Expected (events, primary error label, suppressed labels) for one
-    method body run under a single deferred-thunk frame."""
+    method body run under a single deferred-thunk frame. Deferred blocks
+    run last registered first; the frame stays open while they run, so a
+    deferred block's own defers run right after it (Go order)."""
     events: list[str] = []
     stack: list[list[Action]] = []
 
@@ -381,8 +386,8 @@ def simulate(program: list[Action]) -> tuple[list[str], str | None, list[str]]:
 
     primary = exec_actions(program)
     suppressed: list[str] = []
-    for body in reversed(stack):
-        failed = exec_actions(body)
+    while stack:
+        failed = exec_actions(stack.pop())
         if failed is not None:
             if primary is None:
                 primary = failed
@@ -412,3 +417,172 @@ def program_unit(program: list[Action]) -> ast.CompilationUnit:
     template = ast.TemplateDef(ast.OBJECT, "Main", (), (main,))
     imports = ast.ImportClause((), ("go", "defer"), ast.WILDCARD)
     return ast.CompilationUnit((), (imports, template), "gen_main.ml1")
+
+
+# Random binding programs for the resolver/interpreter differential test -------
+
+
+@dataclass
+class Binder:
+    """A binder of a generated program. Its tag, the value every read of it
+    yields, is the FQN the resolver is expected to give it."""
+
+    name: str
+    tag: str
+    kind: str  # val | param | def
+    params: list["Binder"] = field(default_factory=list)
+    order: int = -1  # defs and `tv2`: a def reads only binders of a higher order
+    stat: int = -1  # block locals: the index of the declaring statement
+
+
+@dataclass
+class _Scope:
+    """One run-time frame of the program being generated."""
+
+    binders: dict[str, Binder]
+    stats: list[str] = field(default_factory=list)  # block: statement kinds
+    at: int = 0
+
+
+class BindingProgram:
+    """A unit `Main` whose `main` mixes params, nested blocks, shadowing,
+    local defs (called forward too) and defers. Every binder holds a unique
+    tag and every read is printed as `<id>|<value>`; `expected[id]` is the
+    tag of the binder that read must see, by Scala's block rules: a block
+    local's scope is the whole block, the innermost binder wins, and no
+    generated read extends forward over a `val`."""
+
+    def __init__(self, rng: random.Random, max_depth: int = 3):
+        self.rng = rng
+        self.max_depth = max_depth
+        self.expected: dict[str, str] = {}
+        self.forward_reads = 0  # reads of a local def declared later
+        self.tags: set[str] = set()
+        self.fresh = 0
+        self.orders = 0
+        # `tv2` runs a block at its first read, so it is ordered like a def:
+        # its body may call `helper`, and `helper` may not read it.
+        tv2 = Binder("tv2", "Main.tv2", "val", order=self._order())
+        helper = Binder("helper", "Main.helper", "def", order=self._order())
+        helper.params = [Binder(p, f"Main.helper.{p}", "param") for p in ("a", "b")]
+        self.template = {"tv": Binder("tv", "Main.tv", "val"), "tv2": tv2, "helper": helper}
+        self.tags.update({"Main.tv", "Main.tv2", "Main.helper", "Main.helper.a", "Main.helper.b", "Main.main"})
+        params = _Scope({p.name: p for p in helper.params})
+        helper_body = self.block("Main.helper", [params], helper.order, 1, True, "Main.helper")
+        tv2_body = self.block("Main.tv2", [], tv2.order, 1, False, "Main.tv2")
+        main_body = self.block("Main.main", [_Scope({})], -1, 0, True, "Main.main")
+        stats = (
+            ast.DefDecl("tv", (), ast.StrLit("Main.tv"), True),
+            ast.DefDecl("tv2", (), tv2_body, True),
+            ast.DefDecl("helper", ("a", "b"), helper_body, False),
+            ast.DefDecl("main", (), main_body, False),
+        )
+        imports = ast.ImportClause((), ("go", "defer"), ast.WILDCARD)
+        template = ast.TemplateDef(ast.OBJECT, "Main", (), stats)
+        self.unit = ast.CompilationUnit((), (imports, template), "gen_binding.ml1")
+
+    def _order(self) -> int:
+        self.orders += 1
+        return self.orders
+
+    def _fresh_name(self) -> str:
+        self.fresh += 1
+        return f"n{self.fresh}"
+
+    def _binder(self, chain: list[_Scope], owner: str, kind: str, taken_names: set[str]) -> Binder:
+        """A new binder: it shadows a visible name or takes a fresh one. Its
+        tag follows the resolver's local FQNs: the owner, the name and a
+        `#k` suffix when the frames in scope already hold that FQN."""
+        visible = sorted({n for scope in chain for n in scope.binders} | set(self.template))
+        visible = [n for n in visible if n not in taken_names]
+        name = self.rng.choice(visible) if visible and self.rng.random() < 0.5 else self._fresh_name()
+        taken = {b.tag for scope in chain for b in scope.binders.values()}
+        tag, k = f"{owner}.{name}", 2
+        while tag in taken:
+            tag, k = f"{owner}.{name}#{k}", k + 1
+        if tag in self.tags:  # a sibling scope already has it: stay unique
+            name = self._fresh_name()
+            tag = f"{owner}.{name}"
+        self.tags.add(tag)
+        return Binder(name, tag, kind)
+
+    def _readable(self, chain: list[_Scope], min_order: int) -> list[tuple[Binder, bool]]:
+        """The binders a read may name here, each with whether the read is
+        forward."""
+        seen: dict[str, tuple[Binder, bool]] = {n: (b, False) for n, b in self.template.items()}
+        for scope in chain:
+            for name, binder in scope.binders.items():
+                forward = binder.stat >= scope.at
+                seen[name] = (binder, forward)
+                if forward and "val" in scope.stats[scope.at : binder.stat + 1]:
+                    del seen[name]  # a forward read over a val is an error
+        return [
+            (b, forward) for _, (b, forward) in sorted(seen.items())
+            if b.order < 0 or b.order > min_order
+        ]
+
+    def _read(self, chain: list[_Scope], min_order: int) -> ast.Expr:
+        candidates = self._readable(chain, min_order)
+        if not candidates:
+            return ast.IntLit(0)
+        binder, forward = self.rng.choice(candidates)
+        self.forward_reads += forward
+        ident = f"r{len(self.expected)}"
+        self.expected[ident] = binder.tag
+        read: ast.Expr = ast.Ref((binder.name,))
+        if binder.kind == "def":
+            read = ast.Call(read, tuple(ast.StrLit(p.tag) for p in binder.params))
+        label = ast.StrLit(f"{ident}|")
+        return ast.Call(ast.Ref(("print",)), (ast.Call(ast.Ref(("concat",)), (label, read)),))
+
+    def block(
+        self, owner: str, chain: list[_Scope], min_order: int, depth: int, in_def: bool, result: str | None
+    ) -> ast.Block:
+        rng = self.rng
+        kinds = ["print", "print", "val", "def", "block"] + (["defer"] if in_def else [])
+        if depth >= self.max_depth:
+            kinds = ["print", "print", "val"]
+        plan = [rng.choice(kinds) for _ in range(rng.randint(1, 4))]
+        scope = _Scope({}, plan)
+        names: set[str] = set()
+        for i, kind in enumerate(plan):
+            if kind in ("val", "def"):
+                binder = self._binder(chain, owner, kind, names)
+                binder.stat = i
+                if kind == "def":
+                    binder.order = self._order()
+                names.add(binder.name)
+                scope.binders[binder.name] = binder
+        inner = chain + [scope] if scope.binders else chain
+        # Parameters come before any body, since a read may call forward.
+        params: dict[str, _Scope] = {}
+        for binder in scope.binders.values():
+            if binder.kind == "def":
+                found = params[binder.name] = _Scope({})
+                for _ in range(rng.randint(0, 2)):
+                    param = self._binder(inner, binder.tag, "param", set(found.binders))
+                    found.binders[param.name] = param
+                binder.params = list(found.binders.values())
+        stats: list[ast.Stat] = []
+        for i, kind in enumerate(plan):
+            scope.at = i
+            if kind == "print":
+                stats.append(self._read(inner, min_order))
+            elif kind == "val":
+                binder = next(b for b in scope.binders.values() if b.stat == i)
+                body: ast.Expr = ast.StrLit(binder.tag)
+                if rng.random() < 0.3 and depth < self.max_depth:
+                    body = self.block(binder.tag, inner, min_order, depth + 1, False, binder.tag)
+                stats.append(ast.DefDecl(binder.name, (), body, True))
+            elif kind == "def":
+                binder = next(b for b in scope.binders.values() if b.stat == i)
+                frame = params[binder.name]
+                body = self.block(binder.tag, inner + [frame], binder.order, depth + 1, True, binder.tag)
+                stats.append(ast.DefDecl(binder.name, tuple(frame.binders), body, False))
+            elif kind == "block":
+                stats.append(self.block(owner, inner, min_order, depth + 1, in_def, None))
+            else:
+                stats.append(ast.DeferCandidate(self.block(owner, inner, min_order, depth + 1, in_def, None)))
+        if result is not None:
+            stats.append(ast.StrLit(result))
+        return ast.Block(tuple(stats))

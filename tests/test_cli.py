@@ -463,3 +463,38 @@ def test_run_leaves_a_higher_recursion_limit_alone(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert status == 0
     assert out.splitlines() == entered_and_left(199, ("bottom",))
+
+
+FORWARD_VAL_READ = (
+    'object M {\n  def f(x) = {\n    print(x)\n    val x = "inner"\n    x\n  }\n'
+    '  def main() = {\n    print(f("param"))\n  }\n}\n'
+)
+
+
+def test_forward_val_read_is_reported_by_resolve_and_run(tmp_path, capsys):
+    path = tmp_path / "m.ml1"
+    path.write_text(FORWARD_VAL_READ)
+    start = FORWARD_VAL_READ.index("print(x)") + len("print(")
+    for argv in (["resolve"], ["run", "--entry", "M.main"]):
+        status, out, err = run_cli(capsys, *argv, str(path))
+        assert status == 1
+        assert out == ""
+        assert err == (
+            f"{path}:{start}-{start + 1}: E_FORWARD_REFERENCE: "
+            "forward reference to x extends over the definition of val x\n"
+        )
+
+
+def test_forward_local_def_call_runs(tmp_path, capsys):
+    source = (
+        'object M {\n  def g() = {\n    def h() = {\n      k()\n    }\n'
+        '    print(h())\n    def k() = {\n      "k"\n    }\n  }\n}\n'
+    )
+    path = tmp_path / "m.ml1"
+    path.write_text(source)
+    status, out, err = run_cli(capsys, "run", "--entry", "M.g", str(path))
+    assert (status, out, err) == (0, "k\n", "")
+    status, out, _ = run_cli(capsys, "resolve", "--dump", "--format", "pretty", str(path))
+    assert status == 0
+    start = source.index("k()")
+    assert f"{path}:{start}-{start + 1} k -> M.g.k" in out.splitlines()

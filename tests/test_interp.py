@@ -2,13 +2,14 @@ import random
 from dataclasses import replace
 
 from ml1 import ast
-from ml1.diagnostics import E_NO_ENTRY, E_NO_FRAME
-from ml1.interp import IntV, UnitV, Interpreter, run
+from ml1.diagnostics import E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
+from ml1.interp import EvalError, IntV, UnitV, Interpreter, run
 from ml1.resolve import resolve_units
 from ml1.rewrite import Intrinsic, apply_rewriter, builtin_registry
 from ml1.scopes import build_scope_graph
 
 from conftest import build_project, parse_fixture, parse_source
+import gen
 from gen import program_unit, random_program, simulate
 
 
@@ -382,16 +383,109 @@ def test_repeated_runs_on_one_graph_give_identical_traces():
     assert traces[0][0] == ["open-in", "open-out", "transfer", "close-out", "close-in"]
 
 
-def test_block_locals_and_template_vals_keep_their_runtime_rules():
-    # Undecided semantics (ROADMAP item 3), pinned as they stand: a read
-    # before a block `val` sees the parameter of the same name, and a
-    # template `val` is evaluated again on every read.
-    unit = parse_source(
+def test_block_locals_and_template_vals_follow_the_binding_model():
+    # A block local's scope is the whole block, so the first `x` in `f`
+    # means the block's `x` and crosses its `val`: a forward reference. A
+    # template `val` is evaluated once, at its first read.
+    source = (
         "object M {\n  val x = {\n    print(\"eval-x\")\n    1\n  }\n"
         "  def f(x) = {\n    print(x)\n    val x = \"inner\"\n    x\n  }\n"
-        "  def main() = {\n    print(f(\"param\"))\n    print(add(x, x))\n  }\n}",
+        "  def main() = {\n    print(f(\"param\"))\n    print(add(x, x))\n  }\n}"
+    )
+    graph = build_scope_graph([parse_source(source, "m.ml1")])
+    resolution = resolve_units(graph, [graph.units_by_name["m.ml1"]])
+    [diag] = resolution.diagnostics
+    assert diag.code == E_FORWARD_REFERENCE
+    assert source[diag.span.start : diag.span.end] == "x"
+    assert diag.span.start == source.index("print(x)") + len("print(")
+    unit = parse_source(source.replace("    print(x)\n", ""), "m.ml1")
+    graph, resolution = resolved(unit)
+    trace = run(graph, resolution, "M.main")
+    assert trace.events == ["inner", "eval-x", "2"]
+
+
+def test_a_local_def_may_call_one_declared_later_in_its_block():
+    unit = parse_source(
+        "object M {\n  def g() = {\n    def h() = {\n      k()\n    }\n"
+        "    print(h())\n    def k() = {\n      \"k\"\n    }\n  }\n}",
+        "m.ml1",
+    )
+    graph, resolution = resolved(unit)
+    trace = run(graph, resolution, "M.g")
+    assert trace.events == ["k"] and not trace.failed
+
+
+def test_sibling_blocks_keep_their_own_locals():
+    unit = parse_source(
+        "import go.defer._\n\nobject M {\n  def main() = {\n"
+        "    {\n      val y = \"1\"\n      defer {\n        print(y)\n      }\n    }\n"
+        "    {\n      val y = \"2\"\n      defer {\n        print(y)\n      }\n    }\n"
+        "    print(\"body\")\n  }\n}",
+        "m.ml1",
+    )
+    trace = run_program(GO_DEFER, unit, entry="M.main")
+    assert trace.events == ["body", "2", "1"]
+
+
+def test_template_val_is_evaluated_once_per_run():
+    unit = parse_source(
+        "object M {\n  val v = {\n    print(\"eval-v\")\n    \"1\"\n  }\n"
+        "  def main() = {\n    print(v)\n    print(concat(v, M.v))\n  }\n}",
+        "m.ml1",
+    )
+    graph, resolution = resolved(unit)
+    machine = Interpreter(graph, resolution)
+    for _ in range(2):
+        trace = machine.run("M.main")
+        assert trace.events == ["eval-v", "1", "11"]
+
+
+def test_cyclic_template_vals_end_in_a_coded_error():
+    unit = parse_source(
+        "object M {\n  val a = {\n    b\n  }\n  val b = {\n    a\n  }\n"
+        "  def main() = {\n    print(\"start\")\n    print(a)\n  }\n}",
         "m.ml1",
     )
     graph, resolution = resolved(unit)
     trace = run(graph, resolution, "M.main")
-    assert trace.events == ["param", "inner", "eval-x", "eval-x", "2"]
+    assert trace.events == ["start"]
+    assert isinstance(trace.error, EvalError)
+    assert trace.error.message == "evaluation nested too deeply"
+
+
+def printed_reads(unit):
+    """Each `print(concat("<id>|", read))` of a generated binding program:
+    id -> the Ref that `read` names."""
+    reads = {}
+    for node in ast.walk(unit):
+        if isinstance(node, ast.Call) and node.callee.parts == ("print",):
+            [arg] = node.args
+            label, read = arg.args
+            reads[label.value[:-1]] = read.callee if isinstance(read, ast.Call) else read
+    return reads
+
+
+def test_every_read_sees_the_binder_the_resolver_chose():
+    """Differential: params, nested blocks, shadowing, local defs called
+    forward and backward, a template val with locals, and defers. Each
+    printed read yields the tag of the symbol `resolve` bound it to, and
+    that symbol is the binder Scala's block rules pick."""
+    rng = random.Random(2718)
+    registry = builtin_registry()
+    events = forward_calls = 0
+    for index in range(220):
+        program = gen.BindingProgram(rng)
+        lowered, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), program.unit, registry)
+        graph, resolution = resolved(GO_DEFER, lowered)
+        reads = printed_reads(lowered)
+        assert set(reads) == set(program.expected)
+        for ident, ref in reads.items():
+            assert resolution.symbol_for(ref).fqn == program.expected[ident], f"program #{index}, {ident}"
+        trace = run(graph, resolution, "Main.main")
+        assert not trace.failed, f"program #{index}: {trace.error.message}"
+        for event in trace.events:
+            ident, value = event.split("|")
+            assert value == resolution.symbol_for(reads[ident]).fqn, f"program #{index}, {ident}"
+        events += len(trace.events)
+        forward_calls += program.forward_reads
+    assert events > 1000 and forward_calls > 50

@@ -1,7 +1,7 @@
 import pytest
 
 from ml1 import ast
-from ml1.diagnostics import E_AMBIGUOUS, E_UNRESOLVED
+from ml1.diagnostics import E_AMBIGUOUS, E_DUPLICATE_SYMBOL, E_FORWARD_REFERENCE, E_UNRESOLVED
 from ml1.resolve import (
     BUILTINS,
     check_context_consistency,
@@ -12,7 +12,7 @@ from ml1.resolve import (
     select_implicit,
     template_site,
 )
-from ml1.scopes import REWRITER_MARKER
+from ml1.scopes import REWRITER_MARKER, build_scope_graph, export_closure
 
 from conftest import build_project, parse_fixture, parse_source
 
@@ -172,6 +172,56 @@ def test_plain_and_exported_imports_agree_on_repeated_selectors(selectors):
     _, exported = resolve_project(lib, hub, via_hub)
     seen = [(rec.name, rec.symbol) for rec in direct.records]
     assert seen == [(rec.name, rec.symbol) for rec in exported.records]
+
+
+def test_a_rename_onto_a_name_shadows_the_wildcard_through_a_hub_too():
+    lib = parse_source(
+        "package p\n\nobject L {\n  def a() = {\n    \"a\"\n  }\n"
+        "  def b() = {\n    \"b\"\n  }\n}",
+        "l.ml1",
+    )
+    hub = parse_source("package q\n\nobject Hub {\n  @exported import p.L.{a => b, _}\n}", "hub.ml1")
+    body = "object {} {{\n  def f() = {{\n    b()\n  }}\n}}"
+    via_hub = parse_source("import q.Hub._\n\n" + body.format("C"), "via_hub.ml1")
+    inline = parse_source("import p.L.{a => b, _}\n\n" + body.format("D"), "inline.ml1")
+    graph, resolution = resolve_project(lib, hub, via_hub, inline)
+    assert not resolution.diagnostics
+    assert ref_symbols(resolution, "b") == [("via_hub.ml1", "p.L.a"), ("inline.ml1", "p.L.a")]
+    assert export_closure(graph, "q.Hub").lookup("b") == (graph.symbols["p.L.a"],)
+
+
+def test_a_duplicate_template_sees_no_members_of_the_first_one():
+    first = parse_source("package p\n\nobject A {\n  def a() = {\n    1\n  }\n}", "d1.ml1")
+    second = parse_source("package p\n\nobject A {\n  def b() = {\n    a()\n  }\n}", "d2.ml1")
+    graph = build_scope_graph([first, second])
+    resolution = resolve_units(graph, [first, second])
+    assert [d.code for d in graph.diagnostics] == [E_DUPLICATE_SYMBOL]
+    assert [(d.code, d.unit) for d in resolution.diagnostics] == [(E_UNRESOLVED, "d2.ml1")]
+    assert ref_symbols(resolution, "a") == [("d2.ml1", None)]
+
+
+@pytest.mark.parametrize(
+    "stats, crossed",
+    [
+        (["print(x)", 'val x = "1"'], "x"),
+        (["def h() = {\n  k()\n}", "print(h())", 'def k() = {\n  "k"\n}'], None),
+        (["def h() = {\n  y\n}", 'val y = "1"', "print(h())"], "y"),
+        (['val y = "1"', "def h() = {\n  y\n}", "print(h())"], None),
+        (["print(k())", "val z = 1", 'def k() = {\n  "k"\n}'], "z"),
+        (["val x = {\n  x\n}"], "x"),
+        (["{\n  print(w)\n}", "val w = 1"], "w"),
+    ],
+)
+def test_a_forward_reference_may_not_extend_over_a_val(stats, crossed):
+    body = "\n".join("    " + line for stat in stats for line in stat.split("\n"))
+    unit = parse_source(f"object A {{\n  def f() = {{\n{body}\n  }}\n}}", "a.ml1")
+    _, resolution = resolve_project(unit)
+    if crossed is None:
+        assert not resolution.diagnostics
+    else:
+        [diag] = resolution.diagnostics
+        assert diag.code == E_FORWARD_REFERENCE
+        assert diag.message.endswith(f"extends over the definition of val {crossed}")
 
 
 def test_two_export_paths_to_the_same_symbol_are_fine():
