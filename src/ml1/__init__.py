@@ -14,7 +14,7 @@ from ml1.resolve import (
     resolve_units,
 )
 from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry, compose_rewriters
-from ml1.scopes import build_scope_graph, export_closure, inherited_exports
+from ml1.scopes import build_scope_graph, export_closure
 from ml1.tokens import LexError, Span, Token, tokenize
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "erase_import_annotations",
     "export_closure",
     "implicit_candidates",
-    "inherited_exports",
     "parse_unit",
     "pretty_print",
     "resolve_units",

@@ -20,6 +20,7 @@ E_DEFER_OUTSIDE_METHOD = "E_DEFER_OUTSIDE_METHOD"
 E_REWRITE = "E_REWRITE"
 E_NO_ENTRY = "E_NO_ENTRY"
 E_NO_FRAME = "E_NO_FRAME"
+E_CYCLIC_VAL = "E_CYCLIC_VAL"
 
 
 @dataclass

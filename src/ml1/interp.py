@@ -14,7 +14,8 @@ An environment is a frame: its parent frame, then one slot per local. A
 def call's frame holds its arguments; a declaring block's frame holds its
 declarations, and its local defs are bound on entry. A local reference
 reads the slot at the address `resolve` gave it. A template `val` is
-evaluated at its first read in a run.
+evaluated at its first read in a run; a read while its body runs is the
+coded error E_CYCLIC_VAL.
 
 `__frame { ... }` pushes a frame for the duration of the body; thunks
 registered via `__defer(thunk { ... })` run when the frame is left, in
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ml1 import ast
-from ml1.diagnostics import E_NO_ENTRY, E_NO_FRAME
+from ml1.diagnostics import E_CYCLIC_VAL, E_NO_ENTRY, E_NO_FRAME
 from ml1.resolve import Resolution
 from ml1.scopes import DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph
 from ml1.tokens import Span
@@ -68,6 +69,7 @@ class UnitV:
 
 
 UNIT = UnitV()
+_INITIALISING = object()  # a template val's entry in `Interpreter.vals` while its body runs
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,9 @@ class Interpreter:
         # Compiled closures, keyed by node identity: structurally equal
         # nodes may be bound to different symbols.
         self.code: dict[int, Code] = {}
-        # Template vals read in this run, by FQN.
-        self.vals: dict[str, Value] = {}
+        # Template vals read in this run, by FQN; `_INITIALISING` while the
+        # val's body runs.
+        self.vals: dict[str, object] = {}
 
     # Entry ------------------------------------------------------------------
 
@@ -261,12 +264,19 @@ class Interpreter:
             return _constant(BuiltinV(symbol.short_name()))
         decl = self.graph.decls.get(symbol.fqn)
         if symbol.kind == VAL and isinstance(decl, ast.DefDecl):
-            fqn, body, compile, vals = symbol.fqn, decl.body, self.compile, self.vals
+            fqn, body, compile, vals, span = symbol.fqn, decl.body, self.compile, self.vals, ref.span
 
             def read_val(env: Frame | None) -> Value:
                 value = vals.get(fqn)
                 if value is None:
-                    value = vals[fqn] = compile(body)(None)
+                    vals[fqn] = _INITIALISING
+                    try:
+                        value = vals[fqn] = compile(body)(None)
+                    except BaseException:
+                        del vals[fqn]
+                        raise
+                elif value is _INITIALISING:
+                    raise EvalError(f"val {fqn} is read during its own initialisation", span, E_CYCLIC_VAL)
                 return value
 
             return read_val

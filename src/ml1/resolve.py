@@ -1,7 +1,8 @@
 """Name resolution over a built scope graph.
 
-Precedence, innermost first: locals, then template members (own,
-inherited, inherited re-exports), then the site's import positions in the
+Precedence, innermost first: locals, then the template's member tier
+(`scopes.body_lookup`: its members, inherited ones included, then its
+parents' re-exports), then the site's import positions in the
 order `scopes.import_positions` gives them (named selectors, wildcards,
 enclosing packages), then builtins. The implicit scan walks the same
 positions in the same order.
@@ -31,7 +32,7 @@ from ml1.scopes import (
     ImportPosition,
     ScopeGraph,
     SymbolId,
-    export_closure,
+    body_lookup,
     import_lookup,
     import_positions,
     navigate,
@@ -107,30 +108,14 @@ def resolve_name(graph: ScopeGraph, site: Site, name: str) -> Hit | None:
     if found is not None:
         return Hit((found[2][0],), TIER_LOCAL)
     if site.template is not None:
-        hit = _member_lookup(graph, site.template, name)
-        if hit is not None:
-            return hit
+        hits = body_lookup(graph, site.template, name)
+        if hits:
+            return Hit(hits, TIER_MEMBER)
     found = import_lookup(graph, site.positions, name)
     if found is not None:
         return Hit(*found)
     if name in BUILTINS:
         return Hit((BUILTINS[name],), TIER_BUILTIN)
-    return None
-
-
-def _member_lookup(graph: ScopeGraph, tfqn: str, name: str) -> Hit | None:
-    own = graph.template_members(tfqn).get(name)
-    if own is not None:
-        return Hit((own,), TIER_MEMBER)
-    parents = graph.linearized_parents(tfqn)
-    for parent in parents:
-        inherited = graph.template_members(parent).get(name)
-        if inherited is not None:
-            return Hit((inherited,), TIER_MEMBER)
-    for parent in parents:
-        matches = export_closure(graph, parent).lookup(name)
-        if matches:
-            return Hit(matches, TIER_MEMBER)
     return None
 
 
@@ -167,6 +152,7 @@ class _UnitWalker:
         self.graph = graph
         self.resolution = resolution
         self.unit = unit
+        self.taken: set[str] = set()  # local FQNs given out in this unit
 
     def walk(self) -> None:
         clauses = [*self.unit.top_imports(), *(s for tpl in self.unit.templates() for s in tpl.stats)]
@@ -195,17 +181,18 @@ class _UnitWalker:
             return
         params = LocalScope()
         for slot, name in enumerate(decl.params):
-            params.locals[name] = (self._local_symbol(site, owner, name, VAL), slot, -1)
+            params.locals[name] = (self._local_symbol(owner, name, VAL), slot, -1)
         self.walk_expr(decl.body, site.with_scope(params), owner)
 
-    def _local_symbol(self, site: Site, owner: str, name: str, kind: str) -> SymbolId:
-        fqn = f"{owner}.{name}"
-        taken = {sym.fqn for scope in site.locals_chain for sym, _, _ in scope.locals.values()}
+    def _local_symbol(self, owner: str, name: str, kind: str) -> SymbolId:
+        """A symbol for a new binder: `owner.name`, with a `#k` suffix when
+        another binder of the unit has that FQN already."""
+        fqn = candidate = f"{owner}.{name}"
         k = 2
-        candidate = fqn
-        while candidate in taken:
+        while candidate in self.taken:
             candidate = f"{fqn}#{k}"
             k += 1
+        self.taken.add(candidate)
         return SymbolId(candidate, kind)
 
     def walk_expr(self, expr: ast.Expr, site: Site, owner: str) -> None:
@@ -222,7 +209,7 @@ class _UnitWalker:
         scope = LocalScope(block.stats)
         decls = [(i, stat) for i, stat in enumerate(block.stats) if isinstance(stat, ast.DefDecl)]
         for slot, (i, stat) in enumerate(decls):
-            symbol = self._local_symbol(site, owner, stat.name, VAL if stat.is_val else DEF)
+            symbol = self._local_symbol(owner, stat.name, VAL if stat.is_val else DEF)
             scope.locals[stat.name] = (symbol, slot, i)
         inner = site.with_scope(scope) if decls else site
         for i, stat in enumerate(block.stats):

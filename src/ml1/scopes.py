@@ -1,9 +1,16 @@
 """Project scope graph: symbols, inheritance, and re-export edges.
 
-A template's `@exported` imports become edges; the names they make visible
-(directly or through further exported imports) form the template's export
-closure. A closure path may enter each scope at most once, so cyclic edges
-terminate while every finitely derivable name is still found.
+A scope is made of its parts (`ScopeGraph.parts`): a template and its
+linearized parents, or a package's package object and that object's
+parents. A scope's members and edges are those of all its parts, so a
+template provides what it inherits, to its own body and to every other
+site alike. A part's `@exported` imports become edges; the names they make
+visible (directly or through further exported imports) form the scope's
+export closure. A closure path may enter each scope at most once, so cyclic
+edges terminate while every finitely derivable name is still found.
+Entering a package enters its package object too; taking a clause of an
+inherited part enters the parents on the `extends` chain to that part, as
+a path of that parent's own closure would.
 
 `export_closure` is the one closure engine. It keeps a single witness path
 per (visible name, symbol) pair: the shortest, then the lowest by its list
@@ -12,9 +19,9 @@ selectors compose into one filter, which is then restricted to the names
 a later edge can still deliver to it. A path stops exactly when it cannot
 add a pair or a smaller witness: once that filter hides every name, or once
 the same scope was already reached under the same filter with a visited set
-that is a subset of this path's. Closures are memoized on the graph, which
-stays valid because exports and members are complete before any closure is
-asked for.
+that is a subset of this path's. Closures are memoized on the graph; the
+memos built while parents are linked are dropped, so every closure is built
+from the finished graph.
 """
 
 from __future__ import annotations
@@ -118,54 +125,52 @@ class ScopeGraph:
     owner_unit: dict[str, str] = field(default_factory=dict)
     units_by_name: dict[str, ast.CompilationUnit] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # export_closure's memo, keyed by scope FQN.
+    # Memos of `export_closure`, `parts` and `scope_members`, keyed by scope
+    # FQN. Each entry depends on `inherits`, so `build_scope_graph` clears
+    # the memos once every parent is linked; after that each entry is built
+    # once and shared read-only.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
-    # The name maps below, keyed by (map, scope FQN). Lookups start once
-    # every symbol is declared, so each map is built once and shared
-    # read-only.
-    member_maps: dict[tuple[str, str], Mapping[str, SymbolId]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    scope_parts: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
+    member_maps: dict[str, Mapping[str, SymbolId]] = field(default_factory=dict, repr=False, compare=False)
 
-    # Lookup helpers. On a repeated short name the last symbol wins.
-
-    def template_members(self, tfqn: str) -> Mapping[str, SymbolId]:
-        found = self.member_maps.get(("template", tfqn))
+    def parts(self, fqn: str) -> tuple[str, ...]:
+        """The templates whose members and `@exported` clauses make up
+        scope `fqn`, first provider first: a template, then its linearized
+        parents; for a package, its package object, if it has one, then
+        that object's linearized parents."""
+        found = self.scope_parts.get(fqn)
         if found is None:
-            found = self.member_maps[("template", tfqn)] = MappingProxyType(
-                {sym.short_name(): sym for sym in self.members.get(tfqn, ())}
-            )
-        return found
-
-    def package_scope_members(self, pkg: str) -> Mapping[str, SymbolId]:
-        """Names package `pkg` provides directly: its templates and
-        subpackages, plus its package object's members. A member's FQN is
-        `pkg.name` either way, so the two never share a name."""
-        found = self.member_maps.get(("scope", pkg))
-        if found is None:
-            out = {sym.short_name(): sym for sym in self.package_members.get(pkg, ())}
-            pkgobj = self.package_objects.get(pkg)
-            if pkgobj is not None:
-                out.update(self.template_members(pkgobj))
-            found = self.member_maps[("scope", pkg)] = MappingProxyType(out)
+            sym = self.symbols.get(fqn)
+            head = fqn if sym is not None and sym.kind == TEMPLATE else self.package_objects.get(fqn)
+            found = () if head is None else tuple(dict.fromkeys((head, *self.linearized_parents(head))))
+            self.scope_parts[fqn] = found
         return found
 
     def scope_members(self, fqn: str) -> Mapping[str, SymbolId]:
-        sym = self.symbols.get(fqn)
-        if sym is None:
-            return {}
-        if sym.kind == PACKAGE:
-            return self.package_scope_members(fqn)
-        if sym.kind == TEMPLATE:
-            return self.template_members(fqn)
-        return {}
+        """Names scope `fqn` provides as members: a package's templates and
+        subpackages, then the members of its parts. A name keeps its first
+        provider, so a template's own members beat inherited ones."""
+        found = self.member_maps.get(fqn)
+        if found is None:
+            listed = () if fqn in self.members else self.package_members.get(fqn, ())  # not a template's
+            out = {sym.short_name(): sym for sym in listed}
+            for part in self.parts(fqn):
+                for sym in self.members[part]:
+                    out.setdefault(sym.short_name(), sym)
+            found = self.member_maps[fqn] = MappingProxyType(out)
+        return found
 
-    def edges_of(self, fqn: str) -> list[ExportEdge]:
-        sym = self.symbols.get(fqn)
-        if sym is not None and sym.kind == PACKAGE:
-            pkgobj = self.package_objects.get(fqn)
-            return self.exports.get(pkgobj, []) if pkgobj else []
-        return self.exports.get(fqn, [])
+    def edges_of(self, fqn: str) -> list[tuple[ExportEdge, frozenset[str]]]:
+        """The `@exported` clauses of scope `fqn`'s parts, each with the
+        parents on one `extends` chain from the first part to the clause's
+        part, once per chain; a clause that targets its own chain is left out."""
+        head = self.parts(fqn)[:1]
+        found, pending = [], [(part, frozenset()) for part in head]
+        while pending:
+            part, chain = pending.pop()
+            found += [(edge, chain) for edge in self.exports.get(part, ()) if edge.resolved_target not in chain]
+            pending += [(up, chain | {up}) for up in self.inherits.get(part, ()) if up not in chain and up not in head]
+        return found
 
     def linearized_parents(self, tfqn: str) -> list[str]:
         """Transitive parents, left-to-right depth-first, first occurrence
@@ -180,18 +185,6 @@ class ScopeGraph:
 
         visit(tfqn)
         return order
-
-
-def _visited_ids(graph: ScopeGraph, fqn: str) -> set[str]:
-    """A scope and its aliases for cycle prevention: a package and its
-    package object count as one visit."""
-    ids = {fqn}
-    sym = graph.symbols.get(fqn)
-    if sym is not None and sym.kind == PACKAGE:
-        pkgobj = graph.package_objects.get(fqn)
-        if pkgobj:
-            ids.add(pkgobj)
-    return ids
 
 
 def export_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
@@ -268,8 +261,9 @@ def _selector_filter(selectors: ast.ImportSelectors) -> _Filter:
 
 
 def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
-    # Every scope reachable from `fqn`, with its edges in label order.
-    steps: dict[str, list[tuple[ExportEdge, str, frozenset[str], _Filter]]] = {}
+    # Every scope reachable from `fqn`, with its edges in label order: each
+    # with its `extends` chain and all that taking it visits.
+    steps: dict[str, list[tuple[ExportEdge, str, frozenset[str], frozenset[str], _Filter]]] = {}
     pending = [fqn]
     while pending:
         scope = pending.pop()
@@ -279,12 +273,13 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
             (
                 edge,
                 edge.resolved_target,
-                frozenset(_visited_ids(graph, edge.resolved_target)),
+                chain,
+                chain.union((edge.resolved_target, *graph.parts(edge.resolved_target)[:1])),
                 _selector_filter(edge.selectors),
             )
-            for edge in sorted(graph.edges_of(scope), key=ExportEdge.label)
+            for edge, chain in sorted(graph.edges_of(scope), key=lambda step: step[0].label())
         ]
-        pending.extend(target for _, target, _, _ in steps[scope])
+        pending.extend(target for _, target, _, _, _ in steps[scope])
     members = {scope: graph.scope_members(scope) for scope in steps}
     # A name can reach a path's filter from a later edge only as a member of
     # a scope the path has not visited yet, or as the new name a selector
@@ -295,7 +290,7 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
         for name in found:
             arrives.setdefault(name, []).append((scope, False))
     for scope, edges in steps.items():
-        for _, _, _, (_, names) in edges:
+        for _, _, _, _, (_, names) in edges:
             for name, to in names.items():
                 if to is not None and to != name:
                     arrives.setdefault(to, []).append((scope, True))
@@ -304,12 +299,12 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
     # first path to yield a pair is its witness.
     expanded: dict[tuple, list[frozenset[str]]] = {}
     witness: dict[tuple[str, str], tuple[SymbolId, tuple[ExportEdge, ...]]] = {}
-    frontier = [(fqn, _IDENTITY, frozenset(_visited_ids(graph, fqn)), ())]
+    frontier = [(fqn, _IDENTITY, frozenset((fqn, *graph.parts(fqn)[:1])), ())]
     while frontier:
         next_frontier = []
         for scope, path_filter, visited, path in frontier:
-            for edge, target, target_ids, edge_filter in steps[scope]:
-                if target in visited:
+            for edge, target, chain, target_ids, edge_filter in steps[scope]:
+                if target in visited or chain and not chain.isdisjoint(visited):
                     continue
                 wild, names = _compose(path_filter, edge_filter)
                 if not wild and not names:
@@ -347,16 +342,6 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
     )
 
 
-def inherited_exports(graph: ScopeGraph, tfqn: str) -> ExportClosure:
-    """Union of the export closures of a template's transitive parents; a
-    pair several parents provide keeps the first parent's witness."""
-    entries: dict[tuple[str, str], ClosureEntry] = {}
-    for parent in graph.linearized_parents(tfqn):
-        for entry in export_closure(graph, parent).entries:
-            entries.setdefault((entry.visible_name, entry.symbol.fqn), entry)
-    return ExportClosure(tuple(entry for _, entry in sorted(entries.items())))
-
-
 # Graph construction ---------------------------------------------------------
 
 
@@ -369,8 +354,13 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
         _inject_rewriter_marker(graph)
     for unit in units:
         _link_imports(graph, unit)
-    for unit in units:
-        _link_parents(graph, unit)
+    # Parent names resolve without inherited names: every parent is looked
+    # up before any is linked, and the memos built meanwhile are dropped.
+    parents = [link for unit in units for link in _resolve_parents(graph, unit)]
+    graph.inherits.update(parents)
+    graph.closures.clear()
+    graph.scope_parts.clear()
+    graph.member_maps.clear()
     return graph
 
 
@@ -458,7 +448,7 @@ def resolve_import_path(graph: ScopeGraph, path: ast.QualName) -> str | None:
     """Resolve an absolute import path to a package or template FQN."""
     current = ""
     for i, segment in enumerate(path):
-        sym = graph.package_scope_members(current).get(segment)
+        sym = graph.scope_members(current).get(segment)
         if sym is None:
             return None
         if sym.kind == PACKAGE:
@@ -539,7 +529,8 @@ def template_fqn(graph: ScopeGraph, unit: ast.CompilationUnit, tpl: ast.Template
     return None
 
 
-def _link_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
+def _resolve_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> Iterable[tuple[str, list[str]]]:
+    """Each template of `unit` with the templates its `extends` names."""
     for tpl in unit.templates():
         tfqn = template_fqn(graph, unit, tpl)
         if tfqn is None:
@@ -558,7 +549,7 @@ def _link_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
                 )
                 continue
             resolved.append(sym.fqn)
-        graph.inherits[tfqn] = resolved
+        yield tfqn, resolved
 
 
 # Import positions and `import_lookup`, the one lookup policy over them;
@@ -567,12 +558,24 @@ def _link_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
 
 
 def scope_lookup(graph: ScopeGraph, scope_fqn: str, name: str) -> tuple[SymbolId, ...]:
-    """Symbols scope `scope_fqn` provides under `name`: a direct member
-    beats re-exported names; distinct re-exported symbols stay ambiguous."""
-    direct = graph.scope_members(scope_fqn).get(name)
-    if direct is not None:
-        return (direct,)
+    """Symbols scope `scope_fqn` provides under `name`: a member beats
+    re-exported names; distinct re-exported symbols stay ambiguous."""
+    member = graph.scope_members(scope_fqn).get(name)
+    if member is not None:
+        return (member,)
     return export_closure(graph, scope_fqn).lookup(name)
+
+
+def body_lookup(graph: ScopeGraph, tfqn: str, name: str) -> tuple[SymbolId, ...]:
+    """Symbols the member tier gives `name` inside template `tfqn`'s body:
+    a member, else the union of its parents' export closures, where
+    distinct symbols stay ambiguous. The template's own `@exported` clauses
+    are import positions of the body instead (`resolve.template_site`)."""
+    member = graph.scope_members(tfqn).get(name)
+    if member is not None:
+        return (member,)
+    inherited = {sym for parent in graph.inherits[tfqn] for sym in export_closure(graph, parent).lookup(name)}
+    return tuple(sorted(inherited, key=lambda sym: sym.fqn))
 
 
 @dataclass(frozen=True)
@@ -596,7 +599,7 @@ class ImportPosition:
             return () if source is None else scope_lookup(graph, self.scope, source)
         if self.tier == IMPORT_WILDCARD:
             return () if name in self.excluded else scope_lookup(graph, self.scope, name)
-        hit = graph.package_scope_members(self.scope).get(name)
+        hit = graph.scope_members(self.scope).get(name)
         return () if hit is None else (hit,)
 
     def names(self, graph: ScopeGraph) -> Iterable[str]:
@@ -607,7 +610,7 @@ class ImportPosition:
             names = set(graph.scope_members(self.scope))
             names.update(export_closure(graph, self.scope).by_name)
             return names - self.excluded
-        return graph.package_scope_members(self.scope)
+        return graph.scope_members(self.scope)
 
 
 def import_positions(
@@ -630,10 +633,9 @@ def import_positions(
             named.append(ImportPosition(IMPORT_NAMED, index, target, renames=renames))
         if clause.selectors.wildcard:
             wildcards.append(ImportPosition(IMPORT_WILDCARD, index, target, excluded=frozenset(selected)))
-    packages = [
-        ImportPosition(ENCLOSING_PACKAGE, len(package_path) - depth, ".".join(package_path[:depth]))
-        for depth in range(len(package_path), -1, -1)
-    ]
+    prefixes = [".".join(package_path[:depth]) for depth in range(len(package_path), -1, -1)]
+    # A prefix that a template took (E_DUPLICATE_SYMBOL) encloses nothing.
+    packages = [ImportPosition(ENCLOSING_PACKAGE, i, fqn) for i, fqn in enumerate(prefixes) if fqn not in graph.members]
     return (*named, *wildcards, *packages)
 
 

@@ -68,6 +68,19 @@ COMPOSE = [
     "compose/compose_client.ml1",
 ]
 
+# Projects whose templates inherit members and `@exported` clauses.
+PARENTS = {
+    "members": ["parents/members/t.ml1", "parents/members/client.ml1"],
+    "union": ["parents/union/xy.ml1", "parents/union/d.ml1", "parents/union/client.ml1"],
+    "package_object": [
+        "parents/package_object/t.ml1",
+        "parents/package_object/p.ml1",
+        "parents/package_object/b.ml1",
+        "parents/package_object/c.ml1",
+    ],
+    "rewriter": ["lib/go_defer.ml1", "parents/rewriter/kit.ml1", "parents/rewriter/app.ml1"],
+}
+
 
 @pytest.fixture
 def salat_before_units():

@@ -31,12 +31,41 @@ class EdgeSpec:
 class GraphSpec:
     members: list[list[str]]  # per template
     edges: list[EdgeSpec]
+    parents: list[list[int]] = field(default_factory=list)  # per template; none when empty
 
     def template_name(self, index: int) -> str:
         return f"T{index}"
 
+    def parts(self, index: int) -> list[int]:
+        """The template, then its transitive parents, left-to-right depth-first,
+        first occurrence kept; parents are acyclic."""
+        order = [index]
+        for parent in self.parents[index] if self.parents else ():
+            order += [p for p in self.parts(parent) if p not in order]
+        return order
 
-def random_graph_spec(rng: random.Random, max_templates: int = 8, max_edges: int = 16) -> GraphSpec:
+    def edge_chains(self, index: int, chain: frozenset[int] = frozenset()) -> list[tuple[EdgeSpec, frozenset[int]]]:
+        """Each edge of a part of `index`, with the templates an `extends`
+        path from `index` to the edge's origin passes, once per such path."""
+        found = [(edge, chain) for edge in self.edges if edge.origin == index]
+        for parent in self.parents[index] if self.parents else ():
+            found += self.edge_chains(parent, chain | {parent})
+        return found
+
+    def scope_members(self, index: int) -> dict[str, str]:
+        """Visible member name -> FQN: the first part that declares it provides it."""
+        found: dict[str, str] = {}
+        for part in self.parts(index):
+            for member in self.members[part]:
+                found.setdefault(member, f"{self.template_name(part)}.{member}")
+        return found
+
+
+def random_graph_spec(
+    rng: random.Random, max_templates: int = 8, max_edges: int = 16, max_parents: int = 0
+) -> GraphSpec:
+    """With `max_parents`, each template extends up to that many templates of
+    a lower index, so inheritance stays acyclic."""
     n = rng.randint(1, max_templates)
     members = [
         sorted(rng.sample(NAME_POOL, rng.randint(0, min(4, len(NAME_POOL)))))
@@ -74,14 +103,17 @@ def random_graph_spec(rng: random.Random, max_templates: int = 8, max_edges: int
             if len(set(plain_targets)) != len(plain_targets):
                 continue
             edges.append(EdgeSpec(origin, target, rng.random() < 0.5, named))
-    return GraphSpec(members, edges)
+    parents = [rng.sample(range(i), rng.randint(0, min(i, max_parents))) for i in range(n)] if max_parents else []
+    return GraphSpec(members, edges, parents)
 
 
 def graph_spec_sources(spec: GraphSpec) -> list[tuple[str, str]]:
     """Render the spec as one unit per template, ready for the pipeline."""
     sources = []
     for index, members in enumerate(spec.members):
-        lines = [f"object {spec.template_name(index)} {{"]
+        parents = spec.parents[index] if spec.parents else []
+        extends = " extends " + " with ".join(map(spec.template_name, parents)) if parents else ""
+        lines = [f"object {spec.template_name(index)}{extends} {{"]
         for edge in spec.edges:
             if edge.origin != index:
                 continue
@@ -118,29 +150,33 @@ def _edge_filter(edge: EdgeSpec, name: str) -> str | None:
     return name if edge.wildcard else None
 
 
-def closure_oracle(spec: GraphSpec, start: int) -> set[tuple[str, str]]:
-    """(visible name, defining template member FQN) pairs reachable from
-    `start`, by exhaustive worklist enumeration of simple edge paths."""
-    results: set[tuple[str, str]] = set()
-    worklist: list[tuple[int, frozenset[int], tuple[EdgeSpec, ...]]] = [
-        (start, frozenset({start}), ())
-    ]
+def _closure_pairs(spec: GraphSpec, start: int):
+    """Every simple edge path from `start`, by exhaustive worklist
+    enumeration, with each (visible name, member FQN) pair it yields. A
+    scope is its parts: a path follows the edges of every part, and taking an
+    inherited part's edge visits the templates on the `extends` path to it."""
+    worklist: list[tuple[int, frozenset[int], tuple[EdgeSpec, ...]]] = [(start, frozenset({start}), ())]
     while worklist:
         scope, visited, path = worklist.pop()
-        for edge in spec.edges:
-            if edge.origin != scope or edge.target in visited:
+        for edge, chain in spec.edge_chains(scope):
+            if edge.target in visited | chain or chain & visited:
                 continue
             new_path = path + (edge,)
-            for member in spec.members[edge.target]:
+            for member, fqn in spec.scope_members(edge.target).items():
                 visible: str | None = member
                 for step in reversed(new_path):
                     visible = _edge_filter(step, visible)
                     if visible is None:
                         break
                 if visible is not None:
-                    results.add((visible, f"{spec.template_name(edge.target)}.{member}"))
-            worklist.append((edge.target, visited | {edge.target}, new_path))
-    return results
+                    yield new_path, (visible, fqn)
+            worklist.append((edge.target, visited | chain | {edge.target}, new_path))
+
+
+def closure_oracle(spec: GraphSpec, start: int) -> set[tuple[str, str]]:
+    """(visible name, defining template member FQN) pairs reachable from
+    `start`."""
+    return {pair for _, pair in _closure_pairs(spec, start)}
 
 
 def edge_label(spec: GraphSpec, edge: EdgeSpec) -> str:
@@ -154,29 +190,12 @@ def edge_label(spec: GraphSpec, edge: EdgeSpec) -> str:
 def closure_witness_oracle(spec: GraphSpec, start: int) -> dict[tuple[str, str], tuple[str, ...]]:
     """(visible name, member FQN) -> edge labels of the witness path: the
     minimum by (length, labels) over every simple edge path from `start`
-    that yields the pair, found by exhaustive enumeration."""
+    that yields the pair."""
     best: dict[tuple[str, str], tuple[int, tuple[str, ...]]] = {}
-    worklist: list[tuple[int, frozenset[int], tuple[EdgeSpec, ...]]] = [
-        (start, frozenset({start}), ())
-    ]
-    while worklist:
-        scope, visited, path = worklist.pop()
-        for edge in spec.edges:
-            if edge.origin != scope or edge.target in visited:
-                continue
-            new_path = path + (edge,)
-            rank = (len(new_path), tuple(edge_label(spec, e) for e in new_path))
-            for member in spec.members[edge.target]:
-                visible: str | None = member
-                for step in reversed(new_path):
-                    visible = _edge_filter(step, visible)
-                    if visible is None:
-                        break
-                if visible is not None:
-                    pair = (visible, f"{spec.template_name(edge.target)}.{member}")
-                    if pair not in best or rank < best[pair]:
-                        best[pair] = rank
-            worklist.append((edge.target, visited | {edge.target}, new_path))
+    for path, pair in _closure_pairs(spec, start):
+        rank = (len(path), tuple(edge_label(spec, e) for e in path))
+        if pair not in best or rank < best[pair]:
+            best[pair] = rank
     return {pair: labels for pair, (_, labels) in best.items()}
 
 
@@ -492,17 +511,14 @@ class BindingProgram:
     def _binder(self, chain: list[_Scope], owner: str, kind: str, taken_names: set[str]) -> Binder:
         """A new binder: it shadows a visible name or takes a fresh one. Its
         tag follows the resolver's local FQNs: the owner, the name and a
-        `#k` suffix when the frames in scope already hold that FQN."""
+        `#k` suffix when an earlier binder of the unit holds that FQN. The
+        binders of one owner are made in the order the resolver meets them."""
         visible = sorted({n for scope in chain for n in scope.binders} | set(self.template))
         visible = [n for n in visible if n not in taken_names]
         name = self.rng.choice(visible) if visible and self.rng.random() < 0.5 else self._fresh_name()
-        taken = {b.tag for scope in chain for b in scope.binders.values()}
         tag, k = f"{owner}.{name}", 2
-        while tag in taken:
+        while tag in self.tags:
             tag, k = f"{owner}.{name}#{k}", k + 1
-        if tag in self.tags:  # a sibling scope already has it: stay unique
-            name = self._fresh_name()
-            tag = f"{owner}.{name}"
         self.tags.add(tag)
         return Binder(name, tag, kind)
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ml1
 from ml1.cli import main
 from ml1.printer import pretty_print
 from ml1.rewrite import DEFER_REWRITER, Intrinsic, apply_rewriter, builtin_registry
@@ -11,6 +15,7 @@ from conftest import (
     COMPOSE,
     FIXTURES,
     INHERIT,
+    PARENTS,
     SALAT_AFTER,
     SALAT_BEFORE,
     fixture_paths,
@@ -277,11 +282,55 @@ def test_inheritance_project_resolves_without_local_imports(capsys):
     assert refs["action"] == "play.api.mvc.action"
 
 
+def test_sibling_blocks_give_their_binders_distinct_symbols(tmp_path, capsys):
+    unit = tmp_path / "m.ml1"
+    block = "    {{\n      val y = \"{}\"\n      print(y)\n    }}\n"
+    unit.write_text(f"object M {{\n  def main() = {{\n{block.format(1)}{block.format(2)}  }}\n}}\n", encoding="utf-8")
+    status, out, _ = run_cli(capsys, "resolve", "--dump", "--format", "pretty", str(unit))
+    assert status == 0
+    assert [line.split(" ", 1)[1] for line in out.splitlines() if " y -> " in line] == [
+        "y -> M.main.y",
+        "y -> M.main.y#2",
+    ]
+
+
 def test_dumps_are_deterministic(capsys):
     argv = ["resolve", "--dump", *fixture_paths(*SALAT_AFTER)]
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first == second
+
+
+FIXTURE_GROUPS = {
+    "salat_before": SALAT_BEFORE,
+    "salat_after": SALAT_AFTER,
+    "inherit": INHERIT,
+    "compose": COMPOSE,
+    "defer": ["lib/go_defer.ml1", "defer/copy.ml1", "defer/loop.ml1"],
+    "ambiguous": ["ambiguous/providers.ml1", "ambiguous/client.ml1"],
+    **{f"parents_{name}": files for name, files in PARENTS.items()},
+}
+
+
+@pytest.mark.parametrize("group", sorted(FIXTURE_GROUPS))
+def test_outputs_do_not_depend_on_the_hash_seed(group):
+    # String hashing, and so set and dict-key order, varies between
+    # processes; within one process it cannot show.
+    src = str(Path(ml1.__file__).resolve().parent.parent)
+    files = fixture_paths(*FIXTURE_GROUPS[group])
+    for command in (["resolve", "--dump"], ["rewrite", "--dump"], ["lint", "--marker", "Context"]):
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "ml1", *command, *files],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            for seed in ("0", "1")
+        ]
+        (out0, err0), (out1, err1) = [run.communicate(timeout=60) for run in runs]
+        assert (runs[0].returncode, out0, err0) == (runs[1].returncode, out1, err1), command
+        assert out0 or command[0] == "lint"
 
 
 @pytest.mark.parametrize(

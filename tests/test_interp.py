@@ -2,11 +2,12 @@ import random
 from dataclasses import replace
 
 from ml1 import ast
-from ml1.diagnostics import E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
+from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
 from ml1.interp import EvalError, IntV, UnitV, Interpreter, run
 from ml1.resolve import resolve_units
 from ml1.rewrite import Intrinsic, apply_rewriter, builtin_registry
 from ml1.scopes import build_scope_graph
+from ml1.tokens import Span
 
 from conftest import build_project, parse_fixture, parse_source
 import gen
@@ -441,16 +442,30 @@ def test_template_val_is_evaluated_once_per_run():
 
 
 def test_cyclic_template_vals_end_in_a_coded_error():
-    unit = parse_source(
+    source = (
         "object M {\n  val a = {\n    b\n  }\n  val b = {\n    a\n  }\n"
-        "  def main() = {\n    print(\"start\")\n    print(a)\n  }\n}",
-        "m.ml1",
+        "  def main() = {\n    print(\"start\")\n    print(a)\n  }\n}"
     )
-    graph, resolution = resolved(unit)
+    graph, resolution = resolved(parse_source(source, "m.ml1"))
     trace = run(graph, resolution, "M.main")
     assert trace.events == ["start"]
     assert isinstance(trace.error, EvalError)
-    assert trace.error.message == "evaluation nested too deeply"
+    assert trace.error.code == E_CYCLIC_VAL
+    assert trace.error.message == "val M.a is read during its own initialisation"
+    start = source.index("    a\n") + 4  # the read of `a` inside `b`
+    assert trace.error.span == Span(start, start + 1)
+
+
+def test_a_val_whose_initialisation_failed_is_evaluated_again():
+    unit = parse_source(
+        "import go.defer._\n\nobject M {\n  val v = {\n    print(\"eval-v\")\n    error(\"boom\")\n  }\n"
+        "  def main() = {\n    defer {\n      print(v)\n    }\n    print(v)\n  }\n}",
+        "m.ml1",
+    )
+    trace = run_program(GO_DEFER, unit, entry="M.main")
+    assert trace.events == ["eval-v", "eval-v"]
+    assert trace.error.message == "boom"
+    assert [err.message for err in trace.error.suppressed] == ["boom"]
 
 
 def printed_reads(unit):

@@ -14,7 +14,7 @@ from ml1.resolve import (
 )
 from ml1.scopes import REWRITER_MARKER, build_scope_graph, export_closure
 
-from conftest import build_project, parse_fixture, parse_source
+from conftest import PARENTS, build_project, parse_fixture, parse_source
 
 
 def ref_symbols(resolution, name):
@@ -311,6 +311,100 @@ def test_named_selector_consults_the_closure():
     _, resolution = resolve_project(*units)
     assert not resolution.diagnostics
     assert ref_symbols(resolution, "tool") == [("a.ml1", "Impl.tool")]
+
+
+# Inheritance ------------------------------------------------------------------
+
+
+def parents_project(name, order=None):
+    files = PARENTS[name]
+    return [parse_fixture(files[i]) for i in (order or range(len(files)))]
+
+
+def test_inherited_members_are_members_from_outside_too():
+    _, resolution = resolve_project(*parents_project("members"))
+    assert ref_symbols(resolution, "x") == [("t.ml1", "p.T.x")]
+    assert ref_symbols(resolution, "p.A.x") == [("client.ml1", "p.T.x")]
+
+
+def test_parents_reexports_are_one_union_inside_and_outside():
+    units = parents_project("union")
+    graph = build_project(*units)
+    resolution = resolve_units(graph, units)
+    # `x` inside D, `x` after `import p.D._`, and `p.D.x`.
+    seen = sorted((d.code, d.unit, d.candidates) for d in resolution.diagnostics)
+    assert seen == [(E_AMBIGUOUS, unit, ("p.X.x", "p.Y.x")) for unit in ("client.ml1", "client.ml1", "d.ml1")]
+
+
+def test_inherited_reexports_are_visible_from_another_unit(inherit_units):
+    client = parse_source("object Client {\n  def g() = {\n    MyController.render(\"x\")\n  }\n}", "c.ml1")
+    _, resolution = resolve_project(*inherit_units, client)
+    assert ref_symbols(resolution, "MyController.render") == [("c.ml1", "play.api.render")]
+
+
+@pytest.mark.parametrize(
+    "clauses, expected",
+    [
+        ("@exported import p.X._\n  @exported import p.Y._", "p.Y.foo"),
+        ("import p.Z.foo\n  @exported import p.X._", "p.Z.foo"),
+    ],
+)
+def test_own_exported_clauses_keep_their_import_precedence(clauses, expected):
+    lib = parse_source(
+        "package p\n\n"
+        + "".join(f"object {t} {{\n  def foo() = {{\n    1\n  }}\n}}\n" for t in "XYZ"),
+        "lib.ml1",
+    )
+    hub = parse_source(f"object Hub {{\n  {clauses}\n  def f() = {{\n    foo()\n  }}\n}}", "hub.ml1")
+    _, resolution = resolve_project(lib, hub)
+    assert ref_symbols(resolution, "foo") == [("hub.ml1", expected)]
+
+
+def test_a_clause_may_reexport_from_the_templates_own_parent():
+    # An heir's clause re-exports its parent; from outside, and in a further
+    # heir's body, the re-export binds as it does in the clause's own body.
+    base = parse_source(
+        "object U {\n  def a() = {\n    1\n  }\n}\n"
+        "object T extends U {\n  @exported import U.{a => b}\n}\n"
+        "object S extends T {\n  @exported import T.{a => c}\n  def f() = {\n    c()\n  }\n}\n"
+        "object R extends T {\n  def g() = {\n    b()\n  }\n}",
+        "base.ml1",
+    )
+    client = parse_source("object Client {\n  def h() = {\n    S.c()\n    S.b()\n  }\n}", "client.ml1")
+    _, resolution = resolve_project(base, client)
+    assert not resolution.diagnostics
+    assert ref_symbols(resolution, "c") == [("base.ml1", "U.a")]
+    assert ref_symbols(resolution, "S.c") == [("client.ml1", "U.a")]
+    assert ref_symbols(resolution, "b") == [("base.ml1", "U.a")]
+    assert ref_symbols(resolution, "S.b") == [("client.ml1", "U.a")]
+
+
+def test_a_template_that_collides_with_a_package_holds_none_of_its_templates():
+    units = [
+        parse_source("package p\n\nobject A {\n  def f() = {\n    1\n  }\n}", "a.ml1"),
+        parse_source("package p.A\n\nobject B {\n  def g() = {\n    f()\n  }\n}", "b.ml1"),
+        parse_source("object Client {\n  def h() = {\n    p.A.B\n  }\n}", "client.ml1"),
+    ]
+    graph = build_scope_graph(units)
+    assert [d.code for d in graph.diagnostics] == [E_DUPLICATE_SYMBOL]
+    resolution = resolve_units(graph, units)
+    assert sorted((d.code, d.unit) for d in resolution.diagnostics) == [
+        (E_UNRESOLVED, "b.ml1"),
+        (E_UNRESOLVED, "client.ml1"),
+    ]
+
+
+@pytest.mark.parametrize("order", [None, (3, 2, 1, 0), (2, 3, 0, 1)])
+def test_parent_names_see_no_inherited_names_in_any_file_order(order):
+    _, resolution = resolve_project(*parents_project("package_object", order))
+    assert ref_symbols(resolution, "p.y") == [("c.ml1", "t.T.y")]
+
+
+def test_an_inherited_rewriter_clause_activates_the_rewriter():
+    *_, app = units = parents_project("rewriter")
+    graph = build_project(*units)
+    candidates = implicit_candidates(graph, app, REWRITER_MARKER)
+    assert [(c.symbol.fqn, c.tier) for c in candidates] == [("go.defer.rewriter", "import-wildcard")]
 
 
 # Erasure ----------------------------------------------------------------------

@@ -8,14 +8,13 @@ from ml1.diagnostics import (
     E_UNRESOLVED_IMPORT_PATH,
     E_UNRESOLVED_PARENT,
 )
-from ml1.scopes import (
-    build_scope_graph,
-    export_closure,
-    inherited_exports,
-)
+from ml1.resolve import resolve_units
+from ml1.scopes import build_scope_graph, export_closure
 
 from conftest import build_project, parse_fixture, parse_source
 from gen import (
+    NAME_POOL,
+    RENAME_POOL,
     closure_oracle,
     closure_witness_oracle,
     dense_family_sources,
@@ -164,6 +163,60 @@ def test_random_graphs_match_the_witness_oracle():
             assert got == closure_witness_oracle(spec, index)
 
 
+def specs_with_parents(seed, count=200):
+    """`count` random graphs in which some template extends another."""
+    rng = random.Random(seed)
+    while count:
+        spec = random_graph_spec(rng, max_parents=2)
+        if any(spec.parents):
+            count -= 1
+            yield spec
+
+
+def test_random_graphs_with_parents_match_the_oracles():
+    for spec in specs_with_parents(19):
+        graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+        for index in range(len(spec.members)):
+            scope = spec.template_name(index)
+            assert {name: sym.fqn for name, sym in graph.scope_members(scope).items()} == spec.scope_members(index)
+            closure = export_closure(graph, scope)
+            assert closure.pairs() == closure_oracle(spec, index)
+            assert witnesses(closure) == closure_witness_oracle(spec, index)
+
+
+def test_adding_parents_never_removes_closure_pairs():
+    for spec in specs_with_parents(29, count=100):
+        with_parents = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+        spec.parents = []
+        without = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+        for index in range(len(spec.members)):
+            scope = spec.template_name(index)
+            assert export_closure(without, scope).pairs() <= export_closure(with_parents, scope).pairs()
+
+
+def test_a_template_body_sees_what_its_scope_provides():
+    # `object S<i> extends T<i>` reads each name inside a def and as
+    # `S<i>.<name>` from a client: both give one symbol, or one diagnostic.
+    names = NAME_POOL + RENAME_POOL
+    reads = "".join(f"    {name}\n" for name in names)
+    for spec in specs_with_parents(23):
+        count = len(spec.members)
+        sources = graph_spec_sources(spec) + [
+            (f"s{i}.ml1", f"object S{i} extends T{i} {{\n  def probe() = {{\n{reads}  }}\n}}\n") for i in range(count)
+        ]
+        client = "".join(f"    S{i}.{name}\n" for i in range(count) for name in names)
+        sources.append(("client.ml1", f"object Client {{\n  def probe() = {{\n{client}  }}\n}}\n"))
+        units = [parse_source(src, name) for name, src in sources]
+        graph = build_project(*units)
+        resolution = resolve_units(graph, units)
+        diagnostics = {(d.unit, d.span): (d.code, d.candidates) for d in resolution.diagnostics}
+        outcomes = [
+            rec.symbol.fqn if rec.symbol else diagnostics[(rec.unit, rec.span)] for rec in resolution.records
+        ]
+        inside = outcomes[: count * len(names)]
+        assert outcomes[count * len(names) :] == inside
+
+
 def test_dense_wildcard_family_has_one_direct_witness_per_pair():
     # With k=12 there are 11! simple paths out of each template; only the
     # exact pruning keeps this test to milliseconds.
@@ -223,7 +276,7 @@ def test_adding_an_edge_never_removes_closure_pairs():
 
 def test_inherited_exports_from_controller_trait(inherit_units):
     graph = build_project(*inherit_units)
-    closure = inherited_exports(graph, "MyController")
+    closure = export_closure(graph, "MyController")
     names = {name for name, _ in closure.pairs()}
     assert {"render", "action"} <= names
 
@@ -231,7 +284,7 @@ def test_inherited_exports_from_controller_trait(inherit_units):
 def test_template_without_parents_inherits_nothing():
     unit = parse_source("object A {\n}")
     graph = build_project(unit)
-    assert inherited_exports(graph, "A").pairs() == set()
+    assert export_closure(graph, "A").pairs() == set()
 
 
 def test_diamond_inheritance_sees_the_shared_name_once():
@@ -244,7 +297,7 @@ def test_diamond_inheritance_sees_the_shared_name_once():
     ]
     graph = build_project(*units)
     assert graph.linearized_parents("D") == ["B", "A", "C"]
-    closure = inherited_exports(graph, "D")
+    closure = export_closure(graph, "D")
     # A de-duplicating union over the hand-drawn DAG gives exactly one
     # (z, Z.z) pair even though two inheritance paths reach A.
     assert closure.pairs() == {("z", "Z.z")}
@@ -281,13 +334,13 @@ def test_member_maps_are_built_once_and_read_only():
         parse_source("package p.q\n\nobject U {\n}", "u.ml1"),
     ]
     graph = build_project(*units)
-    for lookup, fqn, expected in [
-        (graph.template_members, "p.T", {"f": "p.T.f"}),
-        (graph.package_scope_members, "p.q", {"U": "p.q.U", "g": "p.q.g"}),
-        (graph.package_scope_members, "p", {"T": "p.T", "q": "p.q"}),
+    for fqn, expected in [
+        ("p.T", {"f": "p.T.f"}),
+        ("p.q", {"U": "p.q.U", "g": "p.q.g"}),
+        ("p", {"T": "p.T", "q": "p.q"}),
     ]:
-        members = lookup(fqn)
+        members = graph.scope_members(fqn)
         assert {name: sym.fqn for name, sym in members.items()} == expected
-        assert lookup(fqn) is members
+        assert graph.scope_members(fqn) is members
         with pytest.raises(TypeError):
             members["x"] = members[next(iter(members))]
