@@ -13,7 +13,7 @@ from ml1.resolve import (
     implicit_candidates,
     resolve_units,
 )
-from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry, compose_rewriters
+from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry
 from ml1.scopes import build_scope_graph, export_closure
 from ml1.tokens import LexError, Span, Token, tokenize
 
@@ -29,7 +29,6 @@ __all__ = [
     "build_scope_graph",
     "builtin_registry",
     "check_context_consistency",
-    "compose_rewriters",
     "erase_import_annotations",
     "export_closure",
     "implicit_candidates",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ml1 import ast, interp, rewrite
@@ -140,12 +141,17 @@ def cmd_resolve(args) -> int:
 
 
 def _rewrite_unit(
-    graph: ScopeGraph, unit: ast.CompilationUnit, registry: rewrite.RewriterRegistry
+    graph: ScopeGraph, unit: ast.CompilationUnit, registry: rewrite.Registry
 ) -> tuple[ast.CompilationUnit, rewrite.RewriteReport]:
-    """Bind the rewriter the unit's imports switch on and apply it."""
-    candidates = implicit_candidates(graph, unit, REWRITER_MARKER)
-    ref = rewrite.bind_rewriter(graph, candidates, registry)
-    return rewrite.apply_rewriter(ref, unit, registry)
+    """Bind the rewriter the unit's imports switch on and apply it. A
+    diagnostic that names no unit is about this one."""
+    try:
+        chain = rewrite.bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
+        return rewrite.apply_rewriter(chain, unit, registry)
+    except SemanticError as err:
+        if err.diagnostic.unit is not None:
+            raise
+        raise SemanticError(replace(err.diagnostic, unit=unit.source_name)) from err
 
 
 def cmd_rewrite(args) -> int:

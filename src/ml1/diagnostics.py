@@ -10,6 +10,7 @@ E_DUPLICATE_SYMBOL = "E_DUPLICATE_SYMBOL"
 E_UNKNOWN_IMPORT_ANNOTATION = "E_UNKNOWN_IMPORT_ANNOTATION"
 E_UNRESOLVED_IMPORT_PATH = "E_UNRESOLVED_IMPORT_PATH"
 E_UNRESOLVED_PARENT = "E_UNRESOLVED_PARENT"
+E_CYCLIC_INHERITANCE = "E_CYCLIC_INHERITANCE"
 E_UNRESOLVED = "E_UNRESOLVED"
 E_AMBIGUOUS = "E_AMBIGUOUS"
 E_FORWARD_REFERENCE = "E_FORWARD_REFERENCE"

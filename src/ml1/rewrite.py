@@ -2,13 +2,16 @@
 
 A unit that brings an implicit rewriter object into scope gets every one
 of its templates transformed by the matching host-registered intrinsic.
-Rewriter objects whose body names `compose(x, y)` chain two rewriters,
-applying the second argument first.
+A bound rewriter is its chain: the intrinsic keys it applies, inner first.
+Rewriter objects whose body calls the builtin `compose(x, y)` chain two
+rewriters, applying the second argument first; its arguments mean the
+symbols `resolve` binds them to in the unit declaring the object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 from ml1 import ast
 from ml1.diagnostics import (
@@ -20,80 +23,28 @@ from ml1.diagnostics import (
     E_UNREGISTERED_REWRITER,
     SemanticError,
 )
-from ml1.resolve import ImplicitCandidate, select_implicit
-from ml1.scopes import REWRITER_MARKER, ScopeGraph, lookup_at_unit_scope
+from ml1.resolve import BUILTINS, ImplicitCandidate, resolve_units, select_implicit
+from ml1.scopes import REWRITER_MARKER, TEMPLATE, ScopeGraph
 
 DEFER_REWRITER = "go.defer.rewriter"
 UPPER_REWRITER = "demo.upper.rewriter"
 
+# Intrinsic keys in application order, inner first. Composing two chains
+# concatenates them; the identity rewriter is `()`.
+Chain = tuple[str, ...]
 
-@dataclass(frozen=True)
-class Identity:
-    pass
-
-
-@dataclass(frozen=True)
-class Intrinsic:
-    key: str
+# Host-side intrinsics keyed by the declaring implicit object's FQN; each
+# transformation must be pure.
+Registry = dict[str, Callable[[ast.TemplateDef], ast.TemplateDef]]
 
 
-@dataclass(frozen=True)
-class Composed:
-    outer: "RewriterRef"
-    inner: "RewriterRef"
+def builtin_registry() -> Registry:
+    return {DEFER_REWRITER: defer_lowering, UPPER_REWRITER: uppercase_defs}
 
 
-RewriterRef = Identity | Intrinsic | Composed
-
-IDENTITY = Identity()
-
-
-def compose_rewriters(outer: RewriterRef, inner: RewriterRef) -> RewriterRef:
-    return Composed(outer, inner)
-
-
-def chain_of(ref: RewriterRef) -> list[str]:
-    """Intrinsic keys in application order (inner first)."""
-    if isinstance(ref, Identity):
-        return []
-    if isinstance(ref, Intrinsic):
-        return [ref.key]
-    return chain_of(ref.inner) + chain_of(ref.outer)
-
-
-class RewriterRegistry:
-    """Host-side intrinsics keyed by the declaring implicit object's FQN.
-    Registration is write-once; transformation functions must be pure."""
-
-    def __init__(self):
-        self._table: dict[str, object] = {}
-
-    def register(self, key: str, fn) -> None:
-        if key in self._table:
-            raise ValueError(f"rewriter {key} is already registered")
-        self._table[key] = fn
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._table
-
-    def get(self, key: str):
-        return self._table[key]
-
-
-def builtin_registry() -> RewriterRegistry:
-    registry = RewriterRegistry()
-    registry.register(DEFER_REWRITER, defer_lowering)
-    registry.register(UPPER_REWRITER, uppercase_defs)
-    return registry
-
-
-def bind_rewriter(
-    graph: ScopeGraph,
-    candidates: list[ImplicitCandidate],
-    registry: RewriterRegistry,
-) -> RewriterRef:
-    """Pick the winning rewriter object for a unit and map it to a
-    RewriterRef; no candidate at all means Identity."""
+def bind_rewriter(graph: ScopeGraph, candidates: list[ImplicitCandidate], registry: Registry) -> Chain:
+    """Pick the winning rewriter object for a unit and return its chain;
+    no candidate at all means the empty chain."""
     winner, tied = select_implicit(candidates)
     if tied:
         raise SemanticError(
@@ -104,11 +55,11 @@ def bind_rewriter(
             )
         )
     if winner is None:
-        return IDENTITY
-    return _ref_for(graph, winner.fqn, registry, visiting=())
+        return ()
+    return _chain_for(graph, winner.fqn, registry, visiting=())
 
 
-def _ref_for(graph: ScopeGraph, fqn: str, registry: RewriterRegistry, visiting: tuple[str, ...]) -> RewriterRef:
+def _chain_for(graph: ScopeGraph, fqn: str, registry: Registry, visiting: tuple[str, ...]) -> Chain:
     if fqn in visiting:
         raise SemanticError(
             Diagnostic(
@@ -126,69 +77,46 @@ def _ref_for(graph: ScopeGraph, fqn: str, registry: RewriterRegistry, visiting: 
                     f"no intrinsic transformation is registered for {fqn}",
                 )
             )
-        return Intrinsic(fqn)
+        return (fqn,)
     outer_fqn, inner_fqn = composition
-    return Composed(
-        _ref_for(graph, outer_fqn, registry, visiting + (fqn,)),
-        _ref_for(graph, inner_fqn, registry, visiting + (fqn,)),
-    )
+    outer = _chain_for(graph, outer_fqn, registry, visiting + (fqn,))
+    return _chain_for(graph, inner_fqn, registry, visiting + (fqn,)) + outer
 
 
 def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
-    """A `compose(x, y)` statement in the rewriter object's body, either
-    bare or as the sole statement of a member's body."""
-    decl = graph.decls.get(fqn)
-    if not isinstance(decl, ast.TemplateDef):
-        return None
-    unit_name = graph.owner_unit.get(fqn)
-
-    def match(expr: ast.Expr) -> tuple[str, str] | None:
-        if (
-            isinstance(expr, ast.Call)
-            and expr.callee.parts == ("compose",)
-            and len(expr.args) == 2
-            and all(isinstance(a, ast.Ref) for a in expr.args)
-        ):
-            resolved = []
-            for arg in expr.args:
-                sym = _resolve_rewriter_arg(graph, fqn, arg.parts)
-                if sym is None:
-                    raise SemanticError(
-                        Diagnostic(
-                            E_UNREGISTERED_REWRITER,
-                            f"compose argument {ast.dotted(arg.parts)} does not resolve"
-                            f" to a rewriter object",
-                            unit_name,
-                            arg.span,
-                        )
-                    )
-                resolved.append(sym)
-            return resolved[0], resolved[1]
-        return None
-
+    """The arguments of a call to the builtin `compose` in the rewriter
+    object's body, either bare or as the sole statement of a member's body,
+    as `resolve` binds them in the unit declaring the object."""
+    decl = graph.decls[fqn]
+    calls = []
     for stat in decl.stats:
         if isinstance(stat, ast.DefDecl):
             stat = stat.body
             if isinstance(stat, ast.Block) and len(stat.stats) == 1:
                 stat = stat.stats[0]
-        hit = match(stat)  # None for anything but a call
-        if hit is not None:
-            return hit
-    return None
-
-
-def _resolve_rewriter_arg(graph: ScopeGraph, owner_fqn: str, parts: ast.QualName) -> str | None:
-    # Compose arguments resolve in the scope of the unit that declares the
-    # rewriter object, not the importing unit.
-    unit = graph.units_by_name.get(graph.owner_unit.get(owner_fqn, ""))
-    if unit is None:
+        if isinstance(stat, ast.Call) and len(stat.args) == 2 and all(isinstance(a, ast.Ref) for a in stat.args):
+            calls.append(stat)
+    if not calls:
         return None
-    sym = lookup_at_unit_scope(graph, unit, parts)
-    if sym is None or sym.kind != "template":
+    unit = next(u for u in graph.units if any(stat is decl for stat in u.top_stats))
+    resolution = resolve_units(graph, [unit])
+    call = next((c for c in calls if resolution.symbol_for(c.callee) == BUILTINS["compose"]), None)
+    if call is None:
         return None
-    if REWRITER_MARKER not in graph.linearized_parents(sym.fqn):
-        return None
-    return sym.fqn
+    resolved = []
+    for arg in call.args:
+        sym = resolution.symbol_for(arg)
+        if sym is None or sym.kind != TEMPLATE or REWRITER_MARKER not in graph.linearized_parents(sym.fqn):
+            raise SemanticError(
+                Diagnostic(
+                    E_UNREGISTERED_REWRITER,
+                    f"compose argument {ast.dotted(arg.parts)} does not resolve to a rewriter object",
+                    unit.source_name,
+                    arg.span,
+                )
+            )
+        resolved.append(sym.fqn)
+    return resolved[0], resolved[1]
 
 
 @dataclass
@@ -208,43 +136,37 @@ class RewriteReport:
 
 
 def apply_rewriter(
-    ref: RewriterRef, unit: ast.CompilationUnit, registry: RewriterRegistry
+    chain: Chain, unit: ast.CompilationUnit, registry: Registry
 ) -> tuple[ast.CompilationUnit, RewriteReport]:
-    """Run the bound rewriter over every template of the unit, in source
-    order. Identity returns the unit object unchanged."""
-    chain = chain_of(ref)
-    report = RewriteReport(unit.source_name, chain)
-    if not chain:
-        return unit, report
-    new_top: list[ast.TopStat] = []
-    changed = False
-    for stat in unit.top_stats:
-        if isinstance(stat, ast.TemplateDef):
-            transformed = stat
-            for key in chain:
-                transformed = _run_intrinsic(registry, key, transformed, unit.source_name)
-            if transformed != stat:
-                report.templates_touched += 1
-                report.nodes_replaced += _diff_count(stat, transformed)
-                changed = True
-            new_top.append(transformed)
-        else:
-            new_top.append(stat)
-    if not changed:
-        return unit, report
-    return replace(unit, top_stats=tuple(new_top)), report
+    """Run the chain over every template of the unit, in source order. A
+    unit the chain leaves unchanged is returned as the same object."""
+    report = RewriteReport(unit.source_name, list(chain))
+
+    def rewrite(stat: ast.TopStat) -> ast.TopStat:
+        if not isinstance(stat, ast.TemplateDef):
+            return stat
+        transformed = stat
+        for key in chain:
+            transformed = _run_intrinsic(registry, key, transformed)
+        if transformed == stat:
+            return stat
+        report.templates_touched += 1
+        report.nodes_replaced += _diff_count(stat, transformed)
+        return transformed
+
+    return ast.map_children(unit, rewrite), report
 
 
-def _run_intrinsic(registry: RewriterRegistry, key: str, tpl: ast.TemplateDef, unit_name: str) -> ast.TemplateDef:
+def _run_intrinsic(registry: Registry, key: str, tpl: ast.TemplateDef) -> ast.TemplateDef:
     try:
-        return registry.get(key)(tpl)
+        return registry[key](tpl)
     except SemanticError as err:
         inner = err.diagnostic
         raise SemanticError(
             Diagnostic(
                 E_REWRITE,
                 f"{key} rejected {tpl.name}: {inner.code}: {inner.message}",
-                inner.unit or unit_name,
+                inner.unit,
                 inner.span,
             )
         ) from err

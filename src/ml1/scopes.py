@@ -34,6 +34,7 @@ from typing import Iterable, Mapping
 from ml1 import ast
 from ml1.diagnostics import (
     Diagnostic,
+    E_CYCLIC_INHERITANCE,
     E_DUPLICATE_SYMBOL,
     E_UNKNOWN_IMPORT_ANNOTATION,
     E_UNRESOLVED_IMPORT_PATH,
@@ -123,7 +124,7 @@ class ScopeGraph:
     package_members: dict[str, list[SymbolId]] = field(default_factory=dict)
     decls: dict[str, object] = field(default_factory=dict)
     owner_unit: dict[str, str] = field(default_factory=dict)
-    units_by_name: dict[str, ast.CompilationUnit] = field(default_factory=dict)
+    units: list[ast.CompilationUnit] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     # Memos of `export_closure`, `parts` and `scope_members`, keyed by scope
     # FQN. Each entry depends on `inherits`, so `build_scope_graph` clears
@@ -142,7 +143,7 @@ class ScopeGraph:
         if found is None:
             sym = self.symbols.get(fqn)
             head = fqn if sym is not None and sym.kind == TEMPLATE else self.package_objects.get(fqn)
-            found = () if head is None else tuple(dict.fromkeys((head, *self.linearized_parents(head))))
+            found = () if head is None else (head, *self.linearized_parents(head))
             self.scope_parts[fqn] = found
         return found
 
@@ -169,22 +170,20 @@ class ScopeGraph:
         while pending:
             part, chain = pending.pop()
             found += [(edge, chain) for edge in self.exports.get(part, ()) if edge.resolved_target not in chain]
-            pending += [(up, chain | {up}) for up in self.inherits.get(part, ()) if up not in chain and up not in head]
+            pending += [(up, chain | {up}) for up in self.inherits.get(part, ())]
         return found
 
     def linearized_parents(self, tfqn: str) -> list[str]:
         """Transitive parents, left-to-right depth-first, first occurrence
-        kept."""
-        order: list[str] = []
-
-        def visit(fqn: str) -> None:
-            for parent in self.inherits.get(fqn, ()):
-                if parent not in order:
-                    order.append(parent)
-                    visit(parent)
-
-        visit(tfqn)
-        return order
+        kept. Iterative, so a deep hierarchy cannot exhaust the stack."""
+        order: dict[str, None] = {}
+        pending = self.inherits.get(tfqn, [])[::-1]
+        while pending:
+            parent = pending.pop()
+            if parent not in order:
+                order[parent] = None
+                pending += self.inherits.get(parent, [])[::-1]
+        return list(order)
 
 
 def export_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
@@ -346,9 +345,8 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
 
 
 def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
-    graph = ScopeGraph()
+    graph = ScopeGraph(units=list(units))
     for unit in units:
-        graph.units_by_name[unit.source_name] = unit
         _declare_unit(graph, unit)
     if REWRITER_MARKER not in graph.symbols:
         _inject_rewriter_marker(graph)
@@ -356,8 +354,16 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
         _link_imports(graph, unit)
     # Parent names resolve without inherited names: every parent is looked
     # up before any is linked, and the memos built meanwhile are dropped.
-    parents = [link for unit in units for link in _resolve_parents(graph, unit)]
-    graph.inherits.update(parents)
+    # A link that would close a cycle is reported and left out (SLS §5.1),
+    # so `inherits` is acyclic.
+    parents = dict(link for unit in units for link in _resolve_parents(graph, unit))
+    for tfqn, (unit_name, span, resolved) in parents.items():
+        for parent in resolved:
+            if parent == tfqn or tfqn in graph.linearized_parents(parent):
+                message = f"parent {parent} of {tfqn} closes an inheritance cycle"
+                graph.diagnostics.append(Diagnostic(E_CYCLIC_INHERITANCE, message, unit_name, span))
+            else:
+                graph.inherits[tfqn].append(parent)
     graph.closures.clear()
     graph.scope_parts.clear()
     graph.member_maps.clear()
@@ -529,8 +535,11 @@ def template_fqn(graph: ScopeGraph, unit: ast.CompilationUnit, tpl: ast.Template
     return None
 
 
-def _resolve_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> Iterable[tuple[str, list[str]]]:
-    """Each template of `unit` with the templates its `extends` names."""
+def _resolve_parents(
+    graph: ScopeGraph, unit: ast.CompilationUnit
+) -> Iterable[tuple[str, tuple[str, Span, list[str]]]]:
+    """Each template of `unit` with the unit's name, the template's span
+    and the templates its `extends` names."""
     for tpl in unit.templates():
         tfqn = template_fqn(graph, unit, tpl)
         if tfqn is None:
@@ -549,7 +558,7 @@ def _resolve_parents(graph: ScopeGraph, unit: ast.CompilationUnit) -> Iterable[t
                 )
                 continue
             resolved.append(sym.fqn)
-        yield tfqn, resolved
+        yield tfqn, (unit.source_name, tpl.span, resolved)
 
 
 # Import positions and `import_lookup`, the one lookup policy over them;

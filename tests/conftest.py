@@ -100,3 +100,31 @@ def inherit_units():
 @pytest.fixture
 def compose_units():
     return [parse_fixture(r) for r in COMPOSE]
+
+
+# Rewriter objects whose `compose` call means what `resolve` binds it to,
+# not what a lookup at the unit's top scope finds. Each project is the two
+# lib/ rewriters, the object as hub.ml1 and COMPOSE_CLIENT as app.ml1.
+COMPOSE_CLIENT = "import hub._\n\nobject App {\n  def work() = {\n    defer {\n      print(\"bye\")\n    }\n  }\n}\n"
+COMPOSE_REPROS = {
+    "template_import_rename": (
+        "package hub\n\nimplicit object rewriter extends DefaultRewriter {\n"
+        "  import demo.upper.{rewriter => up}\n  compose(up, go.defer.rewriter)\n}\n"
+    ),
+    "inherited_exported_rename": (
+        "package hub\n\ntrait Names {\n  @exported import demo.upper.{rewriter => up}\n}\n\n"
+        "implicit object rewriter extends DefaultRewriter with Names {\n  compose(up, go.defer.rewriter)\n}\n"
+    ),
+    "member_compose_shadows_builtin": (
+        "package hub\n\nimplicit object rewriter extends DefaultRewriter {\n"
+        "  def compose(a, b) = {\n    a\n  }\n  compose(demo.upper.rewriter, go.defer.rewriter)\n}\n"
+    ),
+}
+
+
+def write_compose_repro(directory: Path, name: str) -> list[str]:
+    """The repro project `name` as files under `directory`, in CLI order."""
+    (directory / "hub.ml1").write_text(COMPOSE_REPROS[name], encoding="utf-8")
+    (directory / "app.ml1").write_text(COMPOSE_CLIENT, encoding="utf-8")
+    libs = fixture_paths("lib/go_defer.ml1", "lib/demo_upper.ml1")
+    return [*libs, str(directory / "hub.ml1"), str(directory / "app.ml1")]

@@ -14,13 +14,7 @@ from ml1.cli import main as cli_main
 from ml1.parser import E_ANNOTATION_AT_TOP_LEVEL, ParseError, parse_unit
 from ml1.printer import pretty_print
 from ml1.resolve import erase_import_annotations, resolve_units
-from ml1.rewrite import (
-    IDENTITY,
-    Intrinsic,
-    apply_rewriter,
-    builtin_registry,
-    compose_rewriters,
-)
+from ml1.rewrite import apply_rewriter, builtin_registry
 from ml1.scopes import build_scope_graph, export_closure
 from ml1.tokens import tokenize
 
@@ -154,7 +148,7 @@ def test_c4_defer_semantics(capsys):
         program = random_program(rng)
         events, primary, suppressed = simulate(program)
         unit = program_unit(program)
-        lowered, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), unit, registry)
+        lowered, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
         graph = build_scope_graph([go_defer, lowered])
         resolution = resolve_units(graph, [go_defer, lowered])
         trace = interp_run(graph, resolution, "Main.main")
@@ -192,7 +186,7 @@ def test_c5_activation_by_import(capsys):
     plain_graph = build_project(plain_unit)
     assert bind_rewriter(
         plain_graph, implicit_candidates(plain_graph, plain_unit, REWRITER_MARKER), registry
-    ) == IDENTITY
+    ) == ()
 
     ref = bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
     rewritten, report = apply_rewriter(ref, unit, registry)
@@ -238,23 +232,23 @@ def test_c6_composition_golden_and_laws(capsys, compose_units):
 
     ref = bind_rewriter(graph, implicit_candidates(graph, client, REWRITER_MARKER), registry)
     composed, _ = apply_rewriter(ref, client, registry)
-    step_b, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), client, registry)
-    step_ba, _ = apply_rewriter(Intrinsic("demo.upper.rewriter"), step_b, registry)
+    step_b, _ = apply_rewriter(("go.defer.rewriter",), client, registry)
+    step_ba, _ = apply_rewriter(("demo.upper.rewriter",), step_b, registry)
     assert composed == step_ba
 
-    upper = Intrinsic("demo.upper.rewriter")
-    defer = Intrinsic("go.defer.rewriter")
+    upper = ("demo.upper.rewriter",)
+    defer = ("go.defer.rewriter",)
     rng = random.Random(64)
     mismatches = 0
     for _ in range(100):
         unit = random_unit_defs_only(rng)
-        left, _ = apply_rewriter(compose_rewriters(upper, compose_rewriters(defer, upper)), unit, registry)
-        right, _ = apply_rewriter(compose_rewriters(compose_rewriters(upper, defer), upper), unit, registry)
+        left, _ = apply_rewriter((upper + defer) + upper, unit, registry)
+        right, _ = apply_rewriter(upper + (defer + upper), unit, registry)
         if left != right:
             mismatches += 1
-        with_identity, _ = apply_rewriter(compose_rewriters(IDENTITY, defer), unit, registry)
+        with_identity, _ = apply_rewriter(defer + (), unit, registry)
         plain, _ = apply_rewriter(defer, unit, registry)
-        other_identity, _ = apply_rewriter(compose_rewriters(defer, IDENTITY), unit, registry)
+        other_identity, _ = apply_rewriter(() + defer, unit, registry)
         if with_identity != plain or other_identity != plain:
             mismatches += 1
     assert mismatches == 0

@@ -7,12 +7,18 @@ from pathlib import Path
 import pytest
 
 import ml1
+from ml1 import ast
 from ml1.cli import main
+from ml1.parser import parse_unit
 from ml1.printer import pretty_print
-from ml1.rewrite import DEFER_REWRITER, Intrinsic, apply_rewriter, builtin_registry
+from ml1.resolve import implicit_candidates, select_implicit
+from ml1.rewrite import DEFER_REWRITER, apply_rewriter, builtin_registry
+from ml1.scopes import REWRITER_MARKER, build_scope_graph
+from ml1.tokens import tokenize
 
 from conftest import (
     COMPOSE,
+    COMPOSE_REPROS,
     FIXTURES,
     INHERIT,
     PARENTS,
@@ -20,6 +26,7 @@ from conftest import (
     SALAT_BEFORE,
     fixture_paths,
     parse_source,
+    write_compose_repro,
 )
 
 
@@ -423,7 +430,7 @@ def test_nesting_at_the_limit_keeps_the_exit_contract(tmp_path, capsys, argv, sh
 @pytest.mark.parametrize("shape", sorted(NESTED_AT_THE_LIMIT))
 def test_rewrite_output_at_the_limit_parses_again(shape):
     unit = parse_source(nested_unit(shape))
-    lowered, _ = apply_rewriter(Intrinsic(DEFER_REWRITER), unit, builtin_registry())
+    lowered, _ = apply_rewriter((DEFER_REWRITER,), unit, builtin_registry())
     assert parse_source(pretty_print(lowered)) == lowered
 
 
@@ -547,3 +554,98 @@ def test_forward_local_def_call_runs(tmp_path, capsys):
     assert status == 0
     start = source.index("k()")
     assert f"{path}:{start}-{start + 1} k -> M.g.k" in out.splitlines()
+
+
+CYCLES = {
+    "self": {"s.ml1": "object S extends S {\n}\n"},
+    "two_in_one_file": {
+        "ab.ml1": "package p\n\nobject X {\n  val x = 1\n}\n\nobject A extends B {\n  @exported import p.X._\n}\n\n"
+        "object B extends A {\n  val y = 2\n}\n"
+    },
+    **{
+        f"three_across_files_{order}": {
+            f"{name}.ml1": f"package q\n\nobject {name.upper()} extends {parent.upper()} {{\n}}\n"
+            for name, parent in pairs
+        }
+        for order, pairs in [
+            ("forward", [("a", "b"), ("b", "c"), ("c", "a")]),
+            ("backward", [("c", "a"), ("b", "c"), ("a", "b")]),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLES))
+def test_cyclic_inheritance_is_reported_once(tmp_path, capsys, name):
+    paths = []
+    for file, source in CYCLES[name].items():
+        (tmp_path / file).write_text(source, encoding="utf-8")
+        paths.append(str(tmp_path / file))
+    status, _, err = run_cli(capsys, "resolve", *paths)
+    assert status == 1
+    assert [line.split(": ")[1] for line in err.splitlines()] == ["E_CYCLIC_INHERITANCE"]
+
+
+def test_rewriter_binding_errors_name_the_unit(tmp_path, capsys):
+    (tmp_path / "custom.ml1").write_text(
+        "package custom\n\nimplicit object rewriter extends DefaultRewriter {\n}\n", encoding="utf-8"
+    )
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.ml1").write_text(f"import custom._\n\nobject {name.upper()} {{\n}}\n", encoding="utf-8")
+    paths = [str(tmp_path / f"{name}.ml1") for name in ("custom", "a", "b")]
+    status, _, err = run_cli(capsys, "rewrite", *paths)
+    assert status == 1
+    assert err.splitlines() == [
+        f"{path}: E_UNREGISTERED_REWRITER: no intrinsic transformation is registered for custom.rewriter"
+        for path in paths
+    ]
+
+
+def compose_arguments(resolve_doc: dict, graph) -> dict[str, tuple[str, str]]:
+    """Each rewriter object with the symbols `resolve --dump` gives the
+    arguments of its first call to the builtin `compose`."""
+    found = {}
+    for unit_doc in resolve_doc["units"]:
+        refs = unit_doc["refs"]
+        for i, ref in enumerate(refs):
+            if ref["symbol"] != "<builtin>.compose":
+                continue
+            start, end = ref["span"]
+            (owner,) = [
+                fqn
+                for fqn, decl in graph.decls.items()
+                if isinstance(decl, ast.TemplateDef)
+                and graph.owner_unit[fqn] == unit_doc["unit"]
+                and decl.span.start <= start
+                and end <= decl.span.end
+            ]
+            found.setdefault(owner, (refs[i + 1]["symbol"], refs[i + 2]["symbol"]))
+    return found
+
+
+@pytest.mark.parametrize("project", sorted(FIXTURE_GROUPS) + sorted(COMPOSE_REPROS))
+def test_rewrite_chains_apply_the_compose_arguments_resolve_binds(tmp_path, capsys, project):
+    if project in COMPOSE_REPROS:
+        files = write_compose_repro(tmp_path, project)
+    else:
+        files = fixture_paths(*FIXTURE_GROUPS[project])
+    _, out, _ = run_cli(capsys, "resolve", "--dump", *files)
+    units = [parse_unit(tokenize(Path(file).read_text(encoding="utf-8")), file) for file in files]
+    graph = build_scope_graph(units)
+    composes = compose_arguments(json.loads(out), graph)
+
+    def expected(fqn: str) -> list[str]:
+        if fqn not in composes:
+            return [fqn]
+        outer, inner = composes[fqn]
+        return expected(inner) + expected(outer)
+
+    _, out, _ = run_cli(capsys, "rewrite", "--dump", *files)
+    reports = {report["unit"]: report["chain"] for report in json_blocks(out)}
+    for unit in units:
+        winner, _ = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
+        if unit.source_name in reports:
+            assert reports[unit.source_name] == ([] if winner is None else expected(winner.fqn))
+    if project in COMPOSE_REPROS:
+        shadowed = project == "member_compose_shadows_builtin"  # binds hub.rewriter, which is unregistered
+        assert reports.get(files[-1]) == (None if shadowed else ["go.defer.rewriter", "demo.upper.rewriter"])

@@ -5,7 +5,7 @@ from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
 from ml1.interp import EvalError, IntV, UnitV, Interpreter, run
 from ml1.resolve import resolve_units
-from ml1.rewrite import Intrinsic, apply_rewriter, builtin_registry
+from ml1.rewrite import apply_rewriter, builtin_registry
 from ml1.scopes import build_scope_graph
 from ml1.tokens import Span
 
@@ -21,7 +21,7 @@ def run_program(*units, entry):
     rewritten = []
     for unit in units:
         if any(clause.path == ("go", "defer") for clause in unit.top_imports()):
-            new_unit, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), unit, registry)
+            new_unit, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
         else:
             new_unit = unit
         rewritten.append(new_unit)
@@ -247,7 +247,7 @@ def test_frame_stack_is_balanced_after_runs():
     unit = parse_fixture("defer", "copy.ml1")
     graph = build_project(GO_DEFER, unit)
     registry = builtin_registry()
-    lowered, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), unit, registry)
+    lowered, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
     final = build_scope_graph([GO_DEFER, lowered])
     resolution = resolve_units(final, [GO_DEFER, lowered])
     machine = Interpreter(final, resolution)
@@ -274,7 +274,7 @@ def test_generated_programs_match_the_simulator():
         program = random_program(rng)
         events, primary, suppressed = simulate(program)
         unit = program_unit(program)
-        lowered, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), unit, registry)
+        lowered, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
         graph = build_scope_graph([GO_DEFER, lowered])
         resolution = resolve_units(graph, [GO_DEFER, lowered])
         assert not resolution.diagnostics
@@ -368,7 +368,7 @@ def test_equal_references_evaluate_their_own_bindings():
 
 def test_repeated_runs_on_one_graph_give_identical_traces():
     lowered, _ = apply_rewriter(
-        Intrinsic("go.defer.rewriter"), parse_fixture("defer", "copy_boom.ml1"), builtin_registry()
+        ("go.defer.rewriter",), parse_fixture("defer", "copy_boom.ml1"), builtin_registry()
     )
     graph, resolution = resolved(GO_DEFER, lowered)
     traces = []
@@ -394,7 +394,7 @@ def test_block_locals_and_template_vals_follow_the_binding_model():
         "  def main() = {\n    print(f(\"param\"))\n    print(add(x, x))\n  }\n}"
     )
     graph = build_scope_graph([parse_source(source, "m.ml1")])
-    resolution = resolve_units(graph, [graph.units_by_name["m.ml1"]])
+    resolution = resolve_units(graph, graph.units)
     [diag] = resolution.diagnostics
     assert diag.code == E_FORWARD_REFERENCE
     assert source[diag.span.start : diag.span.end] == "x"
@@ -490,7 +490,7 @@ def test_every_read_sees_the_binder_the_resolver_chose():
     events = forward_calls = 0
     for index in range(220):
         program = gen.BindingProgram(rng)
-        lowered, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), program.unit, registry)
+        lowered, _ = apply_rewriter(("go.defer.rewriter",), program.unit, registry)
         graph, resolution = resolved(GO_DEFER, lowered)
         reads = printed_reads(lowered)
         assert set(reads) == set(program.expected)

@@ -14,19 +14,14 @@ from ml1.diagnostics import (
 from ml1.printer import pretty_print
 from ml1.resolve import implicit_candidates
 from ml1.rewrite import (
-    Composed,
-    IDENTITY,
-    Intrinsic,
     apply_rewriter,
     bind_rewriter,
     builtin_registry,
-    chain_of,
-    compose_rewriters,
     defer_lowering,
 )
 from ml1.scopes import REWRITER_MARKER
 
-from conftest import build_project, parse_fixture, parse_source
+from conftest import COMPOSE_CLIENT, COMPOSE_REPROS, FIXTURES, build_project, parse_fixture, parse_source
 from gen import random_unit_defs_only
 
 
@@ -39,7 +34,7 @@ def test_import_binds_the_defer_intrinsic():
     lib = parse_fixture("lib", "go_defer.ml1")
     unit = parse_fixture("defer", "copy.ml1")
     graph = build_project(lib, unit)
-    assert bind_for(graph, unit) == Intrinsic("go.defer.rewriter")
+    assert bind_for(graph, unit) == ("go.defer.rewriter",)
 
 
 def test_no_rewriter_in_scope_binds_identity():
@@ -47,7 +42,7 @@ def test_no_rewriter_in_scope_binds_identity():
     graph = build_project(unit)
     registry = builtin_registry()
     ref = bind_for(graph, unit, registry)
-    assert ref == IDENTITY
+    assert ref == ()
     rewritten, report = apply_rewriter(ref, unit, registry)
     assert rewritten is unit
     assert report.chain == []
@@ -57,8 +52,7 @@ def test_composition_binds_inner_first(compose_units):
     graph = build_project(*compose_units)
     client = compose_units[-1]
     ref = bind_for(graph, client)
-    assert ref == Composed(Intrinsic("demo.upper.rewriter"), Intrinsic("go.defer.rewriter"))
-    assert chain_of(ref) == ["go.defer.rewriter", "demo.upper.rewriter"]
+    assert ref == ("go.defer.rewriter", "demo.upper.rewriter")
 
 
 def test_composed_application_equals_sequential_application(compose_units):
@@ -67,8 +61,8 @@ def test_composed_application_equals_sequential_application(compose_units):
     registry = builtin_registry()
     ref = bind_for(graph, client, registry)
     composed, report = apply_rewriter(ref, client, registry)
-    step_b, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), client, registry)
-    step_ba, _ = apply_rewriter(Intrinsic("demo.upper.rewriter"), step_b, registry)
+    step_b, _ = apply_rewriter(("go.defer.rewriter",), client, registry)
+    step_ba, _ = apply_rewriter(("demo.upper.rewriter",), step_b, registry)
     assert composed == step_ba
     assert report.chain == ["go.defer.rewriter", "demo.upper.rewriter"]
     assert report.templates_touched == 1
@@ -127,7 +121,36 @@ def test_compose_recognised_inside_member_bodies():
     unit = parse_source("import hub._\n\nobject Main {\n}", "main.ml1")
     graph = build_project(*libs, hub, unit)
     ref = bind_for(graph, unit)
-    assert chain_of(ref) == ["go.defer.rewriter", "demo.upper.rewriter"]
+    assert ref == ("go.defer.rewriter", "demo.upper.rewriter")
+
+
+def compose_repro_units(name):
+    libs = [parse_fixture("lib", "go_defer.ml1"), parse_fixture("lib", "demo_upper.ml1")]
+    return [*libs, parse_source(COMPOSE_REPROS[name], "hub.ml1"), parse_source(COMPOSE_CLIENT, "app.ml1")]
+
+
+@pytest.mark.parametrize("name", ["template_import_rename", "inherited_exported_rename"])
+def test_compose_arguments_bind_where_resolve_binds_them(name):
+    units = compose_repro_units(name)
+    graph = build_project(*units)
+    assert bind_for(graph, units[-1]) == ("go.defer.rewriter", "demo.upper.rewriter")
+
+
+def test_compose_arguments_bind_in_the_declaring_unit_when_units_share_a_name():
+    # Every unit gets parse_source's default name.
+    libs = [(FIXTURES / "lib" / name).read_text(encoding="utf-8") for name in ("go_defer.ml1", "demo_upper.ml1")]
+    units = [parse_source(text) for text in (*libs, COMPOSE_REPROS["template_import_rename"], COMPOSE_CLIENT)]
+    graph = build_project(*units)
+    assert bind_for(graph, units[-1]) == ("go.defer.rewriter", "demo.upper.rewriter")
+
+
+def test_a_member_compose_shadows_the_builtin():
+    units = compose_repro_units("member_compose_shadows_builtin")
+    graph = build_project(*units)
+    with pytest.raises(SemanticError) as err:
+        bind_for(graph, units[-1])
+    assert err.value.code == E_UNREGISTERED_REWRITER
+    assert err.value.diagnostic.message == "no intrinsic transformation is registered for hub.rewriter"
 
 
 # Defer lowering ----------------------------------------------------------------
@@ -222,9 +245,9 @@ def test_lowering_leaves_no_candidates_on_generated_units():
     registry = builtin_registry()
     for _ in range(80):
         unit = random_unit_defs_only(rng)
-        rewritten, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), unit, registry)
+        rewritten, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
         assert count_kind(rewritten, ast.DeferCandidate) == 0
-        again, _ = apply_rewriter(Intrinsic("go.defer.rewriter"), rewritten, registry)
+        again, _ = apply_rewriter(("go.defer.rewriter",), rewritten, registry)
         assert again == rewritten
 
 
@@ -246,31 +269,27 @@ def test_activation_is_opt_in_per_import():
 def test_identity_laws_on_generated_units():
     rng = random.Random(17)
     registry = builtin_registry()
-    upper = Intrinsic("demo.upper.rewriter")
+    upper = ("demo.upper.rewriter",)
     for _ in range(40):
         unit = random_unit_defs_only(rng)
-        left, _ = apply_rewriter(compose_rewriters(IDENTITY, upper), unit, registry)
-        right, _ = apply_rewriter(compose_rewriters(upper, IDENTITY), unit, registry)
+        left, _ = apply_rewriter(upper + (), unit, registry)
+        right, _ = apply_rewriter(() + upper, unit, registry)
         plain, _ = apply_rewriter(upper, unit, registry)
         assert left == plain
         assert right == plain
-        same, _ = apply_rewriter(compose_rewriters(IDENTITY, IDENTITY), unit, registry)
+        same, _ = apply_rewriter(() + (), unit, registry)
         assert same == unit
 
 
 def test_composition_is_associative_on_generated_units():
     rng = random.Random(23)
     registry = builtin_registry()
-    upper = Intrinsic("demo.upper.rewriter")
-    defer = Intrinsic("go.defer.rewriter")
+    upper = ("demo.upper.rewriter",)
+    defer = ("go.defer.rewriter",)
     for _ in range(40):
         unit = random_unit_defs_only(rng)
-        left, _ = apply_rewriter(
-            compose_rewriters(upper, compose_rewriters(defer, upper)), unit, registry
-        )
-        right, _ = apply_rewriter(
-            compose_rewriters(compose_rewriters(upper, defer), upper), unit, registry
-        )
+        left, _ = apply_rewriter((upper + defer) + upper, unit, registry)
+        right, _ = apply_rewriter(upper + (defer + upper), unit, registry)
         assert left == right
 
 
@@ -279,16 +298,10 @@ def test_uppercase_rewriter_renames_defs_only():
         "object A {\n  val keep = 1\n  def f() = {\n    def g() = {\n      1\n    }\n    g()\n  }\n}"
     )
     registry = builtin_registry()
-    rewritten, report = apply_rewriter(Intrinsic("demo.upper.rewriter"), unit, registry)
+    rewritten, report = apply_rewriter(("demo.upper.rewriter",), unit, registry)
     (template,) = list(rewritten.templates())
     names = [s.name for s in template.stats if isinstance(s, ast.DefDecl)]
     assert names == ["keep", "F"]
     inner = template.stats[1].body.stats[0]
     assert inner.name == "G"
     assert report.nodes_replaced >= 2
-
-
-def test_registry_registration_is_write_once():
-    registry = builtin_registry()
-    with pytest.raises(ValueError):
-        registry.register("go.defer.rewriter", lambda t: t)

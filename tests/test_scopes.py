@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -77,6 +78,19 @@ def test_unresolved_parent_is_reported():
     unit = parse_source("object A extends Nowhere {\n}")
     graph = build_scope_graph([unit])
     assert codes(graph) == [E_UNRESOLVED_PARENT]
+
+
+def test_a_hierarchy_deeper_than_the_recursion_limit_links_and_resolves():
+    depth = sys.getrecursionlimit() + 100
+    source = "object T0 {\n  val x = 1\n}\n"
+    source += "".join(f"object T{i} extends T{i - 1} {{\n}}\n" for i in range(1, depth))
+    source += f"object C {{\n  val y = T{depth - 1}.x\n}}\n"
+    unit = parse_source(source)
+    graph = build_project(unit)
+    assert graph.inherits[f"T{depth - 1}"] == [f"T{depth - 2}"]
+    resolution = resolve_units(graph, [unit])
+    assert not resolution.diagnostics
+    assert resolution.records[-1].symbol.fqn == "T0.x"
 
 
 def test_two_template_cycle_terminates_and_shares_names():
