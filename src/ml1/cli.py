@@ -12,20 +12,23 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable, TextIO
 
 from ml1 import ast, interp, rewrite
 from ml1.diagnostics import SemanticError
 from ml1.parser import ParseError, parse_unit
 from ml1.printer import pretty_print
 from ml1.resolve import (
+    RefRecord,
     Resolution,
     check_context_consistency,
     implicit_candidates,
     resolve_units,
 )
-from ml1.scopes import REWRITER_MARKER, ScopeGraph, build_scope_graph, export_closure
-from ml1.tokens import LexError, tokenize
+from ml1.scopes import REWRITER_MARKER, TEMPLATE, ClosureEntry, ScopeGraph, build_scope_graph, export_closure
+from ml1.tokens import LexError, Span, tokenize
 
 OK = 0
 SEMANTIC = 1
@@ -64,7 +67,91 @@ def _report_diagnostics(graph: ScopeGraph, resolution: Resolution | None = None)
 
 
 def _dump(document: object) -> str:
+    """A generic tree as JSON, for `parse --dump-ast` and `rewrite --dump`.
+    `resolve --dump` has its own writer (`_write_resolution`): `indent=2`
+    makes `json.dumps` use its pure-Python encoder, which costs most of
+    that command's time on large closures."""
     return json.dumps(document, indent=2)
+
+
+def _records_by_unit(resolution: Resolution) -> list[tuple[str, list[RefRecord]]]:
+    """The reference records of each unit, in resolution order, units
+    sorted by name."""
+    by_unit: dict[str, list[RefRecord]] = {}
+    for record in resolution.records:
+        by_unit.setdefault(record.unit, []).append(record)
+    return sorted(by_unit.items())
+
+
+def _array(items: list[str], level: int) -> str:
+    """A JSON array of encoded items whose opening line is indented `level`
+    steps, laid out as `json.dumps(indent=2)` lays it out."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _object_format(keys: tuple[str, ...], level: int) -> str:
+    """A `str.format` template of a JSON object with these keys, one `{}`
+    per encoded value, in `_array`'s layout. The keys are plain ASCII names,
+    which need no escaping."""
+    pad = "\n" + "  " * (level + 1)
+    return "{{" + ",".join(f'{pad}"{key}": {{}}' for key in keys) + "\n" + "  " * level + "}}"
+
+
+def _write_array(out: TextIO, items: Iterable[str], level: int) -> None:
+    """`_array`, written one item at a time."""
+    pad = "\n" + "  " * (level + 1)
+    sep = "[" + pad
+    for item in items:
+        out.write(sep + item)
+        sep = "," + pad
+    out.write("[]" if sep[0] == "[" else "\n" + "  " * level + "]")
+
+
+def _write_resolution(out: TextIO, graph: ScopeGraph, resolution: Resolution) -> None:
+    """Write the `resolve --dump` document: the bytes `json.dumps(document,
+    indent=2)` gives for it, every string escaped by the same C encoder,
+    written from the resolution and the closures as it goes, one unit or
+    template at a time."""
+    enc = encode_basestring_ascii
+    # Each edge's label, encoded once: witness paths repeat edges many times.
+    labels = {id(edge): enc(edge.label()) for edges in graph.exports.values() for edge in edges}
+
+    ref_object = _object_format(("span", "name", "symbol"), 4).format
+    unit_object = _object_format(("unit", "refs"), 2).format
+    entry_object = _object_format(("name", "symbol", "path"), 4).format
+    closure_object = _object_format(("template", "entries"), 2).format
+    erased_object = _object_format(("unit", "path", "span"), 2).format
+
+    def ref(record: RefRecord) -> str:
+        span = _array([str(record.span.start), str(record.span.end)], 5)
+        return ref_object(span, enc(record.name), "null" if record.symbol is None else enc(record.symbol.fqn))
+
+    def unit(name: str, records: list[RefRecord]) -> str:
+        return unit_object(enc(name), _array(list(map(ref, records)), 3))
+
+    def entry(e: ClosureEntry) -> str:
+        return entry_object(enc(e.visible_name), enc(e.symbol.fqn), _array([labels[id(edge)] for edge in e.path], 5))
+
+    def closure(fqn: str) -> str:
+        return closure_object(enc(fqn), _array(list(map(entry, export_closure(graph, fqn).entries)), 3))
+
+    def erased(unit_name: str, path: ast.QualName, span: Span) -> str:
+        return erased_object(enc(unit_name), enc(ast.dotted(path)), _array([str(span.start), str(span.end)], 3))
+
+    templates = sorted(fqn for fqn, sym in graph.symbols.items() if sym.kind == TEMPLATE)
+    diagnostics = sorted(d.render() for d in graph.diagnostics + resolution.diagnostics)
+    out.write('{\n  "units": ')
+    _write_array(out, (unit(*group) for group in _records_by_unit(resolution)), 1)
+    out.write(',\n  "closures": ')
+    _write_array(out, map(closure, templates), 1)
+    out.write(',\n  "erasedImports": ')
+    _write_array(out, (erased(*imp) for imp in resolution.erased_imports), 1)
+    out.write(',\n  "diagnostics": ')
+    _write_array(out, map(enc, diagnostics), 1)
+    out.write("\n}\n")
 
 
 # Subcommands -----------------------------------------------------------------
@@ -81,61 +168,17 @@ def cmd_parse(args) -> int:
     return OK
 
 
-def _resolution_document(graph: ScopeGraph, resolution: Resolution) -> dict:
-    units_doc = []
-    by_unit: dict[str, list] = {}
-    for record in resolution.records:
-        by_unit.setdefault(record.unit, []).append(
-            {
-                "span": [record.span.start, record.span.end],
-                "name": record.name,
-                "symbol": record.symbol.fqn if record.symbol else None,
-            }
-        )
-    for unit_name in sorted(by_unit):
-        units_doc.append({"unit": unit_name, "refs": by_unit[unit_name]})
-    closures_doc = []
-    for fqn in sorted(fqn for fqn, sym in graph.symbols.items() if sym.kind == "template"):
-        entries = export_closure(graph, fqn).entries
-        closures_doc.append(
-            {
-                "template": fqn,
-                "entries": [
-                    {
-                        "name": e.visible_name,
-                        "symbol": e.symbol.fqn,
-                        "path": [edge.label() for edge in e.path],
-                    }
-                    for e in entries
-                ],
-            }
-        )
-    return {
-        "units": units_doc,
-        "closures": closures_doc,
-        "erasedImports": [
-            {"unit": unit, "path": ast.dotted(path), "span": [span.start, span.end]}
-            for unit, path, span in resolution.erased_imports
-        ],
-        "diagnostics": [d.render() for d in sorted(
-            graph.diagnostics + resolution.diagnostics, key=lambda d: d.render()
-        )],
-    }
-
-
 def cmd_resolve(args) -> int:
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     resolution = resolve_units(graph, units)
-    if args.dump:
-        doc = _resolution_document(graph, resolution)
-        if args.format == "pretty":
-            for unit_doc in doc["units"]:
-                for ref in unit_doc["refs"]:
-                    target = ref["symbol"] or "<unresolved>"
-                    print(f"{unit_doc['unit']}:{ref['span'][0]}-{ref['span'][1]} {ref['name']} -> {target}")
-        else:
-            print(_dump(doc))
+    if args.dump and args.format == "pretty":
+        for unit, records in _records_by_unit(resolution):
+            for record in records:
+                target = record.symbol.fqn if record.symbol else "<unresolved>"
+                print(f"{unit}:{record.span.start}-{record.span.end} {record.name} -> {target}")
+    elif args.dump:
+        _write_resolution(sys.stdout, graph, resolution)
     had = _report_diagnostics(graph, resolution)
     return SEMANTIC if had else OK
 

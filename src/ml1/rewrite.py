@@ -99,7 +99,9 @@ def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
     if not calls:
         return None
     unit = next(u for u in graph.units if any(stat is decl for stat in u.top_stats))
-    resolution = resolve_units(graph, [unit])
+    resolution = graph.resolutions.get(id(unit))
+    if resolution is None:
+        resolution = graph.resolutions[id(unit)] = resolve_units(graph, [unit])
     call = next((c for c in calls if resolution.symbol_for(c.callee) == BUILTINS["compose"]), None)
     if call is None:
         return None

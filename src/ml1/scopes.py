@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ml1 import ast
 from ml1.diagnostics import (
@@ -41,6 +41,9 @@ from ml1.diagnostics import (
     E_UNRESOLVED_PARENT,
 )
 from ml1.tokens import Span
+
+if TYPE_CHECKING:
+    from ml1.resolve import Resolution
 
 TEMPLATE = "template"
 DEF = "def"
@@ -133,6 +136,10 @@ class ScopeGraph:
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
     scope_parts: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
     member_maps: dict[str, Mapping[str, SymbolId]] = field(default_factory=dict, repr=False, compare=False)
+    # `resolve_units` of each unit that declares a composed rewriter object,
+    # keyed by id(unit), since two units may share a name; `rewrite` fills
+    # it on the finished graph.
+    resolutions: dict[int, Resolution] = field(default_factory=dict, repr=False, compare=False)
 
     def parts(self, fqn: str) -> tuple[str, ...]:
         """The templates whose members and `@exported` clauses make up
@@ -293,6 +300,18 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
             for name, to in names.items():
                 if to is not None and to != name:
                     arrives.setdefault(to, []).append((scope, True))
+    # An edge of `scope` is taken only where the path has visited `scope`, so
+    # a name that can arrive only from `scope` never reaches its filter:
+    # drop the entries hiding such names, such as the new name of a rename
+    # that the same clause's wildcard hides.
+    for scope, edges in steps.items():
+        for i, (edge, target, chain, target_ids, (wild, names)) in enumerate(edges):
+            kept = {
+                name: to
+                for name, to in names.items()
+                if to is not None or any(s != scope for s, _ in arrives.get(name, ()))
+            }
+            edges[i] = (edge, target, chain, target_ids, (wild, kept))
 
     # Breadth-first over simple edge paths, each level in label order: the
     # first path to yield a pair is its witness.

@@ -81,6 +81,17 @@ PARENTS = {
     "rewriter": ["lib/go_defer.ml1", "parents/rewriter/kit.ml1", "parents/rewriter/app.ml1"],
 }
 
+# Every fixture project, as CLI file lists.
+FIXTURE_GROUPS = {
+    "salat_before": SALAT_BEFORE,
+    "salat_after": SALAT_AFTER,
+    "inherit": INHERIT,
+    "compose": COMPOSE,
+    "defer": ["lib/go_defer.ml1", "defer/copy.ml1", "defer/loop.ml1"],
+    "ambiguous": ["ambiguous/providers.ml1", "ambiguous/client.ml1"],
+    **{f"parents_{name}": files for name, files in PARENTS.items()},
+}
+
 
 @pytest.fixture
 def salat_before_units():

@@ -19,9 +19,9 @@ from ml1.tokens import tokenize
 from conftest import (
     COMPOSE,
     COMPOSE_REPROS,
+    FIXTURE_GROUPS,
     FIXTURES,
     INHERIT,
-    PARENTS,
     SALAT_AFTER,
     SALAT_BEFORE,
     fixture_paths,
@@ -306,17 +306,6 @@ def test_dumps_are_deterministic(capsys):
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first == second
-
-
-FIXTURE_GROUPS = {
-    "salat_before": SALAT_BEFORE,
-    "salat_after": SALAT_AFTER,
-    "inherit": INHERIT,
-    "compose": COMPOSE,
-    "defer": ["lib/go_defer.ml1", "defer/copy.ml1", "defer/loop.ml1"],
-    "ambiguous": ["ambiguous/providers.ml1", "ambiguous/client.ml1"],
-    **{f"parents_{name}": files for name, files in PARENTS.items()},
-}
 
 
 @pytest.mark.parametrize("group", sorted(FIXTURE_GROUPS))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ml1 import ast
+from ml1 import ast, rewrite
 from ml1.diagnostics import (
     E_AMBIGUOUS_IMPLICIT,
     E_DEFER_OUTSIDE_METHOD,
@@ -12,7 +12,7 @@ from ml1.diagnostics import (
     SemanticError,
 )
 from ml1.printer import pretty_print
-from ml1.resolve import implicit_candidates
+from ml1.resolve import implicit_candidates, resolve_units
 from ml1.rewrite import (
     apply_rewriter,
     bind_rewriter,
@@ -53,6 +53,22 @@ def test_composition_binds_inner_first(compose_units):
     client = compose_units[-1]
     ref = bind_for(graph, client)
     assert ref == ("go.defer.rewriter", "demo.upper.rewriter")
+
+
+def test_the_declaring_unit_is_resolved_once_per_graph(compose_units, monkeypatch):
+    resolved = []
+
+    def counting(graph, units):
+        resolved.append([unit.source_name for unit in units])
+        return resolve_units(graph, units)
+
+    monkeypatch.setattr(rewrite, "resolve_units", counting)
+    client = COMPOSE_CLIENT.replace("hub._", "com.ext.AwithB._")
+    clients = [parse_source(client.replace("App", f"App{i}"), f"c{i}.ml1") for i in range(3)]
+    graph = build_project(*compose_units, *clients)
+    for client in clients:
+        assert bind_for(graph, client) == ("go.defer.rewriter", "demo.upper.rewriter")
+    assert resolved == [["awithb_rewriter.ml1"]]
 
 
 def test_composed_application_equals_sequential_application(compose_units):
