@@ -1,40 +1,43 @@
 """ml1: a small object language with re-exportable imports and
 import-activated AST rewriting, plus an interpreter that makes the
-rewritten defer semantics observable."""
+rewritten defer semantics observable.
+
+The public names below are imported on first use (PEP 562), so a command
+that only parses never loads the semantic phases."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from ml1.interp import Trace, run
-from ml1.parser import ParseError, parse_unit
-from ml1.printer import pretty_print
-from ml1.resolve import (
-    check_context_consistency,
-    erase_import_annotations,
-    implicit_candidates,
-    resolve_units,
-)
-from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry
-from ml1.scopes import build_scope_graph, export_closure
-from ml1.tokens import LexError, Span, Token, tokenize
+# Public name -> the submodule defining it.
+_EXPORTS = {
+    "LexError": "tokens",
+    "ParseError": "parser",
+    "Span": "tokens",
+    "Token": "tokens",
+    "Trace": "interp",
+    "apply_rewriter": "rewrite",
+    "bind_rewriter": "rewrite",
+    "build_scope_graph": "scopes",
+    "builtin_registry": "rewrite",
+    "check_context_consistency": "resolve",
+    "erase_import_annotations": "resolve",
+    "export_closure": "scopes",
+    "implicit_candidates": "resolve",
+    "parse_unit": "parser",
+    "pretty_print": "printer",
+    "resolve_units": "resolve",
+    "run": "interp",
+    "tokenize": "tokens",
+}
 
-__all__ = [
-    "LexError",
-    "ParseError",
-    "Span",
-    "Token",
-    "Trace",
-    "__version__",
-    "apply_rewriter",
-    "bind_rewriter",
-    "build_scope_graph",
-    "builtin_registry",
-    "check_context_consistency",
-    "erase_import_annotations",
-    "export_closure",
-    "implicit_candidates",
-    "parse_unit",
-    "pretty_print",
-    "resolve_units",
-    "run",
-    "tokenize",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,15 +1,16 @@
 """Syntax tree for ml1 compilation units.
 
-All nodes are immutable dataclasses. Spans (and unit source names) are
-excluded from equality so that two trees compare structurally: a unit is
-equal to the result of parsing its own pretty-printed form.
+All nodes are frozen records (`ml1.record`). Spans (and unit source
+names) are excluded from equality so that two trees compare structurally:
+a unit is equal to the result of parsing its own pretty-printed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 from typing import Iterator, Union
 
+from ml1.record import Record
 from ml1.tokens import Span
 
 NO_SPAN = Span(0, 0)
@@ -27,8 +28,7 @@ def dotted(parts: QualName) -> str:
     return ".".join(parts)
 
 
-@dataclass(frozen=True)
-class Selector:
+class Selector(Record, frozen=True):
     """One name filter of an import clause.
 
     target is the visible name, HIDDEN (None) for `source => _`, and equal
@@ -39,8 +39,7 @@ class Selector:
     target: str | None
 
 
-@dataclass(frozen=True)
-class ImportSelectors:
+class ImportSelectors(Record, frozen=True):
     """Selector part of an import: a bare wildcard, or a named list with an
     optional trailing wildcard."""
 
@@ -59,39 +58,33 @@ class ImportSelectors:
 WILDCARD = ImportSelectors(wildcard=True)
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record, frozen=True):
     value: int
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class StrLit:
+class StrLit(Record, frozen=True):
     value: str
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Record, frozen=True):
     parts: QualName
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record, frozen=True):
     callee: "Expr"
     args: tuple["Expr", ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record, frozen=True):
     stats: tuple["Stat", ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class DeferCandidate:
+class DeferCandidate(Record, frozen=True):
     """Surface `defer { ... }`. Carries no semantics until a rewriter
     assigns one."""
 
@@ -99,16 +92,14 @@ class DeferCandidate:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class FrameExpr:
+class FrameExpr(Record, frozen=True):
     """`__frame { ... }`: runs the body under a fresh deferred-thunk frame."""
 
     body: Block
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class ThunkExpr:
+class ThunkExpr(Record, frozen=True):
     """`thunk { ... }`: evaluates to a delayed body closing over the
     current environment."""
 
@@ -116,8 +107,7 @@ class ThunkExpr:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class DeferRegister:
+class DeferRegister(Record, frozen=True):
     """`__defer(thunk { ... })`: pushes the thunk onto the innermost frame."""
 
     thunk: ThunkExpr
@@ -127,8 +117,7 @@ class DeferRegister:
 Expr = Union[IntLit, StrLit, Ref, Call, Block, DeferCandidate, FrameExpr, ThunkExpr, DeferRegister]
 
 
-@dataclass(frozen=True)
-class DefDecl:
+class DefDecl(Record, frozen=True):
     name: str
     params: tuple[str, ...]
     body: Expr  # a Block for defs; any expression for vals
@@ -139,16 +128,14 @@ class DefDecl:
 Stat = Union[DefDecl, Expr]
 
 
-@dataclass(frozen=True)
-class ImportClause:
+class ImportClause(Record, frozen=True):
     annotations: tuple[str, ...]
     path: QualName
     selectors: ImportSelectors
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
-class TemplateDef:
+class TemplateDef(Record, frozen=True):
     kind: str  # OBJECT | TRAIT | PACKAGE_OBJECT
     name: str
     parents: tuple[QualName, ...]
@@ -161,8 +148,7 @@ TemplateStat = Union[ImportClause, DefDecl, Expr]
 TopStat = Union[ImportClause, TemplateDef]
 
 
-@dataclass(frozen=True)
-class CompilationUnit:
+class CompilationUnit(Record, frozen=True):
     package_path: QualName
     top_stats: tuple[TopStat, ...]
     source_name: str = field(default="<unit>", compare=False)

@@ -10,25 +10,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
-from ml1 import ast, interp, rewrite
+from ml1 import ast
 from ml1.diagnostics import SemanticError
 from ml1.parser import ParseError, parse_unit
 from ml1.printer import pretty_print
-from ml1.resolve import (
-    RefRecord,
-    Resolution,
-    check_context_consistency,
-    implicit_candidates,
-    resolve_units,
-)
-from ml1.scopes import REWRITER_MARKER, TEMPLATE, ClosureEntry, ScopeGraph, build_scope_graph, export_closure
 from ml1.tokens import LexError, Span, tokenize
+
+# The semantic phases are imported by the commands that use them, so
+# `parse` loads only the front end.
+if TYPE_CHECKING:
+    from ml1.resolve import RefRecord, Resolution
+    from ml1.rewrite import Registry, RewriteReport
+    from ml1.scopes import ClosureEntry, ScopeGraph
 
 OK = 0
 SEMANTIC = 1
@@ -115,6 +115,8 @@ def _write_resolution(out: TextIO, graph: ScopeGraph, resolution: Resolution) ->
     indent=2)` gives for it, every string escaped by the same C encoder,
     written from the resolution and the closures as it goes, one unit or
     template at a time."""
+    from ml1.scopes import TEMPLATE, export_closure
+
     enc = encode_basestring_ascii
     # Each edge's label, encoded once: witness paths repeat edges many times.
     labels = {id(edge): enc(edge.label()) for edges in graph.exports.values() for edge in edges}
@@ -169,6 +171,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from ml1.resolve import resolve_units
+    from ml1.scopes import build_scope_graph
+
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     resolution = resolve_units(graph, units)
@@ -184,13 +189,17 @@ def cmd_resolve(args) -> int:
 
 
 def _rewrite_unit(
-    graph: ScopeGraph, unit: ast.CompilationUnit, registry: rewrite.Registry
-) -> tuple[ast.CompilationUnit, rewrite.RewriteReport]:
+    graph: ScopeGraph, unit: ast.CompilationUnit, registry: Registry
+) -> tuple[ast.CompilationUnit, RewriteReport]:
     """Bind the rewriter the unit's imports switch on and apply it. A
     diagnostic that names no unit is about this one."""
+    from ml1.resolve import implicit_candidates
+    from ml1.rewrite import apply_rewriter, bind_rewriter
+    from ml1.scopes import REWRITER_MARKER
+
     try:
-        chain = rewrite.bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
-        return rewrite.apply_rewriter(chain, unit, registry)
+        chain = bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
+        return apply_rewriter(chain, unit, registry)
     except SemanticError as err:
         if err.diagnostic.unit is not None:
             raise
@@ -198,11 +207,14 @@ def _rewrite_unit(
 
 
 def cmd_rewrite(args) -> int:
+    from ml1.rewrite import builtin_registry
+    from ml1.scopes import build_scope_graph
+
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     if _report_diagnostics(graph):
         return SEMANTIC
-    registry = rewrite.builtin_registry()
+    registry = builtin_registry()
     status = OK
     for unit in units:
         try:
@@ -221,11 +233,16 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from ml1.interp import run
+    from ml1.resolve import resolve_units
+    from ml1.rewrite import builtin_registry
+    from ml1.scopes import build_scope_graph
+
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     if _report_diagnostics(graph):
         return SEMANTIC
-    registry = rewrite.builtin_registry()
+    registry = builtin_registry()
     try:
         rewritten = [_rewrite_unit(graph, unit, registry)[0] for unit in units]
     except SemanticError as err:
@@ -235,7 +252,7 @@ def cmd_run(args) -> int:
     resolution = resolve_units(final_graph, rewritten)
     if _report_diagnostics(final_graph, resolution):
         return SEMANTIC
-    trace = interp.run(final_graph, resolution, args.entry)
+    trace = run(final_graph, resolution, args.entry)
     sys.stdout.write("".join(event + "\n" for event in trace.events))
     if trace.failed:
         print(f"error: {trace.error.message}", file=sys.stderr)
@@ -246,6 +263,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_lint(args) -> int:
+    from ml1.resolve import check_context_consistency, resolve_units
+    from ml1.scopes import build_scope_graph
+
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     resolution = resolve_units(graph, units)
@@ -290,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         return stop.status
     except Exception as err:  # keep the 0/1/2 contract even for surprises
         print(f"ml1: internal error: {err}", file=sys.stderr)
+        if os.environ.get("ML1_DEBUG") == "1":
+            import traceback
+
+            traceback.print_exc()
         return FAILURE
 
 

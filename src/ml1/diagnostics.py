@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ml1.record import Record
 from ml1.tokens import Span
 
 E_DUPLICATE_SYMBOL = "E_DUPLICATE_SYMBOL"
@@ -24,8 +23,7 @@ E_NO_FRAME = "E_NO_FRAME"
 E_CYCLIC_VAL = "E_CYCLIC_VAL"
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     code: str
     message: str
     unit: str | None = None
@@ -54,8 +52,7 @@ class SemanticError(Exception):
         return self.diagnostic.code
 
 
-@dataclass
-class Divergence:
+class Divergence(Record):
     """Two units settling on different providers for one marker type."""
 
     marker: str

@@ -34,11 +34,12 @@ thunks.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable
 
 from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_NO_ENTRY, E_NO_FRAME
+from ml1.record import Record
 from ml1.resolve import Resolution
 from ml1.scopes import DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph
 from ml1.tokens import Span
@@ -53,18 +54,15 @@ _RECURSION_LIMIT = 1000 + _MAX_CALL_DEPTH * _FRAMES_PER_CALL
 _ARITY = {"print": 1, "error": 1, "concat": 2, "add": 2, "sub": 2}
 
 
-@dataclass(frozen=True)
-class IntV:
+class IntV(Record, frozen=True):
     value: int
 
 
-@dataclass(frozen=True)
-class StrV:
+class StrV(Record, frozen=True):
     value: str
 
 
-@dataclass(frozen=True)
-class UnitV:
+class UnitV(Record, frozen=True):
     pass
 
 
@@ -72,8 +70,7 @@ UNIT = UnitV()
 _INITIALISING = object()  # a template val's entry in `Interpreter.vals` while its body runs
 
 
-@dataclass(frozen=True)
-class ObjRef:
+class ObjRef(Record, frozen=True):
     fqn: str
 
 
@@ -111,8 +108,7 @@ class EvalError(Exception):
         self.suppressed: list[EvalError] = []
 
 
-@dataclass
-class Trace:
+class Trace(Record):
     events: list[str] = field(default_factory=list)
     value: Value | None = None
     error: EvalError | None = None

@@ -15,7 +15,7 @@ declares something (its declarations, in statement order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from ml1 import ast
 from ml1.diagnostics import (
@@ -25,6 +25,7 @@ from ml1.diagnostics import (
     E_FORWARD_REFERENCE,
     E_UNRESOLVED,
 )
+from ml1.record import Record
 from ml1.scopes import (
     DEF,
     TEMPLATE,
@@ -62,8 +63,7 @@ class LocalScope:
         self.at = 0  # index of the block statement being resolved
 
 
-@dataclass
-class Site:
+class Site(Record):
     """Where a reference occurs: its enclosing template, the import
     positions in scope (`scopes.import_positions`), and the chain of local
     scopes, one per run-time frame, from outermost to innermost."""
@@ -91,8 +91,7 @@ def template_site(graph: ScopeGraph, unit: ast.CompilationUnit, tfqn: str) -> Si
     return Site(tfqn, import_positions(graph, clauses, unit.package_path))
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(Record, frozen=True):
     symbols: tuple[SymbolId, ...]
     tier: str
 
@@ -119,16 +118,14 @@ def resolve_name(graph: ScopeGraph, site: Site, name: str) -> Hit | None:
     return None
 
 
-@dataclass(frozen=True)
-class RefRecord:
+class RefRecord(Record, frozen=True):
     unit: str
     span: Span
     name: str
     symbol: SymbolId | None
 
 
-@dataclass
-class Resolution:
+class Resolution(Record):
     per_reference: dict[int, SymbolId] = field(default_factory=dict)
     # The (depth, slot) of each local reference, keyed like `per_reference`.
     addresses: dict[int, tuple[int, int]] = field(default_factory=dict)
@@ -282,8 +279,7 @@ def erase_import_annotations(units: list[ast.CompilationUnit]) -> list[ast.Compi
 # Implicit-object scanning ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImplicitCandidate:
+class ImplicitCandidate(Record, frozen=True):
     symbol: SymbolId
     tier: str
     position: int

@@ -10,7 +10,7 @@ symbols `resolve` binds them to in the unit declaring the object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from typing import Callable
 
 from ml1 import ast
@@ -23,6 +23,7 @@ from ml1.diagnostics import (
     E_UNREGISTERED_REWRITER,
     SemanticError,
 )
+from ml1.record import Record
 from ml1.resolve import BUILTINS, ImplicitCandidate, resolve_units, select_implicit
 from ml1.scopes import REWRITER_MARKER, TEMPLATE, ScopeGraph
 
@@ -121,8 +122,7 @@ def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
     return resolved[0], resolved[1]
 
 
-@dataclass
-class RewriteReport:
+class RewriteReport(Record):
     unit: str
     chain: list[str]
     templates_touched: int = 0

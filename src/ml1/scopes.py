@@ -26,7 +26,7 @@ from the finished graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -40,6 +40,7 @@ from ml1.diagnostics import (
     E_UNRESOLVED_IMPORT_PATH,
     E_UNRESOLVED_PARENT,
 )
+from ml1.record import Record
 from ml1.tokens import Span
 
 if TYPE_CHECKING:
@@ -63,8 +64,7 @@ IMPORT_WILDCARD = "import-wildcard"
 ENCLOSING_PACKAGE = "package"
 
 
-@dataclass(frozen=True)
-class SymbolId:
+class SymbolId(Record, frozen=True):
     fqn: str
     kind: str
 
@@ -72,8 +72,7 @@ class SymbolId:
         return self.fqn.rsplit(".", 1)[-1]
 
 
-@dataclass(frozen=True)
-class ExportEdge:
+class ExportEdge(Record, frozen=True):
     """One `@exported` import clause of a template."""
 
     origin: str
@@ -87,15 +86,13 @@ class ExportEdge:
         return f"{self.origin}[{self.index}]=>{self.resolved_target}"
 
 
-@dataclass(frozen=True)
-class ClosureEntry:
+class ClosureEntry(Record, frozen=True):
     visible_name: str
     symbol: SymbolId
     path: tuple[ExportEdge, ...]
 
 
-@dataclass(frozen=True)
-class ExportClosure:
+class ExportClosure(Record, frozen=True):
     """One entry per (visible name, symbol) pair, ordered by visible name
     then symbol FQN."""
 
@@ -117,8 +114,7 @@ class ExportClosure:
         return self.by_name.get(name, ())
 
 
-@dataclass
-class ScopeGraph:
+class ScopeGraph(Record):
     symbols: dict[str, SymbolId] = field(default_factory=dict)
     members: dict[str, list[SymbolId]] = field(default_factory=dict)
     inherits: dict[str, list[str]] = field(default_factory=dict)
@@ -606,8 +602,7 @@ def body_lookup(graph: ScopeGraph, tfqn: str, name: str) -> tuple[SymbolId, ...]
     return tuple(sorted(inherited, key=lambda sym: sym.fqn))
 
 
-@dataclass(frozen=True)
-class ImportPosition:
+class ImportPosition(Record, frozen=True):
     """One entry of a site's precedence list: the named selectors of one
     clause (IMPORT_NAMED), the wildcard of one clause (IMPORT_WILDCARD) or
     one enclosing package (ENCLOSING_PACKAGE). `index` is the clause's

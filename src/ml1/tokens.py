@@ -7,7 +7,8 @@ texts plus the skipped whitespace/comments reproduces the input exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ml1.record import Record
 
 KEYWORDS = frozenset(
     {
@@ -47,16 +48,14 @@ E_UNSUPPORTED_ESCAPE = "E_UNSUPPORTED_ESCAPE"
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record, frozen=True):
     """Half-open byte range [start, end) into the source text."""
 
     start: int
     end: int
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record, frozen=True):
     kind: str
     text: str
     span: Span

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ml1
-from ml1 import ast
+from ml1 import ast, cli
 from ml1.cli import main
 from ml1.parser import parse_unit
 from ml1.printer import pretty_print
@@ -638,3 +638,60 @@ def test_rewrite_chains_apply_the_compose_arguments_resolve_binds(tmp_path, caps
     if project in COMPOSE_REPROS:
         shadowed = project == "member_compose_shadows_builtin"  # binds hub.rewriter, which is unregistered
         assert reports.get(files[-1]) == (None if shadowed else ["go.defer.rewriter", "demo.upper.rewriter"])
+
+
+def test_parse_loads_only_the_front_end():
+    # `-X importtime` lists every module the process imports, on stderr.
+    src = str(Path(ml1.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ml1", "parse", "--dump-ast", *fixture_paths(*SALAT_AFTER)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert {name for name in loaded if name.split(".")[0] == "ml1"} == {
+        "ml1",
+        "ml1.ast",
+        "ml1.cli",
+        "ml1.diagnostics",
+        "ml1.parser",
+        "ml1.printer",
+        "ml1.record",
+        "ml1.tokens",
+    }
+
+
+def _fail_internally(monkeypatch):
+    def boom(paths):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_load_units", boom)
+
+
+def test_ml1_debug_prints_the_traceback_of_an_internal_error(capsys, monkeypatch):
+    _fail_internally(monkeypatch)
+    monkeypatch.setenv("ML1_DEBUG", "1")
+    status, out, err = run_cli(capsys, "parse", *fixture_paths("salat/marker.ml1"))
+    first, rest = err.split("\n", 1)
+    assert (status, out, first) == (2, "", "ml1: internal error: boom")
+    assert rest.startswith("Traceback (most recent call last):\n")
+    assert rest.endswith("RuntimeError: boom\n")
+
+
+def test_internal_error_is_one_line_without_ml1_debug(capsys, monkeypatch):
+    _fail_internally(monkeypatch)
+    monkeypatch.delenv("ML1_DEBUG", raising=False)
+    assert run_cli(capsys, "parse", *fixture_paths("salat/marker.ml1")) == (2, "", "ml1: internal error: boom\n")
+
+
+@pytest.mark.parametrize("group", sorted(FIXTURE_GROUPS))
+def test_ml1_debug_changes_no_output_without_an_internal_error(capsys, monkeypatch, group):
+    files = fixture_paths(*FIXTURE_GROUPS[group])
+    for command in (["parse", "--dump-ast"], ["resolve", "--dump"], ["rewrite", "--dump"], ["lint", "--marker", "Context"]):
+        monkeypatch.delenv("ML1_DEBUG", raising=False)
+        unset = run_cli(capsys, *command, *files)
+        monkeypatch.setenv("ML1_DEBUG", "1")
+        assert run_cli(capsys, *command, *files) == unset, command
