@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from ml1 import ast
@@ -44,8 +43,9 @@ def _load_units(paths: list[str]) -> list[ast.CompilationUnit]:
     units = []
     for path in paths:
         try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError as err:
+            with open(path, encoding="utf-8") as file:
+                source = file.read()
+        except (OSError, UnicodeDecodeError) as err:
             print(f"{path}: {err}", file=sys.stderr)
             raise _Exit(FAILURE) from err
         try:

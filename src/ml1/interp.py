@@ -156,9 +156,15 @@ def _eval_error(err: EvalError | RecursionError, span: Span | None) -> EvalError
     return EvalError("evaluation nested too deeply", span)
 
 
-def render(value: Value) -> str:
+def render(value: Value, span: Span | None) -> str:
+    """`value` as `print` shows it. An integer with more digits than `str`
+    converts is an evaluation error at `span`."""
     if isinstance(value, IntV):
-        return str(value.value)
+        try:
+            return str(value.value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise EvalError(f"integer too long to render (more than {limit} digits)", span) from None
     if isinstance(value, StrV):
         return value.value
     if isinstance(value, UnitV):
@@ -299,7 +305,7 @@ class Interpreter:
                 return call_def(fn, values, span)
             if isinstance(fn, BuiltinV):
                 return call_builtin(fn.name, values, span)
-            raise EvalError(f"{render(fn)} is not callable", span)
+            raise EvalError(f"{render(fn, span)} is not callable", span)
 
         return call
 
@@ -417,12 +423,12 @@ class Interpreter:
         if arity is not None and len(args) != arity:
             raise EvalError(f"{name} expects {arity} arguments, got {len(args)}", span)
         if name == "print":
-            self.events.append(render(args[0]))
+            self.events.append(render(args[0], span))
             return UNIT
         if name == "error":
-            raise EvalError(render(args[0]), span)
+            raise EvalError(render(args[0], span), span)
         if name == "concat":
-            return StrV(render(args[0]) + render(args[1]))
+            return StrV(render(args[0], span) + render(args[1], span))
         if name in ("add", "sub"):
             a, b = args
             if not isinstance(a, IntV) or not isinstance(b, IntV):

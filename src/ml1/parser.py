@@ -8,12 +8,15 @@ keeps statement boundaries unambiguous without semicolon inference.
 
 from __future__ import annotations
 
+import sys
+
 from ml1 import ast
-from ml1.tokens import IDENT, KEYWORD, LITERAL, PUNCT, Span, Token, string_value
+from ml1.tokens import END, IDENT, KEYWORD, LITERAL, PUNCT, Span, Token, string_value
 
 # Annotated imports are only legal as template statements.
 E_ANNOTATION_AT_TOP_LEVEL = "E_ANNOTATION_AT_TOP_LEVEL"
 E_NESTING_TOO_DEEP = "E_NESTING_TOO_DEEP"
+E_INTEGER_TOO_LONG = "E_INTEGER_TOO_LONG"
 
 # Blocks and argument lists nest at most this deep. Every later phase
 # recurses over the tree, so the limit sits well below Python's recursion
@@ -38,44 +41,42 @@ def parse_unit(tokens: list[Token], source_name: str = "<unit>") -> ast.Compilat
 
 class _Parser:
     def __init__(self, tokens: list[Token], source_name: str):
-        self.tokens = tokens
+        # One END token follows the real ones. It has the last token's span,
+        # so an error at the end of input points there. The parser only
+        # looks one token past a real one, so it never reads past END.
+        end = tokens[-1]._replace(kind=END, text="end of input") if tokens else Token(END, "end of input", 0, 0, 1)
+        self.tokens = [*tokens, end]
         self.pos = 0
         self.source_name = source_name
         self.nesting = 0
 
     # Token access helpers.
 
-    def peek(self, offset: int = 0) -> Token | None:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
+    def peek(self, offset: int = 0) -> Token:
+        return self.tokens[self.pos + offset]
 
     def at(self, text: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok is not None and tok.text == text
+        return self.tokens[self.pos + offset].text == text
 
     def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("a token", "end of input")
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok is None or tok.text != text:
-            raise self.error(repr(text), tok.text if tok else "end of input")
+        if tok.text != text:
+            raise self.error(repr(text), tok.text)
         return self.take()
 
     def expect_ident(self, what: str = "an identifier") -> Token:
         tok = self.peek()
-        if tok is None or tok.kind != IDENT:
-            raise self.error(what, tok.text if tok else "end of input")
+        if tok.kind != IDENT:
+            raise self.error(what, tok.text)
         return self.take()
 
     def error(self, expected: str, found: str, code: str | None = None) -> ParseError:
-        tok = self.peek()
-        span = tok.span if tok else (self.tokens[-1].span if self.tokens else Span(0, 0))
-        return ParseError(span, expected, found, code)
+        return ParseError(self.peek().span, expected, found, code)
 
     def prev_line(self) -> int:
         return self.tokens[self.pos - 1].line if self.pos > 0 else 0
@@ -92,7 +93,7 @@ class _Parser:
         self.nesting += 1
 
     def span_from(self, start: int) -> Span:
-        end = self.tokens[self.pos - 1].span.end if self.pos > 0 else 0
+        end = self.tokens[self.pos - 1].end if self.pos > 0 else 0
         return Span(start, end)
 
     # Grammar productions.
@@ -103,10 +104,10 @@ class _Parser:
             self.take()
             package = self.qual_id()
         stats: list[ast.TopStat] = []
-        while self.peek() is not None:
+        while self.peek().kind != END:
             if stats or package:
                 self.statement_boundary()
-            if self.peek() is None:
+            if self.peek().kind == END:
                 break
             stats.append(self.top_stat())
         return ast.CompilationUnit(package, tuple(stats), self.source_name)
@@ -122,11 +123,10 @@ class _Parser:
             return self.import_clause(())
         if self.at("implicit") or self.at("object") or self.at("trait") or self.at("package"):
             return self.template_def()
-        tok = self.peek()
-        raise self.error("'import' or a template definition", tok.text if tok else "end of input")
+        raise self.error("'import' or a template definition", self.peek().text)
 
     def template_def(self) -> ast.TemplateDef:
-        start = self.peek().span.start
+        start = self.peek().start
         is_implicit = False
         if self.at("implicit"):
             self.take()
@@ -142,11 +142,8 @@ class _Parser:
             self.expect("object")
             kind = ast.OBJECT
         if is_implicit and kind != ast.OBJECT:
-            raise ParseError(
-                Span(start, self.peek().span.end if self.peek() else start),
-                "'object' after 'implicit'",
-                kind,
-            )
+            tok = self.peek()
+            raise ParseError(Span(start, start if tok.kind == END else tok.end), "'object' after 'implicit'", kind)
         name = self.expect_ident("a template name").text
         parents: list[ast.QualName] = []
         if self.at("extends"):
@@ -163,8 +160,7 @@ class _Parser:
         if self.at("@"):
             annotations = self.annotations()
             if not self.at("import"):
-                tok = self.peek()
-                raise self.error("'import' after annotations", tok.text if tok else "end of input")
+                raise self.error("'import' after annotations", self.peek().text)
             return self.import_clause(annotations)
         if self.at("import"):
             return self.import_clause(())
@@ -180,32 +176,26 @@ class _Parser:
         return tuple(names)
 
     def import_clause(self, annotations: tuple[str, ...]) -> ast.ImportClause:
-        start = self.expect("import").span.start
+        start = self.expect("import").start
         parts = [self.expect_ident("an import path").text]
-        selectors: ast.ImportSelectors | None = None
-        while True:
-            self.expect(".")
-            tok = self.peek()
-            if tok is None:
-                raise self.error("an import selector", "end of input")
-            if tok.text == "_" and tok.kind == PUNCT:
-                self.take()
-                selectors = ast.WILDCARD
-                break
-            if tok.text == "{":
-                selectors = self.selector_list()
-                break
-            if tok.kind not in (IDENT, KEYWORD):
-                raise self.error("an identifier, '_' or '{'", tok.text)
-            # Keywords are allowed as path segments after the first dot.
-            if self.at(".", 1):
-                parts.append(self.take().text)
-                continue
+        self.expect(".")
+        # Keywords are allowed as path segments after the first dot.
+        while self.peek().kind in (IDENT, KEYWORD) and self.at(".", 1):
+            parts.append(self.take().text)
+            self.take()
+        tok = self.peek()
+        if tok.kind == END:
+            raise self.error("an import selector", tok.text)
+        if tok.text == "_" and tok.kind == PUNCT:
+            self.take()
+            selectors = ast.WILDCARD
+        elif tok.text == "{":
+            selectors = self.selector_list()
+        elif tok.kind in (IDENT, KEYWORD):
             name = self.take().text
             selectors = ast.ImportSelectors(wildcard=False, names=(ast.Selector(name, name),))
-            break
-        if len(parts) < 1 or selectors is None:
-            raise self.error("an import path", "nothing")
+        else:
+            raise self.error("an identifier, '_' or '{'", tok.text)
         return ast.ImportClause(annotations, tuple(parts), selectors, self.span_from(start))
 
     def selector_list(self) -> ast.ImportSelectors:
@@ -214,8 +204,8 @@ class _Parser:
         wildcard = False
         while True:
             tok = self.peek()
-            if tok is None:
-                raise self.error("an import selector", "end of input")
+            if tok.kind == END:
+                raise self.error("an import selector", tok.text)
             if tok.text == "_" and tok.kind == PUNCT:
                 self.take()
                 wildcard = True
@@ -240,7 +230,7 @@ class _Parser:
         return ast.ImportSelectors(wildcard=wildcard, names=tuple(names))
 
     def def_decl(self) -> ast.DefDecl:
-        start = self.peek().span.start
+        start = self.peek().start
         if self.at("val"):
             self.take()
             name = self.expect_ident("a val name").text
@@ -263,7 +253,7 @@ class _Parser:
 
     def block(self) -> ast.Block:
         self.nest()
-        start = self.expect("{").span.start
+        start = self.expect("{").start
         stats = self.statements(lambda: self.def_decl() if self.at("def") or self.at("val") else self.expr())
         self.nesting -= 1
         return ast.Block(stats, self.span_from(start))
@@ -283,7 +273,7 @@ class _Parser:
     def statement_boundary(self) -> None:
         """Require `;`, a line break, or a closing brace between statements."""
         tok = self.peek()
-        if tok is None or tok.text == "}":
+        if tok.kind == END or tok.text == "}":
             return
         if tok.text == ";":
             self.take()
@@ -294,13 +284,15 @@ class _Parser:
 
     def expr(self) -> ast.Expr:
         tok = self.peek()
-        if tok is None:
-            raise self.error("an expression", "end of input")
         if tok.kind == LITERAL:
             self.take()
             if tok.text.startswith('"'):
                 return ast.StrLit(string_value(tok.text), tok.span)
-            return ast.IntLit(int(tok.text), tok.span)
+            try:
+                return ast.IntLit(int(tok.text), tok.span)
+            except ValueError:  # more digits than `int` converts from text
+                expected = f"an integer literal of at most {sys.get_int_max_str_digits()} digits"
+                raise ParseError(tok.span, expected, f"{len(tok.text)} digits", E_INTEGER_TOO_LONG) from None
         if tok.text == "{":
             return self.block()
         if tok.text == "defer":
@@ -308,21 +300,21 @@ class _Parser:
             self.nest()
             body = self.block()
             self.nesting -= 1
-            return ast.DeferCandidate(body, Span(tok.span.start, body.span.end))
+            return ast.DeferCandidate(body, Span(tok.start, body.span.end))
         if tok.kind == IDENT:
             if tok.text == "__frame" and self.at("{", 1) and self.peek(1).line == tok.line:
                 self.take()
                 body = self.block()
-                return ast.FrameExpr(body, Span(tok.span.start, body.span.end))
+                return ast.FrameExpr(body, Span(tok.start, body.span.end))
             if tok.text == "thunk" and self.at("{", 1) and self.peek(1).line == tok.line:
                 self.take()
                 body = self.block()
-                return ast.ThunkExpr(body, Span(tok.span.start, body.span.end))
+                return ast.ThunkExpr(body, Span(tok.start, body.span.end))
             return self.ref_or_call()
         raise self.error("an expression", tok.text)
 
     def ref_or_call(self) -> ast.Expr:
-        start = self.peek().span.start
+        start = self.peek().start
         parts = self.qual_id("a reference")
         ref = ast.Ref(parts, self.span_from(start))
         if not (self.at("(") and self.peek().line == self.prev_line()):
@@ -351,7 +343,7 @@ class _Parser:
 
     def qual_id(self, what: str = "a qualified name") -> ast.QualName:
         parts = [self.expect_ident(what).text]
-        while self.at(".") and self.peek(1) is not None and self.peek(1).kind in (IDENT, KEYWORD):
+        while self.at(".") and self.peek(1).kind in (IDENT, KEYWORD):
             self.take()
             parts.append(self.take().text)
         return tuple(parts)

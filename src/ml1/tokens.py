@@ -7,6 +7,7 @@ texts plus the skipped whitespace/comments reproduces the input exactly.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from ml1.record import Record
 
@@ -30,15 +31,7 @@ KEYWORD = "keyword"
 IDENT = "identifier"
 PUNCT = "punctuation"
 LITERAL = "literal"
-
-_SINGLE_PUNCT = frozenset(".,{}()@;=_")
-
-# Character classes are ASCII only: `str.isdigit` and friends also accept
-# characters such as "²" that `int()` and the rest of the pipeline reject.
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
-_BLANKS = frozenset(" \t\r\f\v")  # newlines are counted separately
+END = "end"  # the parser's end-of-input token; `tokenize` never returns one
 
 # Lex error codes.
 E_ILLEGAL_CHARACTER = "E_ILLEGAL_CHARACTER"
@@ -46,6 +39,26 @@ E_UNTERMINATED_STRING = "E_UNTERMINATED_STRING"
 E_UNSUPPORTED_ESCAPE = "E_UNSUPPORTED_ESCAPE"
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+# One alternative per token class, tried in order at each position. The
+# character classes are ASCII only: `str.isdigit` and friends also accept
+# characters such as "²" that `int()` and the rest of the pipeline reject.
+# A string runs over its characters and supported escapes; what stops it,
+# the `stop` group, tells a closed string from an unsupported escape, and no
+# stop at all means a newline or the end of the text cut it off. Anything
+# else is one illegal character.
+_SCAN = re.compile(
+    r"""
+    (?P<blank>[ \t\r\f\v]+|//[^\n]*)
+    | (?P<newline>\n)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<integer>[0-9]+)
+    | (?P<string>"(?:[^"\\\n]|\\[nt"\\])*(?P<stop>["\\])?)
+    | (?P<punct>=>|[.,{}()@;=])
+    | (?P<illegal>.)
+    """,
+    re.VERBOSE,
+)
 
 
 class Span(Record, frozen=True):
@@ -55,11 +68,16 @@ class Span(Record, frozen=True):
     end: int
 
 
-class Token(Record, frozen=True):
+class Token(NamedTuple):
     kind: str
     text: str
-    span: Span
+    start: int
+    end: int
     line: int  # 1-based; the parser uses it to separate statements
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
 
 
 class LexError(Exception):
@@ -78,63 +96,28 @@ def string_value(raw: str) -> str:
 def tokenize(source: str) -> list[Token]:
     """Split source into tokens, skipping whitespace and `//` comments."""
     tokens: list[Token] = []
-    i = 0
     line = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    for match in _SCAN.finditer(source):
+        group = match.lastgroup
+        if group == "blank":
+            continue
+        if group == "newline":
             line += 1
-            i += 1
             continue
-        if ch in _BLANKS:
-            i += 1
-            continue
-        if ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if ch in _IDENT_START:
-            while i < n and source[i] in _IDENT_CHARS:
-                i += 1
-            text = source[start:i]
-            if text == "_":
-                kind = PUNCT
-            elif text in KEYWORDS:
-                kind = KEYWORD
-            else:
-                kind = IDENT
-            tokens.append(Token(kind, text, Span(start, i), line))
-            continue
-        if ch in _DIGITS:
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            tokens.append(Token(LITERAL, source[start:i], Span(start, i), line))
-            continue
-        if ch == '"':
-            i += 1
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise LexError(Span(start, i), "unterminated string literal", E_UNTERMINATED_STRING)
-                if source[i] == "\\":
-                    if i + 1 >= n or source[i + 1] not in _ESCAPES:
-                        raise LexError(Span(i, i + 2), "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
-                    i += 2
-                    continue
-                if source[i] == '"':
-                    i += 1
-                    break
-                i += 1
-            tokens.append(Token(LITERAL, source[start:i], Span(start, i), line))
-            continue
-        if source.startswith("=>", i):
-            i += 2
-            tokens.append(Token(PUNCT, "=>", Span(start, i), line))
-            continue
-        if ch in _SINGLE_PUNCT:
-            i += 1
-            tokens.append(Token(PUNCT, ch, Span(start, i), line))
-            continue
-        raise LexError(Span(i, i + 1), f"illegal character {ch!r}", E_ILLEGAL_CHARACTER)
+        start, end = match.span()
+        text = match.group()
+        if group == "word":
+            kind = PUNCT if text == "_" else KEYWORD if text in KEYWORDS else IDENT
+        elif group == "string":
+            stop = match.group("stop")
+            if stop is None:
+                raise LexError(Span(start, end), "unterminated string literal", E_UNTERMINATED_STRING)
+            if stop == "\\":
+                raise LexError(Span(end - 1, end + 1), "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
+            kind = LITERAL
+        elif group == "illegal":
+            raise LexError(Span(start, end), f"illegal character {text!r}", E_ILLEGAL_CHARACTER)
+        else:
+            kind = LITERAL if group == "integer" else PUNCT
+        tokens.append(Token(kind, text, start, end, line))
     return tokens

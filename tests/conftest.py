@@ -11,6 +11,15 @@ from ml1.tokens import tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# Pieces of text near the grammar, for generated inputs.
+FRAGMENTS = [
+    "package", "import", "object", "trait", "implicit", "extends", "with", "def", "val",
+    "defer", "@exported", "@other", "{", "}", "(", ")", "=", "=>", ".", ",", "_", ";",
+    "\n", " ", "Main", "main", "go", "defer", "demo.upper", "DefaultRewriter", "x", "y",
+    "print", "concat", "error", "compose", "1", "42", '"s"', '"', "\\", "//", "/*", "*/",
+    "import go.defer._\n", "object Main {\n", "def main() = {\n", "}\n", "print(x)\n",
+]
+
 
 def parse_source(source: str, name: str = "<test>") -> ast.CompilationUnit:
     return parse_unit(tokenize(source), name)

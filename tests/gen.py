@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the production code paths: the export
 closure oracle enumerates simple edge paths over a plain description of
-the graph, and the defer oracle simulates traces with a list-as-stack.
+the graph, the defer oracle simulates traces with a list-as-stack, and the
+reference lexer scans one character at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,17 @@ import random
 from dataclasses import dataclass, field
 
 from ml1 import ast
+from ml1.tokens import (
+    E_ILLEGAL_CHARACTER,
+    E_UNSUPPORTED_ESCAPE,
+    E_UNTERMINATED_STRING,
+    IDENT,
+    KEYWORD,
+    LITERAL,
+    PUNCT,
+    LexError,
+    Span,
+)
 
 NAME_POOL = ["a", "b", "c", "d"]
 RENAME_POOL = ["e", "f", "g"]
@@ -602,3 +614,83 @@ class BindingProgram:
         if result is not None:
             stats.append(ast.StrLit(result))
         return ast.Block(tuple(stats))
+
+
+# Reference lexer ----------------------------------------------------------------
+
+# A character loop that states the lexical grammar one character at a time;
+# `ml1.tokens.tokenize` must give the same tokens and the same errors.
+
+_KEYWORDS = frozenset({"package", "import", "object", "trait", "def", "val", "implicit", "extends", "with", "defer"})
+_SINGLE_PUNCT = frozenset(".,{}()@;=_")
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+_BLANKS = frozenset(" \t\r\f\v")  # newlines are counted separately
+_ESCAPE_CHARS = frozenset('nt"\\')
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int, int]]:
+    """The tokens of `source` as (kind, text, start, end, line), or the
+    `LexError` that stops it."""
+    tokens: list[tuple[str, str, int, int, int]] = []
+    i = 0
+    line = 1
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch in _BLANKS:
+            i += 1
+            continue
+        if ch == "/" and source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start = i
+        if ch in _IDENT_START:
+            while i < n and source[i] in _IDENT_CHARS:
+                i += 1
+            text = source[start:i]
+            if text == "_":
+                kind = PUNCT
+            elif text in _KEYWORDS:
+                kind = KEYWORD
+            else:
+                kind = IDENT
+            tokens.append((kind, text, start, i, line))
+            continue
+        if ch in _DIGITS:
+            while i < n and source[i] in _DIGITS:
+                i += 1
+            tokens.append((LITERAL, source[start:i], start, i, line))
+            continue
+        if ch == '"':
+            i += 1
+            while True:
+                if i >= n or source[i] == "\n":
+                    raise LexError(Span(start, i), "unterminated string literal", E_UNTERMINATED_STRING)
+                if source[i] == "\\":
+                    if i + 1 >= n or source[i + 1] not in _ESCAPE_CHARS:
+                        raise LexError(Span(i, i + 2), "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
+                    i += 2
+                    continue
+                if source[i] == '"':
+                    i += 1
+                    break
+                i += 1
+            tokens.append((LITERAL, source[start:i], start, i, line))
+            continue
+        if source.startswith("=>", i):
+            i += 2
+            tokens.append((PUNCT, "=>", start, i, line))
+            continue
+        if ch in _SINGLE_PUNCT:
+            i += 1
+            tokens.append((PUNCT, ch, start, i, line))
+            continue
+        raise LexError(Span(i, i + 1), f"illegal character {ch!r}", E_ILLEGAL_CHARACTER)
+    return tokens

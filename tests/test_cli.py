@@ -95,6 +95,34 @@ def test_parse_reports_lex_errors(tmp_path, capsys):
     assert "unterminated" in err
 
 
+@pytest.mark.parametrize("command", [["parse"], ["resolve", "--dump"], ["rewrite"], ["run", "--entry", "Main.main"]])
+def test_undecodable_file_is_reported_like_an_unreadable_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.ml1"
+    bad.write_bytes(b'object Main {\n  def main() = { print("\xff") }\n}\n')
+    message = f"{bad}: 'utf-8' codec can't decode byte 0xff in position 38: invalid start byte\n"
+    assert run_cli(capsys, *command, str(bad)) == (2, "", message)
+
+
+def test_missing_file_and_directory_are_reported_with_their_path(tmp_path, capsys):
+    missing = tmp_path / "missing.ml1"
+    message = f"{missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    assert run_cli(capsys, "parse", str(missing)) == (2, "", message)
+    status, out, err = run_cli(capsys, "parse", str(tmp_path))
+    assert (status, out) == (2, "") and err.startswith(f"{tmp_path}: [Errno ") and "internal error" not in err
+
+
+def test_over_long_integer_literal_is_a_coded_parse_error(tmp_path, capsys):
+    unit = tmp_path / "big.ml1"
+    digits = sys.get_int_max_str_digits() + 1
+    unit.write_text(f"object A {{\n  val x = {'9' * digits}\n}}\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "parse", "--dump-ast", str(unit))
+    assert (status, out) == (2, "")
+    assert err == (
+        f"{unit}: E_INTEGER_TOO_LONG: 21-{21 + digits}: expected an integer literal of at most "
+        f"{digits - 1} digits, found {digits} digits\n"
+    )
+
+
 def test_resolve_dump_shows_shared_context(capsys):
     status, out, _ = run_cli(
         capsys, "resolve", "--dump", *fixture_paths(*SALAT_AFTER)

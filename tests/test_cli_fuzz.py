@@ -1,7 +1,8 @@
 """The 0/1/2 exit contract under generated text: raw strings, token soup
-near the grammar, and fixture files with a slice cut out or replaced go
-through `cli.main` for all five subcommands. Whatever the input, the exit
-code is 0, 1 or 2 and stderr never reports an internal error.
+near the grammar, fixture files with a slice cut out or replaced, and raw
+bytes that need not be UTF-8 go through `cli.main` for all five
+subcommands. Whatever the input, the exit code is 0, 1 or 2 and stderr
+never reports an internal error.
 
 Hypothesis runs derandomized, so the suite sees the same inputs on every
 run."""
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ml1.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, FRAGMENTS
 
 COMMANDS = [
     ["parse", "--dump-ast"],
@@ -24,14 +25,6 @@ COMMANDS = [
     ["run", "--entry", "copyfile.Main.main"],  # the entry of the defer fixtures
     ["run", "--entry", "loopdemo.Main.main"],
     ["lint", "--marker", "DefaultRewriter"],
-]
-
-FRAGMENTS = [
-    "package", "import", "object", "trait", "implicit", "extends", "with", "def", "val",
-    "defer", "@exported", "@other", "{", "}", "(", ")", "=", "=>", ".", ",", "_", ";",
-    "\n", " ", "Main", "main", "go", "defer", "demo.upper", "DefaultRewriter", "x", "y",
-    "print", "concat", "error", "compose", "1", "42", '"s"', '"', "\\", "//", "/*", "*/",
-    "import go.defer._\n", "object Main {\n", "def main() = {\n", "}\n", "print(x)\n",
 ]
 
 FIXTURE_TEXTS = sorted(path.read_text(encoding="utf-8") for path in FIXTURES.rglob("*.ml1"))
@@ -66,6 +59,15 @@ def unit_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "unit.ml1"
 
 
+def _check_exit_contract(unit_path, source):
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([*command, LIBRARY, str(unit_path)])
+        assert status in (0, 1, 2), (command, source)
+        assert "internal error" not in err.getvalue(), (command, source, err.getvalue())
+
+
 @settings(
     max_examples=150,
     derandomize=True,
@@ -75,9 +77,34 @@ def unit_path(tmp_path_factory):
 @given(source=SOURCES)
 def test_generated_text_keeps_the_exit_contract(unit_path, source):
     unit_path.write_text(source, encoding="utf-8")
-    for command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main([*command, LIBRARY, str(unit_path)])
-        assert status in (0, 1, 2), (command, source)
-        assert "internal error" not in err.getvalue(), (command, source, err.getvalue())
+    _check_exit_contract(unit_path, source)
+
+
+@st.composite
+def fixture_with_bytes_replaced(draw) -> bytes:
+    data = draw(st.sampled_from(FIXTURE_TEXTS)).encode("utf-8")
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data), start + 8)))
+    return data[:start] + draw(st.binary(min_size=1, max_size=4)) + data[end:]
+
+
+# Raw bytes, much of them not UTF-8: the bytes 0xff and 0xc0 never occur in
+# UTF-8, and a lone 0xe9 starts a sequence that it does not finish.
+BYTE_FRAGMENTS = [fragment.encode("utf-8") for fragment in FRAGMENTS] + [b"\xff", b"\xc0\xaf", b"\xe9"]
+BYTES = st.one_of(
+    st.binary(max_size=80),
+    fixture_with_bytes_replaced(),
+    st.lists(st.sampled_from(BYTE_FRAGMENTS), max_size=40).map(b"".join),
+)
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=BYTES)
+def test_generated_bytes_keep_the_exit_contract(unit_path, data):
+    unit_path.write_bytes(data)
+    _check_exit_contract(unit_path, data)

@@ -1,5 +1,8 @@
 import random
+import sys
 from dataclasses import replace
+
+import pytest
 
 from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
@@ -504,3 +507,14 @@ def test_every_read_sees_the_binder_the_resolver_chose():
         events += len(trace.events)
         forward_calls += program.forward_reads
     assert events > 1000 and forward_calls > 50
+
+
+@pytest.mark.parametrize("call", ["print(big)", "error(big)", 'concat("", big)'])
+def test_rendering_an_over_long_integer_fails_at_the_builtin_call(call):
+    limit = sys.get_int_max_str_digits()
+    call = call.replace("big", f"add({'9' * limit}, {'9' * limit})")
+    source = f"object Main {{\n  def main() = {{\n    {call}\n  }}\n}}"
+    trace = run_program(parse_source(source, "m.ml1"), entry="Main.main")
+    assert trace.failed and trace.events == []
+    assert trace.error.message == f"integer too long to render (more than {limit} digits)"
+    assert source[trace.error.span.start : trace.error.span.end] == call

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ml1 import ast
@@ -180,6 +182,12 @@ def test_parse_is_pure():
     assert parse_unit(tokens, "a.ml1") == parse_unit(tokens, "a.ml1")
 
 
+def test_integer_literals_up_to_the_conversion_limit_parse():
+    digits = sys.get_int_max_str_digits()
+    (decl,) = next(parse_source(f"object A {{ val x = {'9' * digits} }}").templates()).stats
+    assert decl.body.value == 10**digits - 1
+
+
 def nested_blocks(depth: int) -> str:
     """A def whose body is `depth` blocks deep, the body itself included."""
     return "object A {\n  def f() = " + "{ " * depth + "1" + " }" * depth + "\n}"
@@ -208,3 +216,44 @@ def test_nesting_far_past_the_limit_is_still_a_parse_error():
     with pytest.raises(ParseError) as info:
         parse_source(nested_blocks(5000))
     assert info.value.code == E_NESTING_TOO_DEEP
+
+
+# Inputs that stop where the parser meets the end of input, with the error
+# each gives: (code, span, message), or None where the text parses.
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("", None),
+        ("package p", None),
+        ("import a._;", None),
+        ("import", (None, (0, 6), "0-6: expected an import path, found end of input")),
+        ("import a", (None, (7, 8), "7-8: expected '.', found end of input")),
+        ("import a.", (None, (8, 9), "8-9: expected an import selector, found end of input")),
+        ("import a.b.", (None, (10, 11), "10-11: expected an import selector, found end of input")),
+        ("import a.{", (None, (9, 10), "9-10: expected an import selector, found end of input")),
+        ("import a.{b,", (None, (11, 12), "11-12: expected an import selector, found end of input")),
+        ("import a.{b =>", (None, (12, 14), "12-14: expected a rename target or '_', found end of input")),
+        ("object", (None, (0, 6), "0-6: expected a template name, found end of input")),
+        ("object A extends B with", (None, (19, 23), "19-23: expected a qualified name, found end of input")),
+        ("object A {", (None, (9, 10), "9-10: expected an expression, found end of input")),
+        ("object A { val x =", (None, (17, 18), "17-18: expected an expression, found end of input")),
+        ("object A { val x = 1", (None, (19, 20), "19-20: expected an expression, found end of input")),
+        ("object A { def f(", (None, (16, 17), "16-17: expected a parameter name, found end of input")),
+        ("object A { def f() = { g(1", (None, (25, 26), "25-26: expected ')', found end of input")),
+        ("object A { def f() = { x.", (None, (24, 25), "24-25: expected a newline or ';' between statements, found .")),
+        ("object A { def f() = { defer", (None, (23, 28), "23-28: expected '{', found end of input")),
+        ("object A { val x = __frame", (None, (19, 26), "19-26: expected an expression, found end of input")),
+        ("object A { @exported", (None, (12, 20), "12-20: expected 'import' after annotations, found end of input")),
+        ("object A { @", (None, (11, 12), "11-12: expected an annotation name, found end of input")),
+        ("implicit", (None, (0, 8), "0-8: expected 'object', found end of input")),
+        ("implicit trait", (None, (0, 0), "0-0: expected 'object' after 'implicit', found trait")),
+        ("implicit object", (None, (9, 15), "9-15: expected a template name, found end of input")),
+    ],
+)
+def test_errors_at_the_end_of_input(source, expected):
+    if expected is None:
+        parse_source(source)
+        return
+    with pytest.raises(ParseError) as info:
+        parse_source(source)
+    assert (info.value.code, (info.value.span.start, info.value.span.end), str(info.value)) == expected

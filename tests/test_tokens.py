@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ml1.printer import pretty_print
 from ml1.tokens import (
@@ -14,7 +15,8 @@ from ml1.tokens import (
     tokenize,
 )
 
-from gen import random_unit
+from conftest import FRAGMENTS
+from gen import random_unit, reference_tokenize
 
 
 def kinds_and_texts(source):
@@ -112,3 +114,44 @@ def test_spans_reconstruct_generated_sources():
             gap = source[last_end : token.span.start]
             assert gap.strip() == "" or gap.lstrip().startswith("//")
             last_end = token.span.end
+
+
+# Fragments near the lexical grammar: non-ASCII letters and digits, every
+# blank, a lone `/` and a comment that runs to the end of the text.
+LEX_FRAGMENTS = FRAGMENTS + [
+    "é", "Ж", "ß", "²", "٣", "\u00a0", "\t", "\r", "\f", "\v", "/", "a/b", "//c", "7x", "_1",
+]
+# String literals with each escape, unsupported ones near them and a
+# backslash before any character, closed or cut off by a newline, by a
+# backslash or by what follows them (the end of the text when they come last).
+STRING_PIECES = st.one_of(
+    st.sampled_from(["\\n", "\\t", '\\"', "\\\\", "\\r", "\\N", "\\0", "\\'", "\\ ", "\\é"]),
+    st.characters().map(lambda ch: "\\" + ch),
+    st.text(max_size=3),
+)
+STRINGS = st.builds(
+    lambda body, stop: '"' + body + stop,
+    st.lists(STRING_PIECES, max_size=5).map("".join),
+    st.sampled_from(['"', "\n", "\\", ""]),
+)
+SOUP = st.lists(st.one_of(st.sampled_from(LEX_FRAGMENTS), STRINGS), max_size=30).map("".join)
+LEX_SOURCES = st.one_of(
+    SOUP,
+    SOUP.map(lambda source: source + "// end"),
+    st.text(alphabet=st.sampled_from("ab_19 \n\t\r\f\v\"\\/=>.{}é²"), max_size=40),
+    st.text(max_size=30),
+)
+
+
+def lex_outcome(lex, source):
+    """The tokens as tuples, or the error's code, span and message."""
+    try:
+        return [tuple(token) for token in lex(source)]
+    except LexError as err:
+        return (err.code, err.span.start, err.span.end, err.message)
+
+
+@settings(max_examples=700, derandomize=True, deadline=None)
+@given(source=LEX_SOURCES)
+def test_tokenize_matches_the_reference_lexer(source):
+    assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
