@@ -243,8 +243,6 @@ def to_dict(node) -> object:
     declaration order (camelCased)."""
     if isinstance(node, tuple):
         return [to_dict(item) for item in node]
-    if isinstance(node, Span):
-        return [node.start, node.end]
     if not hasattr(node, "__dataclass_fields__"):
         return node
     out: dict[str, object] = {"kind": type(node).__name__}

@@ -287,15 +287,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add(name: str, fn, **flags):
         p = sub.add_parser(name)
         p.add_argument("files", nargs="+", metavar="FILE")
-        p.add_argument("--format", choices=("json", "pretty"), default="json")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
         return p
 
-    add("parse", cmd_parse, **{"--dump-ast": {"action": "store_true", "dest": "dump_ast"}})
-    add("resolve", cmd_resolve, **{"--dump": {"action": "store_true"}})
-    add("rewrite", cmd_rewrite, **{"--dump": {"action": "store_true"}})
+    # Only the commands that dump have a format to choose.
+    formats = {"--format": {"choices": ("json", "pretty"), "default": "json"}}
+    add("parse", cmd_parse, **formats, **{"--dump-ast": {"action": "store_true", "dest": "dump_ast"}})
+    add("resolve", cmd_resolve, **formats, **{"--dump": {"action": "store_true"}})
+    add("rewrite", cmd_rewrite, **formats, **{"--dump": {"action": "store_true"}})
     add("run", cmd_run, **{"--entry": {"required": True, "metavar": "FQN"}})
     add("lint", cmd_lint, **{"--marker": {"action": "append", "required": True, "metavar": "FQN"}})
     return parser

@@ -10,6 +10,11 @@ results are built once, and a block becomes a list of steps. Errors are
 raised when a closure runs, never when it is compiled, so an ill-formed
 node in code that never runs does no harm.
 
+Values are plain where they can be: an integer or a string is a Python
+`int` or `str`, unit is the empty tuple `UNIT`, and an object or package
+is the resolver's `SymbolId`, printed as its FQN. Only defs, thunks and
+builtins have classes of their own (`DefV`, `ThunkV`, `BuiltinV`).
+
 An environment is a frame: its parent frame, then one slot per local. A
 def call's frame holds its arguments; a declaring block's frame holds its
 declarations, and its local defs are bound on entry. A local reference
@@ -41,7 +46,7 @@ from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_NO_ENTRY, E_NO_FRAME
 from ml1.record import Record
 from ml1.resolve import Resolution
-from ml1.scopes import DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph
+from ml1.scopes import DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph, SymbolId
 from ml1.tokens import Span
 
 _MAX_CALL_DEPTH = 200
@@ -53,25 +58,8 @@ _FRAMES_PER_CALL = 20
 _RECURSION_LIMIT = 1000 + _MAX_CALL_DEPTH * _FRAMES_PER_CALL
 _ARITY = {"print": 1, "error": 1, "concat": 2, "add": 2, "sub": 2}
 
-
-class IntV(Record, frozen=True):
-    value: int
-
-
-class StrV(Record, frozen=True):
-    value: str
-
-
-class UnitV(Record, frozen=True):
-    pass
-
-
-UNIT = UnitV()
+UNIT = ()  # the unit value; `print` shows it as `()`
 _INITIALISING = object()  # a template val's entry in `Interpreter.vals` while its body runs
-
-
-class ObjRef(Record, frozen=True):
-    fqn: str
 
 
 class ThunkV:
@@ -96,7 +84,7 @@ class BuiltinV:
         self.name = name
 
 
-Value = IntV | StrV | UnitV | ObjRef | ThunkV | DefV | BuiltinV
+Value = int | str | tuple | SymbolId | ThunkV | DefV | BuiltinV
 
 
 class EvalError(Exception):
@@ -159,17 +147,17 @@ def _eval_error(err: EvalError | RecursionError, span: Span | None) -> EvalError
 def render(value: Value, span: Span | None) -> str:
     """`value` as `print` shows it. An integer with more digits than `str`
     converts is an evaluation error at `span`."""
-    if isinstance(value, IntV):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
         try:
-            return str(value.value)
+            return str(value)
         except ValueError:
             limit = sys.get_int_max_str_digits()
             raise EvalError(f"integer too long to render (more than {limit} digits)", span) from None
-    if isinstance(value, StrV):
-        return value.value
-    if isinstance(value, UnitV):
+    if value is UNIT:
         return "()"
-    if isinstance(value, ObjRef):
+    if isinstance(value, SymbolId):
         return value.fqn
     if isinstance(value, ThunkV):
         return "<thunk>"
@@ -232,10 +220,8 @@ class Interpreter:
         return code
 
     def _compile(self, node: ast.Expr) -> Code:
-        if isinstance(node, ast.IntLit):
-            return _constant(IntV(node.value))
-        if isinstance(node, ast.StrLit):
-            return _constant(StrV(node.value))
+        if isinstance(node, (ast.IntLit, ast.StrLit)):
+            return _constant(node.value)
         if isinstance(node, ast.Ref):
             return self.compile_ref(node)
         if isinstance(node, ast.Call):
@@ -285,7 +271,7 @@ class Interpreter:
         if symbol.kind == DEF and isinstance(decl, ast.DefDecl):
             return _constant(DefV(None, decl))
         if symbol.kind in (TEMPLATE, PACKAGE):
-            return _constant(ObjRef(symbol.fqn))
+            return _constant(symbol)
         return _failure(f"{symbol.fqn} has no runtime value", ref.span)
 
     def _compile_call(self, node: ast.Call) -> Code:
@@ -428,12 +414,12 @@ class Interpreter:
         if name == "error":
             raise EvalError(render(args[0], span), span)
         if name == "concat":
-            return StrV(render(args[0], span) + render(args[1], span))
+            return render(args[0], span) + render(args[1], span)
         if name in ("add", "sub"):
             a, b = args
-            if not isinstance(a, IntV) or not isinstance(b, IntV):
+            if not isinstance(a, int) or not isinstance(b, int):
                 raise EvalError(f"{name} needs integer arguments", span)
-            return IntV(a.value + b.value if name == "add" else a.value - b.value)
+            return a + b if name == "add" else a - b
         if name == "compose":
             raise EvalError("compose is interpreted at rewrite time, not at runtime", span)
         raise EvalError(f"unknown builtin {name}", span)

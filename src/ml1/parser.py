@@ -142,8 +142,8 @@ class _Parser:
             self.expect("object")
             kind = ast.OBJECT
         if is_implicit and kind != ast.OBJECT:
-            tok = self.peek()
-            raise ParseError(Span(start, start if tok.kind == END else tok.end), "'object' after 'implicit'", kind)
+            found = "trait" if kind == ast.TRAIT else "package object"
+            raise ParseError(self.span_from(start), "'object' after 'implicit'", found)
         name = self.expect_ident("a template name").text
         parents: list[ast.QualName] = []
         if self.at("extends"):

@@ -4,9 +4,9 @@ code generation.
 A record is declared like a dataclass, with annotated fields, defaults and
 `dataclasses.field(...)`:
 
-    class Span(Record, frozen=True):
-        start: int
-        end: int
+    class SymbolId(Record, frozen=True):
+        fqn: str
+        kind: str
 
 `dataclasses.dataclass(init=False, repr=False, eq=False)` builds the field
 table, so `dataclasses.fields` and `dataclasses.replace` keep working.

@@ -9,8 +9,6 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from ml1.record import Record
-
 KEYWORDS = frozenset(
     {
         "package",
@@ -61,7 +59,7 @@ _SCAN = re.compile(
 )
 
 
-class Span(Record, frozen=True):
+class Span(NamedTuple):
     """Half-open byte range [start, end) into the source text."""
 
     start: int
@@ -113,7 +111,9 @@ def tokenize(source: str) -> list[Token]:
             if stop is None:
                 raise LexError(Span(start, end), "unterminated string literal", E_UNTERMINATED_STRING)
             if stop == "\\":
-                raise LexError(Span(end - 1, end + 1), "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
+                # The escape's two characters, or the backslash alone at the end of the text.
+                span = Span(end - 1, min(end + 1, len(source)))
+                raise LexError(span, "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
             kind = LITERAL
         elif group == "illegal":
             raise LexError(Span(start, end), f"illegal character {text!r}", E_ILLEGAL_CHARACTER)

@@ -675,7 +675,7 @@ def reference_tokenize(source: str) -> list[tuple[str, str, int, int, int]]:
                     raise LexError(Span(start, i), "unterminated string literal", E_UNTERMINATED_STRING)
                 if source[i] == "\\":
                     if i + 1 >= n or source[i + 1] not in _ESCAPE_CHARS:
-                        raise LexError(Span(i, i + 2), "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
+                        raise LexError(Span(i, min(i + 2, n)), "unsupported escape sequence", E_UNSUPPORTED_ESCAPE)
                     i += 2
                     continue
                 if source[i] == '"':

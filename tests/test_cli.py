@@ -123,6 +123,53 @@ def test_over_long_integer_literal_is_a_coded_parse_error(tmp_path, capsys):
     )
 
 
+VALUE_KINDS = """package p.q
+
+object O {
+  def t() = { 1 }
+}
+
+object Main {
+  def main() = {
+    print(7)
+    print(sub(2, 5))
+    print("s")
+    print(print("x"))
+    print(O)
+    print(p.q)
+    print(O.t)
+    def g() = { 1 }
+    print(g)
+    print(thunk { 1 })
+    print(print)
+    print(concat(1, O))
+    O()
+  }
+}
+"""
+
+
+def test_run_prints_every_kind_of_value(tmp_path, capsys):
+    unit = tmp_path / "values.ml1"
+    unit.write_text(VALUE_KINDS, encoding="utf-8")
+    shown = ["7", "-3", "s", "x", "()", "p.q.O", "p.q", "<def t>", "<def g>", "<thunk>", "<builtin print>", "1p.q.O"]
+    assert run_cli(capsys, "run", "--entry", "p.q.Main.main", str(unit)) == (
+        2,
+        "".join(line + "\n" for line in shown),
+        "error: p.q.O is not callable\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--entry", "Main.main"], ["lint", "--marker", "DefaultRewriter"]], ids=["run", "lint"]
+)
+def test_format_is_an_option_of_the_dumping_commands_only(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--format", "pretty", *fixture_paths(*SALAT_AFTER)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_resolve_dump_shows_shared_context(capsys):
     status, out, _ = run_cli(
         capsys, "resolve", "--dump", *fixture_paths(*SALAT_AFTER)

@@ -6,7 +6,7 @@ import pytest
 
 from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
-from ml1.interp import EvalError, IntV, UnitV, Interpreter, run
+from ml1.interp import UNIT, EvalError, Interpreter, run
 from ml1.resolve import resolve_units
 from ml1.rewrite import apply_rewriter, builtin_registry
 from ml1.scopes import build_scope_graph
@@ -44,7 +44,7 @@ def test_hello_world_trace():
     trace = run_program(unit, entry="Main.main")
     assert trace.events == ["hi"]
     assert not trace.failed
-    assert trace.value == UnitV()
+    assert trace.value is UNIT
 
 
 def test_copy_program_unwinds_lifo():
@@ -163,7 +163,7 @@ def test_zero_defers_behaves_like_a_plain_body():
     )
     trace = run_program(unit, entry="Main.main")
     assert trace.events == ["1"]
-    assert trace.value == IntV(2)
+    assert trace.value == 2
 
 
 def test_return_value_is_fixed_before_thunks_run():

@@ -105,10 +105,15 @@ def test_wildcard_selector_must_be_last():
 
 
 def test_implicit_applies_only_to_objects():
-    with pytest.raises(ParseError):
-        parse_source("implicit trait T {\n}")
-    with pytest.raises(ParseError):
-        parse_source("package p\n\nimplicit package object q {\n}")
+    # The error spans `implicit` through the template keywords and names them.
+    for source, expected in [
+        ("implicit trait T {\n}", "0-14: expected 'object' after 'implicit', found trait"),
+        ("implicit package object Q", "0-23: expected 'object' after 'implicit', found package object"),
+        ("package p\n\nimplicit package object q {\n}", "11-34: expected 'object' after 'implicit', found package object"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_source(source)
+        assert str(info.value) == expected
 
 
 def test_statements_need_newline_or_semicolon():
@@ -246,8 +251,9 @@ def test_nesting_far_past_the_limit_is_still_a_parse_error():
         ("object A { @exported", (None, (12, 20), "12-20: expected 'import' after annotations, found end of input")),
         ("object A { @", (None, (11, 12), "11-12: expected an annotation name, found end of input")),
         ("implicit", (None, (0, 8), "0-8: expected 'object', found end of input")),
-        ("implicit trait", (None, (0, 0), "0-0: expected 'object' after 'implicit', found trait")),
+        ("implicit trait", (None, (0, 14), "0-14: expected 'object' after 'implicit', found trait")),
         ("implicit object", (None, (9, 15), "9-15: expected a template name, found end of input")),
+        ("package p\nimplicit trait", (None, (10, 24), "10-24: expected 'object' after 'implicit', found trait")),
     ],
 )
 def test_errors_at_the_end_of_input(source, expected):

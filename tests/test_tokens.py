@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ml1.printer import pretty_print
 from ml1.tokens import (
     E_ILLEGAL_CHARACTER,
+    E_UNSUPPORTED_ESCAPE,
     IDENT,
     KEYWORD,
     LITERAL,
@@ -74,6 +75,22 @@ def test_unterminated_string_is_a_lex_error():
 def test_illegal_character_is_a_lex_error():
     with pytest.raises(LexError):
         tokenize("a ? b")
+
+
+@pytest.mark.parametrize(
+    "source, span",
+    [
+        ('object A { val x = "ab\\q"', (22, 24)),
+        ('object A { val x = "ab\\', (22, 23)),  # the backslash is the text's last character
+    ],
+    ids=["inside", "at-the-end"],
+)
+def test_an_unsupported_escape_spans_its_characters_inside_the_text(source, span):
+    for lex in (tokenize, reference_tokenize):
+        with pytest.raises(LexError) as info:
+            lex(source)
+        assert info.value.code == E_UNSUPPORTED_ESCAPE
+        assert (info.value.span.start, info.value.span.end) == span
 
 
 @pytest.mark.parametrize(
