@@ -1,9 +1,10 @@
 """Batch driver: parse, resolve, rewrite, run, and lint ml1 projects.
 
 Exit codes: 0 success, 1 semantic diagnostics (ambiguity, divergence),
-2 lex/parse/runtime failure. File order on the command line fixes symbol
-table construction order, so identical invocations produce identical
-output bytes.
+2 lex/parse/runtime failure. One exception: lint exits 2 when the project
+has scope or resolution diagnostics, so its 1 means divergences only. File
+order on the command line fixes symbol table construction order, so
+identical invocations produce identical output bytes.
 """
 
 from __future__ import annotations

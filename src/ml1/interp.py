@@ -46,7 +46,7 @@ from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_NO_ENTRY, E_NO_FRAME
 from ml1.record import Record
 from ml1.resolve import Resolution
-from ml1.scopes import DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph, SymbolId
+from ml1.scopes import BUILTIN, DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph, SymbolId
 from ml1.tokens import Span
 
 _MAX_CALL_DEPTH = 200
@@ -248,7 +248,7 @@ class Interpreter:
         symbol = self.resolution.symbol_for(ref)
         if symbol is None:
             return _failure(f"{ast.dotted(ref.parts)} was not resolved", ref.span)
-        if symbol.fqn.startswith("<builtin>."):
+        if symbol.kind == BUILTIN:
             return _constant(BuiltinV(symbol.short_name()))
         decl = self.graph.decls.get(symbol.fqn)
         if symbol.kind == VAL and isinstance(decl, ast.DefDecl):
@@ -420,9 +420,8 @@ class Interpreter:
             if not isinstance(a, int) or not isinstance(b, int):
                 raise EvalError(f"{name} needs integer arguments", span)
             return a + b if name == "add" else a - b
-        if name == "compose":
-            raise EvalError("compose is interpreted at rewrite time, not at runtime", span)
-        raise EvalError(f"unknown builtin {name}", span)
+        # Every builtin but `compose` is handled above.
+        raise EvalError("compose is interpreted at rewrite time, not at runtime", span)
 
 
 def run(graph: ScopeGraph, resolution: Resolution, entry_fqn: str) -> Trace:

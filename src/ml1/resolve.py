@@ -1,11 +1,11 @@
 """Name resolution over a built scope graph.
 
-Precedence, innermost first: locals, then the template's member tier
-(`scopes.body_lookup`: its members, inherited ones included, then its
-parents' re-exports), then the site's import positions in the
-order `scopes.import_positions` gives them (named selectors, wildcards,
-enclosing packages), then builtins. The implicit scan walks the same
-positions in the same order.
+Precedence, innermost first: locals, then the site's precedence list in
+the order `scopes.import_positions` gives it (the enclosing template's
+member tier, named selectors, wildcards, enclosing packages, builtins).
+`scopes.lookup_qualified` walks that list for every reference that is not
+a local. The implicit scan walks the list of a unit's top scope in the
+same order.
 
 Only this module decides what a local name means: it gives each local
 reference the (depth, slot) of its binder (SICP §5.5.6) in the frames the
@@ -33,23 +33,12 @@ from ml1.scopes import (
     ImportPosition,
     ScopeGraph,
     SymbolId,
-    body_lookup,
-    import_lookup,
     import_positions,
-    navigate,
+    lookup_qualified,
     template_fqn,
     unit_positions,
 )
 from ml1.tokens import Span
-
-BUILTIN_NAMES = ("print", "error", "concat", "add", "sub", "compose")
-BUILTINS = {name: SymbolId(f"<builtin>.{name}", DEF) for name in BUILTIN_NAMES}
-
-# A Hit's tier when no import position gave it; those tiers are
-# `scopes.IMPORT_NAMED`, `scopes.IMPORT_WILDCARD` and `scopes.ENCLOSING_PACKAGE`.
-TIER_LOCAL = "local"
-TIER_MEMBER = "member"
-TIER_BUILTIN = "builtin"
 
 
 class LocalScope:
@@ -64,16 +53,15 @@ class LocalScope:
 
 
 class Site(Record):
-    """Where a reference occurs: its enclosing template, the import
-    positions in scope (`scopes.import_positions`), and the chain of local
-    scopes, one per run-time frame, from outermost to innermost."""
+    """Where a reference occurs: its precedence list
+    (`scopes.import_positions`) and the chain of local scopes, one per
+    run-time frame, from outermost to innermost."""
 
-    template: str | None
     positions: tuple[ImportPosition, ...]
     locals_chain: tuple[LocalScope, ...] = ()
 
     def with_scope(self, scope: LocalScope) -> "Site":
-        return Site(self.template, self.positions, self.locals_chain + (scope,))
+        return Site(self.positions, self.locals_chain + (scope,))
 
     def local(self, name: str) -> tuple[int, LocalScope, tuple[SymbolId, int, int]] | None:
         """The innermost local `name`: its frame's depth, its scope, its entry."""
@@ -88,34 +76,7 @@ def template_site(graph: ScopeGraph, unit: ast.CompilationUnit, tfqn: str) -> Si
     """The site of template `tfqn`'s body in `unit`, the unit declaring it
     or a copy of that unit."""
     clauses = [*unit.top_imports(), *(s for s in graph.decls[tfqn].stats if isinstance(s, ast.ImportClause))]
-    return Site(tfqn, import_positions(graph, clauses, unit.package_path))
-
-
-class Hit(Record, frozen=True):
-    symbols: tuple[SymbolId, ...]
-    tier: str
-
-    @property
-    def symbol(self) -> SymbolId | None:
-        return self.symbols[0] if len(self.symbols) == 1 else None
-
-
-def resolve_name(graph: ScopeGraph, site: Site, name: str) -> Hit | None:
-    """Resolve a single identifier at `site`. None means not found; a Hit
-    with several symbols means the winning position was ambiguous."""
-    found = site.local(name)
-    if found is not None:
-        return Hit((found[2][0],), TIER_LOCAL)
-    if site.template is not None:
-        hits = body_lookup(graph, site.template, name)
-        if hits:
-            return Hit(hits, TIER_MEMBER)
-    found = import_lookup(graph, site.positions, name)
-    if found is not None:
-        return Hit(*found)
-    if name in BUILTINS:
-        return Hit((BUILTINS[name],), TIER_BUILTIN)
-    return None
+    return Site(import_positions(graph, clauses, unit.package_path, tfqn))
 
 
 class RefRecord(Record, frozen=True):
@@ -163,7 +124,7 @@ class _UnitWalker:
             site = (
                 template_site(self.graph, self.unit, tfqn)
                 if tfqn
-                else Site(None, unit_positions(self.graph, self.unit))
+                else Site(unit_positions(self.graph, self.unit))
             )
             for stat in tpl.stats:
                 if isinstance(stat, ast.DefDecl):
@@ -241,19 +202,15 @@ class _UnitWalker:
                 if isinstance(over, ast.DefDecl) and over.is_val:
                     message = f"forward reference to {parts[0]} extends over the definition of val {over.name}"
                     return None, None, Diagnostic(E_FORWARD_REFERENCE, message, self.unit.source_name, span)
-            if len(parts) == 1:
-                return symbol, (depth, slot), None
-        hit = resolve_name(self.graph, site, parts[0])
-        if hit is None:
-            return None, None, self._unresolved(parts[0], span)
-        if hit.symbol is None:
-            return None, None, self._ambiguous(parts[0], span, hit.symbols)
-        hits, failed = navigate(self.graph, hit.symbol, parts[1:])
-        if failed is None:
+            if len(parts) > 1:  # a local is no package or template
+                return None, None, self._unresolved(ast.dotted(parts), span)
+            return symbol, (depth, slot), None
+        hits, failed = lookup_qualified(self.graph, site.positions, parts)
+        if len(hits) == 1:
             return hits[0], None, None
         if hits:
-            return None, None, self._ambiguous(failed, span, hits)
-        return None, None, self._unresolved(ast.dotted(parts), span)
+            return None, None, self._ambiguous(parts[failed], span, hits)
+        return None, None, self._unresolved(ast.dotted(parts) if failed else parts[0], span)
 
     def _unresolved(self, name: str, span: Span) -> Diagnostic:
         return Diagnostic(

@@ -24,8 +24,8 @@ from ml1.diagnostics import (
     SemanticError,
 )
 from ml1.record import Record
-from ml1.resolve import BUILTINS, ImplicitCandidate, resolve_units, select_implicit
-from ml1.scopes import REWRITER_MARKER, TEMPLATE, ScopeGraph
+from ml1.resolve import ImplicitCandidate, resolve_units, select_implicit
+from ml1.scopes import BUILTINS, REWRITER_MARKER, TEMPLATE, ScopeGraph
 
 DEFER_REWRITER = "go.defer.rewriter"
 UPPER_REWRITER = "demo.upper.rewriter"

@@ -50,6 +50,7 @@ TEMPLATE = "template"
 DEF = "def"
 VAL = "val"
 PACKAGE = "package"
+BUILTIN = "builtin"
 
 # FQN suffix for the synthetic template symbol behind a package object;
 # keeps it distinct from the package itself ("package" cannot be a member
@@ -58,11 +59,6 @@ PACKAGE_OBJECT_MEMBER = "package"
 
 REWRITER_MARKER = "DefaultRewriter"
 
-# Tiers of an import position (see `import_positions`).
-IMPORT_NAMED = "import-named"
-IMPORT_WILDCARD = "import-wildcard"
-ENCLOSING_PACKAGE = "package"
-
 
 class SymbolId(Record, frozen=True):
     fqn: str
@@ -70,6 +66,17 @@ class SymbolId(Record, frozen=True):
 
     def short_name(self) -> str:
         return self.fqn.rsplit(".", 1)[-1]
+
+
+# Tiers of a position in a site's precedence list (see `import_positions`).
+ENCLOSING_TEMPLATE = "member"
+IMPORT_NAMED = "import-named"
+IMPORT_WILDCARD = "import-wildcard"
+ENCLOSING_PACKAGE = "package"
+BUILTIN_SCOPE = "builtin"
+
+BUILTIN_NAMES = ("print", "error", "concat", "add", "sub", "compose")
+BUILTINS = {name: SymbolId(f"<builtin>.{name}", BUILTIN) for name in BUILTIN_NAMES}
 
 
 class ExportEdge(Record, frozen=True):
@@ -554,15 +561,18 @@ def _resolve_parents(
     graph: ScopeGraph, unit: ast.CompilationUnit
 ) -> Iterable[tuple[str, tuple[str, Span, list[str]]]]:
     """Each template of `unit` with the unit's name, the template's span
-    and the templates its `extends` names."""
+    and the templates its `extends` names, each looked up at the unit's top
+    scope. A name that is ambiguous or missing at any segment misses; the
+    full resolver reports it with its candidates."""
+    positions = unit_positions(graph, unit)
     for tpl in unit.templates():
         tfqn = template_fqn(graph, unit, tpl)
         if tfqn is None:
             continue
         resolved: list[str] = []
         for parent in tpl.parents:
-            sym = lookup_at_unit_scope(graph, unit, parent)
-            if sym is None or sym.kind != TEMPLATE:
+            hits, _ = lookup_qualified(graph, positions, parent)
+            if len(hits) != 1 or hits[0].kind != TEMPLATE:
                 graph.diagnostics.append(
                     Diagnostic(
                         E_UNRESOLVED_PARENT,
@@ -572,13 +582,13 @@ def _resolve_parents(
                     )
                 )
                 continue
-            resolved.append(sym.fqn)
+            resolved.append(hits[0].fqn)
         yield tfqn, (unit.source_name, tpl.span, resolved)
 
 
-# Import positions and `import_lookup`, the one lookup policy over them;
-# the resolver, the implicit scan and graph construction (for parent
-# names) all use it.
+# A site's precedence list (`import_positions`) and `lookup_qualified`, the
+# one lookup policy over it; the resolver, the implicit scan and graph
+# construction (for parent names) all use it.
 
 
 def scope_lookup(graph: ScopeGraph, scope_fqn: str, name: str) -> tuple[SymbolId, ...]:
@@ -590,24 +600,14 @@ def scope_lookup(graph: ScopeGraph, scope_fqn: str, name: str) -> tuple[SymbolId
     return export_closure(graph, scope_fqn).lookup(name)
 
 
-def body_lookup(graph: ScopeGraph, tfqn: str, name: str) -> tuple[SymbolId, ...]:
-    """Symbols the member tier gives `name` inside template `tfqn`'s body:
-    a member, else the union of its parents' export closures, where
-    distinct symbols stay ambiguous. The template's own `@exported` clauses
-    are import positions of the body instead (`resolve.template_site`)."""
-    member = graph.scope_members(tfqn).get(name)
-    if member is not None:
-        return (member,)
-    inherited = {sym for parent in graph.inherits[tfqn] for sym in export_closure(graph, parent).lookup(name)}
-    return tuple(sorted(inherited, key=lambda sym: sym.fqn))
-
-
 class ImportPosition(Record, frozen=True):
-    """One entry of a site's precedence list: the named selectors of one
-    clause (IMPORT_NAMED), the wildcard of one clause (IMPORT_WILDCARD) or
-    one enclosing package (ENCLOSING_PACKAGE). `index` is the clause's
-    textual index, or the package's distance from the innermost one;
-    `scope` is the imported scope or the package."""
+    """One entry of a site's precedence list: the member tier of the
+    enclosing template (ENCLOSING_TEMPLATE), the named selectors of one
+    clause (IMPORT_NAMED), the wildcard of one clause (IMPORT_WILDCARD), one
+    enclosing package (ENCLOSING_PACKAGE) or the builtins (BUILTIN_SCOPE).
+    `index` is the clause's textual index, the package's distance from the
+    innermost one, or 0; `scope` is the template, the imported scope or the
+    package, or "" for the builtins."""
 
     tier: str
     index: int
@@ -616,34 +616,50 @@ class ImportPosition(Record, frozen=True):
     excluded: frozenset[str] = frozenset()  # wildcard: the names a selector mentions
 
     def lookup(self, graph: ScopeGraph, name: str) -> tuple[SymbolId, ...]:
-        """Symbols this position provides under `name`."""
-        if self.tier == IMPORT_NAMED:
+        """Symbols this position provides under `name`. Inside a template's
+        body, after its members come only its parents' re-exports, as one
+        union where distinct symbols stay ambiguous; the template's own
+        `@exported` clauses are import positions of the body instead."""
+        tier = self.tier
+        if tier == IMPORT_NAMED:
             source = self.renames.get(name)
             return () if source is None else scope_lookup(graph, self.scope, source)
-        if self.tier == IMPORT_WILDCARD:
+        if tier == IMPORT_WILDCARD:
             return () if name in self.excluded else scope_lookup(graph, self.scope, name)
-        hit = graph.scope_members(self.scope).get(name)
-        return () if hit is None else (hit,)
+        hit = (BUILTINS if tier == BUILTIN_SCOPE else graph.scope_members(self.scope)).get(name)
+        if hit is not None:
+            return (hit,)
+        if tier != ENCLOSING_TEMPLATE:
+            return ()
+        inherited = {sym for parent in graph.inherits[self.scope] for sym in export_closure(graph, parent).lookup(name)}
+        return tuple(sorted(inherited, key=lambda sym: sym.fqn))
 
     def names(self, graph: ScopeGraph) -> Iterable[str]:
         """Every name `lookup` may find symbols under."""
         if self.tier == IMPORT_NAMED:
             return self.renames
+        names = set(BUILTINS if self.tier == BUILTIN_SCOPE else graph.scope_members(self.scope))
         if self.tier == IMPORT_WILDCARD:
-            names = set(graph.scope_members(self.scope))
             names.update(export_closure(graph, self.scope).by_name)
             return names - self.excluded
-        return graph.scope_members(self.scope)
+        if self.tier == ENCLOSING_TEMPLATE:
+            names.update(name for parent in graph.inherits[self.scope] for name in export_closure(graph, parent).by_name)
+        return names
+
+
+_BUILTIN_POSITION = ImportPosition(BUILTIN_SCOPE, 0, "")
 
 
 def import_positions(
-    graph: ScopeGraph, clauses: Iterable[ast.ImportClause], package_path: ast.QualName
+    graph: ScopeGraph, clauses: Iterable[ast.ImportClause], package_path: ast.QualName, template: str | None = None
 ) -> tuple[ImportPosition, ...]:
-    """A site's precedence list, highest first: each clause's named
-    selectors, then each clause's wildcard, a later clause before an
-    earlier one in both; then the enclosing packages, innermost first.
-    Each clause's target is resolved here, once; a clause whose path does
-    not resolve provides nothing."""
+    """A site's precedence list, highest first: the member tier of the
+    enclosing `template`, if any; each clause's named selectors, then each
+    clause's wildcard, a later clause before an earlier one in both; the
+    enclosing packages, innermost first; last, the builtins. Each clause's
+    target is resolved here, once; a clause whose path does not resolve
+    provides nothing."""
+    members = () if template is None else (ImportPosition(ENCLOSING_TEMPLATE, 0, template),)
     named: list[ImportPosition] = []
     wildcards: list[ImportPosition] = []
     for index, clause in reversed(list(enumerate(clauses))):
@@ -659,7 +675,7 @@ def import_positions(
     prefixes = [".".join(package_path[:depth]) for depth in range(len(package_path), -1, -1)]
     # A prefix that a template took (E_DUPLICATE_SYMBOL) encloses nothing.
     packages = [ImportPosition(ENCLOSING_PACKAGE, i, fqn) for i, fqn in enumerate(prefixes) if fqn not in graph.members]
-    return (*named, *wildcards, *packages)
+    return (*members, *named, *wildcards, *packages, _BUILTIN_POSITION)
 
 
 def unit_positions(graph: ScopeGraph, unit: ast.CompilationUnit) -> tuple[ImportPosition, ...]:
@@ -667,43 +683,24 @@ def unit_positions(graph: ScopeGraph, unit: ast.CompilationUnit) -> tuple[Import
     return import_positions(graph, unit.top_imports(), unit.package_path)
 
 
-def import_lookup(
-    graph: ScopeGraph, positions: tuple[ImportPosition, ...], name: str
-) -> tuple[tuple[SymbolId, ...], str] | None:
-    """The lookup policy: the first position that provides `name` wins.
-    Returns its symbols, several when it is ambiguous, and its tier; None
-    when no position provides `name`."""
+def lookup_qualified(
+    graph: ScopeGraph, positions: tuple[ImportPosition, ...], parts: ast.QualName
+) -> tuple[tuple[SymbolId, ...], int]:
+    """Look up a qualified name at a site with precedence list `positions`:
+    the first position that provides `parts[0]` wins, and each later
+    segment names what the package or template reached so far provides
+    (`scope_lookup`, export closures included). Returns the hits of the
+    last segment looked up and its index: one symbol when `parts` names
+    exactly one, else the first segment that does not, with its hits (none,
+    or several when it is ambiguous)."""
+    hits: tuple[SymbolId, ...] = ()
     for position in positions:
-        hits = position.lookup(graph, name)
+        hits = position.lookup(graph, parts[0])
         if hits:
-            return hits, position.tier
-    return None
-
-
-def lookup_at_unit_scope(graph: ScopeGraph, unit: ast.CompilationUnit, parts: ast.QualName) -> SymbolId | None:
-    """Resolve a qualified name at the unit's top scope: `import_lookup`
-    over its top imports and enclosing packages, then `navigate`. A name
-    that is ambiguous or missing at any segment misses; the full resolver
-    reports it with its candidates."""
-    found = import_lookup(graph, unit_positions(graph, unit), parts[0])
-    if found is None or len(found[0]) != 1:
-        return None
-    hits, failed = navigate(graph, found[0][0], parts[1:])
-    return None if failed is not None else hits[0]
-
-
-def navigate(
-    graph: ScopeGraph, base: SymbolId, rest: ast.QualName
-) -> tuple[tuple[SymbolId, ...], str | None]:
-    """Follow qualified-name segments from `base` through packages and
-    templates, consulting export closures when a direct member is missing.
-    Returns the symbol reached, as a one-tuple, and None; or the first
-    segment that does not name exactly one symbol, with its hits (none, or
-    several when it is ambiguous)."""
-    current = base
-    for segment in rest:
-        hits = scope_lookup(graph, current.fqn, segment) if current.kind in (PACKAGE, TEMPLATE) else ()
+            break
+    for index in range(1, len(parts)):
         if len(hits) != 1:
-            return hits, segment
+            return hits, index - 1
         current = hits[0]
-    return (current,), None
+        hits = scope_lookup(graph, current.fqn, parts[index]) if current.kind in (PACKAGE, TEMPLATE) else ()
+    return hits, len(parts) - 1

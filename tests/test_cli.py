@@ -350,6 +350,14 @@ def test_lint_exits_2_on_resolve_failure(tmp_path, capsys):
     assert "E_UNRESOLVED" in err
 
 
+def test_lint_exits_2_on_scope_diagnostics(tmp_path, capsys):
+    unit = tmp_path / "dup.ml1"
+    unit.write_text("object A {\n}\nobject A {\n}\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "lint", "--marker", "Context", str(unit))
+    assert (status, out) == (2, "")
+    assert err == f"{unit}:13-25: E_DUPLICATE_SYMBOL: A is already defined\n"
+
+
 def test_inheritance_project_resolves_without_local_imports(capsys):
     status, out, _ = run_cli(capsys, "resolve", "--dump", *fixture_paths(*INHERIT))
     assert status == 0
@@ -415,6 +423,38 @@ def test_outputs_do_not_depend_on_the_hash_seed(group):
 def test_exit_code_contract(capsys, argv, expected):
     status, _, _ = run_cli(capsys, *argv)
     assert status == expected
+
+
+def test_help_states_the_exit_contract_and_its_lint_exception(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "Exit codes: 0 success, 1 semantic diagnostics (ambiguity, divergence), 2 lex/parse/runtime failure." in text
+    assert "lint exits 2 when the project has scope or resolution diagnostics" in text
+
+
+# A call to each builtin that fails at run time, with the error it gives.
+BUILTIN_FAILURES = {
+    "print": ("print(1, 2)", "print expects 1 arguments, got 2"),
+    "concat": ('concat("a")', "concat expects 2 arguments, got 1"),
+    "add": ('add(1, "x")', "add needs integer arguments"),
+    "compose": ("compose(1, 2)", "compose is interpreted at rewrite time, not at runtime"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FAILURES))
+def test_failing_builtin_calls_exit_2(tmp_path, capsys, name):
+    call, message = BUILTIN_FAILURES[name]
+    unit = tmp_path / "m.ml1"
+    unit.write_text(f"object Main {{\n  def main() = {{\n    {call}\n  }}\n}}\n", encoding="utf-8")
+    assert run_cli(capsys, "run", "--entry", "Main.main", str(unit)) == (2, "", f"error: {message}\n")
+
+
+def test_a_def_body_that_is_no_block_is_a_parse_error(tmp_path, capsys):
+    unit = tmp_path / "m.ml1"
+    unit.write_text("object M {\n  def f() = 1\n}", encoding="utf-8")
+    assert run_cli(capsys, "parse", str(unit)) == (2, "", f"{unit}: 23-24: expected a block body, found an expression\n")
 
 
 @pytest.mark.parametrize(
@@ -663,6 +703,22 @@ def test_rewriter_binding_errors_name_the_unit(tmp_path, capsys):
         f"{path}: E_UNREGISTERED_REWRITER: no intrinsic transformation is registered for custom.rewriter"
         for path in paths
     ]
+
+
+def test_a_compose_argument_that_is_no_rewriter_object_is_reported(tmp_path, capsys):
+    hub = tmp_path / "hub.ml1"
+    hub.write_text(
+        "package hub\n\nobject NotRw {\n}\n\n"
+        "implicit object rewriter extends DefaultRewriter {\n  compose(NotRw, go.defer.rewriter)\n}\n",
+        encoding="utf-8",
+    )
+    app = tmp_path / "app.ml1"
+    app.write_text("import hub._\n\nobject Main {\n}\n", encoding="utf-8")
+    status, _, err = run_cli(capsys, "rewrite", *fixture_paths("lib/go_defer.ml1"), str(hub), str(app))
+    assert status == 1
+    # Both units that see the rewriter report it, at the argument in the declaring unit.
+    line = f"{hub}:92-97: E_UNREGISTERED_REWRITER: compose argument NotRw does not resolve to a rewriter object"
+    assert err.splitlines() == [line, line]
 
 
 def compose_arguments(resolve_doc: dict, graph) -> dict[str, tuple[str, str]]:

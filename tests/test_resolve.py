@@ -3,16 +3,14 @@ import pytest
 from ml1 import ast
 from ml1.diagnostics import E_AMBIGUOUS, E_DUPLICATE_SYMBOL, E_FORWARD_REFERENCE, E_UNRESOLVED
 from ml1.resolve import (
-    BUILTINS,
     check_context_consistency,
     erase_import_annotations,
     implicit_candidates,
-    resolve_name,
     resolve_units,
     select_implicit,
     template_site,
 )
-from ml1.scopes import REWRITER_MARKER, build_scope_graph, export_closure
+from ml1.scopes import BUILTIN, BUILTINS, REWRITER_MARKER, build_scope_graph, export_closure, lookup_qualified
 
 from conftest import PARENTS, build_project, parse_fixture, parse_source
 
@@ -277,15 +275,65 @@ def test_unresolved_reference_gets_exactly_one_diagnostic():
     assert ref_symbols(resolution, "missing") == [("a.ml1", None)]
 
 
+def test_a_qualified_name_through_a_local_or_a_builtin_is_unresolved():
+    unit = parse_source(
+        "object A {\n  def f(x) = {\n    x.y\n  }\n  def g() = {\n    val v = 1\n    v.w.z\n    print.x\n  }\n}",
+        "a.ml1",
+    )
+    _, resolution = resolve_project(unit)
+    assert [d.message for d in resolution.diagnostics] == [
+        "x.y is not in scope",
+        "v.w.z is not in scope",
+        "print.x is not in scope",
+    ]
+    assert resolution.addresses == {}
+
+
 def test_resolve_name_is_deterministic():
     lib = parse_source("object Lib {\n  val x = 1\n}", "lib.ml1")
     unit = parse_source("import Lib._\n\nobject A {\n}", "a.ml1")
     graph = build_project(lib, unit)
-    site = template_site(graph, unit, "A")
-    first = resolve_name(graph, site, "x")
-    second = resolve_name(graph, site, "x")
+    positions = template_site(graph, unit, "A").positions
+    first = lookup_qualified(graph, positions, ("x",))
+    second = lookup_qualified(graph, positions, ("x",))
     assert first == second
-    assert first.symbol.fqn == "Lib.x"
+    assert [sym.fqn for sym in first[0]] == ["Lib.x"]
+
+
+def test_a_template_site_has_one_precedence_list():
+    lib = parse_source("package p\n\nobject Lib {\n  val x = 1\n}", "lib.ml1")
+    unit = parse_source(
+        "package q.r\n\nimport p.Lib.{x => y, _}\n\nobject A {\n  import p.Lib._\n}", "a.ml1"
+    )
+    graph = build_project(lib, unit)
+    positions = template_site(graph, unit, "q.r.A").positions
+    assert [(p.tier, p.index, p.scope) for p in positions] == [
+        ("member", 0, "q.r.A"),
+        ("import-named", 0, "p.Lib"),
+        ("import-wildcard", 1, "p.Lib"),
+        ("import-wildcard", 0, "p.Lib"),
+        ("package", 0, "q.r"),
+        ("package", 1, "q"),
+        ("package", 2, ""),
+        ("builtin", 0, ""),
+    ]
+    # The first segment that names no single symbol, with its index.
+    assert lookup_qualified(graph, positions, ("y", "z")) == ((), 1)
+    assert lookup_qualified(graph, positions, ("nothing", "z")) == ((), 0)
+    assert lookup_qualified(graph, positions, ("print",)) == ((BUILTINS["print"],), 0)
+    assert set(positions[-1].names(graph)) == set(BUILTINS)
+
+
+def test_the_member_tier_offers_members_then_inherited_re_exports():
+    lib = parse_source("package p\n\nobject Lib {\n  val x = 1\n}", "lib.ml1")
+    base = parse_source("package p\n\ntrait T {\n  @exported import p.Lib._\n  def t() = {\n  }\n}", "t.ml1")
+    unit = parse_source("package p\n\nobject A extends T {\n  val a = 2\n}", "a.ml1")
+    graph = build_project(lib, base, unit)
+    member_tier = template_site(graph, unit, "p.A").positions[0]
+    assert member_tier.tier == "member"
+    assert set(member_tier.names(graph)) == {"a", "t", "x"}
+    assert [sym.fqn for sym in member_tier.lookup(graph, "x")] == ["p.Lib.x"]
+    assert [sym.fqn for sym in member_tier.lookup(graph, "t")] == ["p.T.t"]
 
 
 def test_self_visibility_of_exported_imports():
@@ -586,3 +634,4 @@ def test_single_unit_projects_are_always_consistent():
 
 def test_builtin_table_is_complete():
     assert set(BUILTINS) == {"print", "error", "concat", "add", "sub", "compose"}
+    assert {sym.kind for sym in BUILTINS.values()} == {BUILTIN}
