@@ -27,7 +27,7 @@ from ml1.tokens import LexError, Span, tokenize
 # `parse` loads only the front end.
 if TYPE_CHECKING:
     from ml1.resolve import RefRecord, Resolution
-    from ml1.rewrite import Registry, RewriteReport
+    from ml1.rewrite import RewriteReport
     from ml1.scopes import ClosureEntry, ScopeGraph
 
 OK = 0
@@ -189,66 +189,71 @@ def cmd_resolve(args) -> int:
     return SEMANTIC if had else OK
 
 
-def _rewrite_unit(
-    graph: ScopeGraph, unit: ast.CompilationUnit, registry: Registry
-) -> tuple[ast.CompilationUnit, RewriteReport]:
-    """Bind the rewriter the unit's imports switch on and apply it. A
-    diagnostic that names no unit is about this one."""
+def _rewrite_units(
+    graph: ScopeGraph, units: list[ast.CompilationUnit]
+) -> list[tuple[ast.CompilationUnit, RewriteReport] | None]:
+    """Each unit with the rewriter its imports switch on bound and applied,
+    and its report; None for a unit whose rewriter fails. A diagnostic that
+    names no unit is about the unit at hand. Units that see the same broken
+    rewriter report it alike, so each distinct diagnostic is printed once,
+    in the order first met."""
     from ml1.resolve import implicit_candidates
-    from ml1.rewrite import apply_rewriter, bind_rewriter
+    from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry
     from ml1.scopes import REWRITER_MARKER
 
-    try:
-        chain = bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
-        return apply_rewriter(chain, unit, registry)
-    except SemanticError as err:
-        if err.diagnostic.unit is not None:
-            raise
-        raise SemanticError(replace(err.diagnostic, unit=unit.source_name)) from err
+    registry = builtin_registry()
+    results: list[tuple[ast.CompilationUnit, RewriteReport] | None] = []
+    reported: set[str] = set()
+    for unit in units:
+        try:
+            chain = bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
+            results.append(apply_rewriter(chain, unit, registry))
+        except SemanticError as err:
+            diagnostic = err.diagnostic
+            if diagnostic.unit is None:
+                diagnostic = replace(diagnostic, unit=unit.source_name)
+            line = diagnostic.render()
+            if line not in reported:
+                reported.add(line)
+                print(line, file=sys.stderr)
+            results.append(None)
+    return results
 
 
 def cmd_rewrite(args) -> int:
-    from ml1.rewrite import builtin_registry
     from ml1.scopes import build_scope_graph
 
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     if _report_diagnostics(graph):
         return SEMANTIC
-    registry = builtin_registry()
-    status = OK
-    for unit in units:
-        try:
-            rewritten, report = _rewrite_unit(graph, unit, registry)
-        except SemanticError as err:
-            print(err.diagnostic.render(), file=sys.stderr)
-            status = SEMANTIC
+    results = _rewrite_units(graph, units)
+    for result in results:
+        if result is None:
             continue
+        rewritten, report = result
         sys.stdout.write(pretty_print(rewritten))
         if args.dump:
             if args.format == "pretty":
                 print(f"# chain={report.chain} templates={report.templates_touched} nodes={report.nodes_replaced}")
             else:
                 print(_dump(report.as_dict()))
-    return status
+    return SEMANTIC if None in results else OK
 
 
 def cmd_run(args) -> int:
     from ml1.interp import run
     from ml1.resolve import resolve_units
-    from ml1.rewrite import builtin_registry
     from ml1.scopes import build_scope_graph
 
     units = _load_units(args.files)
     graph = build_scope_graph(units)
     if _report_diagnostics(graph):
         return SEMANTIC
-    registry = builtin_registry()
-    try:
-        rewritten = [_rewrite_unit(graph, unit, registry)[0] for unit in units]
-    except SemanticError as err:
-        print(err.diagnostic.render(), file=sys.stderr)
+    results = _rewrite_units(graph, units)
+    if None in results:
         return SEMANTIC
+    rewritten = [unit for unit, _ in results]
     final_graph = build_scope_graph(rewritten)
     resolution = resolve_units(final_graph, rewritten)
     if _report_diagnostics(final_graph, resolution):

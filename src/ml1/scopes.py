@@ -14,9 +14,10 @@ a path of that parent's own closure would.
 
 `export_closure` is the one closure engine. It keeps a single witness path
 per (visible name, symbol) pair: the shortest, then the lowest by its list
-of edge labels. Paths are expanded breadth-first in that order. A path's
-selectors compose into one filter, which is then restricted to the names
-a later edge can still deliver to it. A path stops exactly when it cannot
+of edge labels. Paths are expanded breadth-first in that order. Each edge's
+selectors make one filter, built once per graph (`ExportEdge.filter`); a
+path's filters compose into one, which is then restricted to the names a
+later edge can still deliver to it. A path stops exactly when it cannot
 add a pair or a smaller witness: once that filter hides every name, or once
 the same scope was already reached under the same filter with a visited set
 that is a subset of this path's. Closures are memoized on the graph; the
@@ -80,17 +81,22 @@ BUILTINS = {name: SymbolId(f"<builtin>.{name}", BUILTIN) for name in BUILTIN_NAM
 
 
 class ExportEdge(Record, frozen=True):
-    """One `@exported` import clause of a template."""
+    """The `index`-th `@exported` import clause of template `origin`, with
+    the scope its path resolves to."""
 
     origin: str
-    import_path: ast.QualName
-    selectors: ast.ImportSelectors
+    index: int
     resolved_target: str
-    span: Span = field(compare=False, default=ast.NO_SPAN)
-    index: int = 0
+    selectors: ast.ImportSelectors
 
     def label(self) -> str:
         return f"{self.origin}[{self.index}]=>{self.resolved_target}"
+
+    @cached_property
+    def filter(self) -> _Filter:
+        """The clause's selectors as one filter, built once per edge and
+        shared by every closure that takes it."""
+        return _selector_filter(self.selectors)
 
 
 class ClosureEntry(Record, frozen=True):
@@ -217,7 +223,7 @@ def export_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
 # becomes its value (None hides it); any other name passes unchanged when
 # wildcard is set and is hidden otherwise. Maps are kept normal (no entry
 # that repeats the default), so equal filters have equal keys. Filters are
-# shared between paths and never mutated.
+# shared between paths and closures and never mutated.
 _Filter = tuple[bool, dict[str, "str | None"]]
 _IDENTITY: _Filter = (True, {})
 
@@ -271,50 +277,35 @@ def _selector_filter(selectors: ast.ImportSelectors) -> _Filter:
 
 def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
     # Every scope reachable from `fqn`, with its edges in label order: each
-    # with its `extends` chain and all that taking it visits.
-    steps: dict[str, list[tuple[ExportEdge, str, frozenset[str], frozenset[str], _Filter]]] = {}
+    # with its target, its `extends` chain and all that taking it visits.
+    steps: dict[str, list[tuple[ExportEdge, str, frozenset[str], frozenset[str]]]] = {}
     pending = [fqn]
     while pending:
         scope = pending.pop()
         if scope in steps:
             continue
         steps[scope] = [
-            (
-                edge,
-                edge.resolved_target,
-                chain,
-                chain.union((edge.resolved_target, *graph.parts(edge.resolved_target)[:1])),
-                _selector_filter(edge.selectors),
-            )
+            (edge, edge.resolved_target, chain, chain | {edge.resolved_target, *graph.parts(edge.resolved_target)[:1]})
             for edge, chain in sorted(graph.edges_of(scope), key=lambda step: step[0].label())
         ]
-        pending.extend(target for _, target, _, _, _ in steps[scope])
+        pending.extend(target for _, target, _, _ in steps[scope])
     members = {scope: graph.scope_members(scope) for scope in steps}
     # A name can reach a path's filter from a later edge only as a member of
     # a scope the path has not visited yet, or as the new name a selector
     # gives it on an edge of the path's last scope or of an unvisited one:
-    # name -> (scope, whether by a rename) for each such source.
+    # name -> (scope, whether by a rename) for each such source. So an edge's
+    # hide of a name that arrives only from the edge's own scope, which every
+    # path taking the edge has visited, decides nothing: the edge's filter
+    # serves every closure as it is.
     arrives: dict[str, list[tuple[str, bool]]] = {}
     for scope, found in members.items():
         for name in found:
             arrives.setdefault(name, []).append((scope, False))
     for scope, edges in steps.items():
-        for _, _, _, _, (_, names) in edges:
-            for name, to in names.items():
+        for edge, _, _, _ in edges:
+            for name, to in edge.filter[1].items():
                 if to is not None and to != name:
                     arrives.setdefault(to, []).append((scope, True))
-    # An edge of `scope` is taken only where the path has visited `scope`, so
-    # a name that can arrive only from `scope` never reaches its filter:
-    # drop the entries hiding such names, such as the new name of a rename
-    # that the same clause's wildcard hides.
-    for scope, edges in steps.items():
-        for i, (edge, target, chain, target_ids, (wild, names)) in enumerate(edges):
-            kept = {
-                name: to
-                for name, to in names.items()
-                if to is not None or any(s != scope for s, _ in arrives.get(name, ()))
-            }
-            edges[i] = (edge, target, chain, target_ids, (wild, kept))
 
     # Breadth-first over simple edge paths, each level in label order: the
     # first path to yield a pair is its witness.
@@ -324,10 +315,10 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
     while frontier:
         next_frontier = []
         for scope, path_filter, visited, path in frontier:
-            for edge, target, chain, target_ids, edge_filter in steps[scope]:
+            for edge, target, chain, target_ids in steps[scope]:
                 if target in visited or chain and not chain.isdisjoint(visited):
                     continue
-                wild, names = _compose(path_filter, edge_filter)
+                wild, names = _compose(path_filter, edge.filter)
                 if not wild and not names:
                     continue  # hides every name, here and beyond
                 target_path = path + (edge,)
@@ -523,16 +514,7 @@ def _link_imports(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
             target = resolve_clause(stat)
             if stat.annotations == ("exported",) and target is not None and tfqn is not None:
                 edges = graph.exports[tfqn]
-                edges.append(
-                    ExportEdge(
-                        origin=tfqn,
-                        import_path=stat.path,
-                        selectors=stat.selectors,
-                        resolved_target=target,
-                        span=stat.span,
-                        index=len(edges),
-                    )
-                )
+                edges.append(ExportEdge(tfqn, len(edges), target, stat.selectors))
 
 
 def template_fqn_of(unit: ast.CompilationUnit, tpl: ast.TemplateDef) -> str:

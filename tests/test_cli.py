@@ -240,6 +240,25 @@ def test_rewrite_without_import_is_byte_identical(capsys):
     assert out == path.read_text(encoding="utf-8")
 
 
+def test_parse_prints_each_unit_in_order(capsys):
+    files = fixture_paths(*SALAT_AFTER)
+    status, out, _ = run_cli(capsys, "parse", "--dump-ast", "--format", "pretty", *files)
+    assert status == 0
+    assert out == "".join(pretty_print(parse_unit(tokenize(Path(f).read_text(encoding="utf-8")), f)) for f in files)
+
+
+def test_rewrite_reports_each_chain_in_a_comment_line(capsys):
+    status, out, _ = run_cli(capsys, "rewrite", "--dump", "--format", "pretty", *fixture_paths(*COMPOSE))
+    assert status == 0
+    assert [line for line in out.splitlines() if line.startswith("#")] == [
+        "# chain=['go.defer.rewriter'] templates=0 nodes=0",
+        "# chain=['demo.upper.rewriter'] templates=0 nodes=0",
+        "# chain=[] templates=0 nodes=0",
+        "# chain=['go.defer.rewriter', 'demo.upper.rewriter'] templates=0 nodes=0",
+        "# chain=['go.defer.rewriter', 'demo.upper.rewriter'] templates=1 nodes=3",
+    ]
+
+
 def test_rewrite_reports_composed_chain(capsys):
     status, out, _ = run_cli(capsys, "rewrite", "--dump", *fixture_paths(*COMPOSE))
     assert status == 0
@@ -690,19 +709,37 @@ def test_cyclic_inheritance_is_reported_once(tmp_path, capsys, name):
     assert [line.split(": ")[1] for line in err.splitlines()] == ["E_CYCLIC_INHERITANCE"]
 
 
-def test_rewriter_binding_errors_name_the_unit(tmp_path, capsys):
+def unregistered_rewriter_project(tmp_path) -> list[str]:
+    """A rewriter object with no intrinsic transformation, in `custom`, and
+    two units that import it."""
     (tmp_path / "custom.ml1").write_text(
         "package custom\n\nimplicit object rewriter extends DefaultRewriter {\n}\n", encoding="utf-8"
     )
     for name in ("a", "b"):
         (tmp_path / f"{name}.ml1").write_text(f"import custom._\n\nobject {name.upper()} {{\n}}\n", encoding="utf-8")
-    paths = [str(tmp_path / f"{name}.ml1") for name in ("custom", "a", "b")]
+    return [str(tmp_path / f"{name}.ml1") for name in ("custom", "a", "b")]
+
+
+def test_rewriter_binding_errors_name_the_unit(tmp_path, capsys):
+    paths = unregistered_rewriter_project(tmp_path)
     status, _, err = run_cli(capsys, "rewrite", *paths)
     assert status == 1
     assert err.splitlines() == [
         f"{path}: E_UNREGISTERED_REWRITER: no intrinsic transformation is registered for custom.rewriter"
         for path in paths
     ]
+
+
+def test_run_reports_every_unit_whose_rewriter_fails(tmp_path, capsys):
+    paths = unregistered_rewriter_project(tmp_path)
+    assert run_cli(capsys, "run", "--entry", "A.main", *paths) == (
+        1,
+        "",
+        "".join(
+            f"{path}: E_UNREGISTERED_REWRITER: no intrinsic transformation is registered for custom.rewriter\n"
+            for path in paths
+        ),
+    )
 
 
 def test_a_compose_argument_that_is_no_rewriter_object_is_reported(tmp_path, capsys):
@@ -716,9 +753,11 @@ def test_a_compose_argument_that_is_no_rewriter_object_is_reported(tmp_path, cap
     app.write_text("import hub._\n\nobject Main {\n}\n", encoding="utf-8")
     status, _, err = run_cli(capsys, "rewrite", *fixture_paths("lib/go_defer.ml1"), str(hub), str(app))
     assert status == 1
-    # Both units that see the rewriter report it, at the argument in the declaring unit.
-    line = f"{hub}:92-97: E_UNREGISTERED_REWRITER: compose argument NotRw does not resolve to a rewriter object"
-    assert err.splitlines() == [line, line]
+    # Both units that see the rewriter raise the same diagnostic, at the
+    # argument in the declaring unit; it is printed once.
+    assert err.splitlines() == [
+        f"{hub}:92-97: E_UNREGISTERED_REWRITER: compose argument NotRw does not resolve to a rewriter object"
+    ]
 
 
 def compose_arguments(resolve_doc: dict, graph) -> dict[str, tuple[str, str]]:

@@ -10,6 +10,7 @@ from ml1.parser import (
     ParseError,
     parse_unit,
 )
+from ml1.printer import pretty_print
 from ml1.tokens import tokenize
 
 from conftest import parse_fixture, parse_source
@@ -122,6 +123,13 @@ def test_statements_need_newline_or_semicolon():
     unit = parse_source("object A { def f() = { g(); h() } }")
     (decl,) = next(unit.templates()).stats
     assert len(decl.body.stats) == 2
+
+
+def test_a_semicolon_may_end_the_last_statement_of_a_block():
+    unit = parse_source("object A {\n  def f() = {\n    print(1);\n  }\n}")
+    (decl,) = next(unit.templates()).stats
+    assert len(decl.body.stats) == 1
+    assert pretty_print(unit) == "object A {\n  def f() = {\n    print(1)\n  }\n}\n"
 
 
 def test_call_parenthesis_must_share_the_callee_line():

@@ -1,7 +1,13 @@
 import pytest
 
 from ml1 import ast
-from ml1.diagnostics import E_AMBIGUOUS, E_DUPLICATE_SYMBOL, E_FORWARD_REFERENCE, E_UNRESOLVED
+from ml1.diagnostics import (
+    E_AMBIGUOUS,
+    E_DUPLICATE_SYMBOL,
+    E_FORWARD_REFERENCE,
+    E_UNRESOLVED,
+    E_UNRESOLVED_IMPORT_PATH,
+)
 from ml1.resolve import (
     check_context_consistency,
     erase_import_annotations,
@@ -48,6 +54,18 @@ def test_member_wins_over_wildcard_import():
     )
     _, resolution = resolve_project(lib, unit)
     assert ref_symbols(resolution, "x") == [("a.ml1", "A.x")]
+
+
+def test_an_import_path_finds_members_only_where_a_reference_finds_re_exports():
+    # The root package `p` re-exports `q.X` through its package object.
+    q = parse_source("package q\n\nobject X {\n  def f() = {\n    1\n  }\n}", "q.ml1")
+    p = parse_source("package object p {\n  @exported import q.X\n}", "p.ml1")
+    by_reference = parse_source("object A {\n  def g() = {\n    p.X.f()\n  }\n}", "a.ml1")
+    _, resolution = resolve_project(q, p, by_reference)
+    assert ref_symbols(resolution, "p.X.f") == [("a.ml1", "q.X.f")]
+    by_import = parse_source("import p.X._\n\nobject B {\n}", "b.ml1")
+    graph = build_scope_graph([q, p, by_import])
+    assert [(d.code, d.unit) for d in graph.diagnostics] == [(E_UNRESOLVED_IMPORT_PATH, "b.ml1")]
 
 
 def test_inherited_member_resolves_at_member_tier():

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from ml1 import scopes
 from ml1.diagnostics import (
     E_DUPLICATE_SYMBOL,
     E_UNKNOWN_IMPORT_ANNOTATION,
@@ -134,6 +135,28 @@ def test_hidden_names_never_pass_their_edge():
     for entry in closure.entries:
         for edge in entry.path:
             assert entry.visible_name != "a"
+
+
+def test_each_edge_filter_is_built_once_per_graph(monkeypatch):
+    built = []
+    selector_filter = scopes._selector_filter
+
+    def counting(selectors):
+        built.append(selectors)
+        return selector_filter(selectors)
+
+    monkeypatch.setattr(scopes, "_selector_filter", counting)
+    # Both hubs reach Mid's edge; every closure takes it.
+    unit = parse_source(
+        "object Base {\n  val a = 1\n  val b = 2\n}\n"
+        "object Mid {\n  @exported import Base.{a => c, _}\n}\n"
+        "object Hub1 {\n  @exported import Mid._\n}\n"
+        "object Hub2 {\n  @exported import Mid._\n}\n"
+    )
+    graph = build_project(unit)
+    closures = [export_closure(graph, name) for name in ("Base", "Mid", "Hub1", "Hub2")]
+    assert [closure.lookup("c") for closure in closures] == [(), *[(graph.symbols["Base.a"],)] * 3]
+    assert len(built) == sum(len(edges) for edges in graph.exports.values()) == 3
 
 
 def test_random_graphs_match_the_path_enumeration_oracle():
