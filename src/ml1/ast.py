@@ -8,6 +8,7 @@ a unit is equal to the result of parsing its own pretty-printed form.
 from __future__ import annotations
 
 from dataclasses import field, fields, replace
+from functools import cached_property
 from typing import Iterator, Union
 
 from ml1.record import Record
@@ -46,13 +47,25 @@ class ImportSelectors(Record, frozen=True):
     wildcard: bool
     names: tuple[Selector, ...] = ()
 
-    def apply(self, name: str) -> str | None:
-        """Visible name this filter gives `name`, or None when filtered out.
-        The first selector naming `name` decides; a later one is ignored."""
+    @cached_property
+    def table(self) -> dict[str, str | None]:
+        """Each name a selector decides, with the name it becomes visible
+        as (None hides it), built once per clause. The first selector of a
+        name decides. Beside a wildcard, a rename's new name that no selector
+        names as a source is hidden (SLS §4.7): in `{a => b, _}`, `b` means
+        `a` only."""
+        table: dict[str, str | None] = {}
         for sel in self.names:
-            if sel.source == name:
-                return sel.target
-        return name if self.wildcard else None
+            table.setdefault(sel.source, sel.target)
+        if self.wildcard:
+            for sel in self.names:
+                if sel.target:
+                    table.setdefault(sel.target, None)
+        return table
+
+    def apply(self, name: str) -> str | None:
+        """Visible name this filter gives `name`, or None when filtered out."""
+        return self.table.get(name, name if self.wildcard else None)
 
 
 WILDCARD = ImportSelectors(wildcard=True)

@@ -150,10 +150,11 @@ def apply_rewriter(
         transformed = stat
         for key in chain:
             transformed = _run_intrinsic(registry, key, transformed)
-        if transformed == stat:
+        replaced = _diff_count(stat, transformed)
+        if not replaced:
             return stat
         report.templates_touched += 1
-        report.nodes_replaced += _diff_count(stat, transformed)
+        report.nodes_replaced += replaced
         return transformed
 
     return ast.map_children(unit, rewrite), report

@@ -8,9 +8,12 @@ site alike. A part's `@exported` imports become edges; the names they make
 visible (directly or through further exported imports) form the scope's
 export closure. A closure path may enter each scope at most once, so cyclic
 edges terminate while every finitely derivable name is still found.
-Entering a package enters its package object too; taking a clause of an
-inherited part enters the parents on the `extends` chain to that part, as
-a path of that parent's own closure would.
+Entering a package enters its package object too, and a package object's
+closure starts inside it, so it never re-enters its own package; taking a
+clause of an inherited part enters the parents on the `extends` chain to
+that part, as a path of that parent's own closure would. What each clause
+enters is derived once per graph (`ScopeGraph.edges_of`) and shared by
+every closure.
 
 `export_closure` is the one closure engine. It keeps a single witness path
 per (visible name, symbol) pair: the shortest, then the lowest by its list
@@ -59,6 +62,9 @@ BUILTIN = "builtin"
 PACKAGE_OBJECT_MEMBER = "package"
 
 REWRITER_MARKER = "DefaultRewriter"
+# The host always provides the marker trait rewriter objects extend, unless
+# the project defines its own.
+_HOST_UNIT = ast.CompilationUnit((), (ast.TemplateDef(ast.TRAIT, REWRITER_MARKER, (), ()),), "<host>")
 
 
 class SymbolId(Record, frozen=True):
@@ -138,13 +144,16 @@ class ScopeGraph(Record):
     owner_unit: dict[str, str] = field(default_factory=dict)
     units: list[ast.CompilationUnit] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # Memos of `export_closure`, `parts` and `scope_members`, keyed by scope
-    # FQN. Each entry depends on `inherits`, so `build_scope_graph` clears
-    # the memos once every parent is linked; after that each entry is built
-    # once and shared read-only.
+    # Memos of `export_closure`, `parts`, `scope_members` and `edges_of`,
+    # keyed by scope FQN. Each entry depends on `inherits`, so
+    # `build_scope_graph` clears the memos once every parent is linked; after
+    # that each entry is built once and shared read-only.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
     scope_parts: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
     member_maps: dict[str, Mapping[str, SymbolId]] = field(default_factory=dict, repr=False, compare=False)
+    scope_edges: dict[str, tuple[tuple[ExportEdge, frozenset[str]], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     # `resolve_units` of each unit that declares a composed rewriter object,
     # keyed by id(unit), since two units may share a name; `rewrite` fills
     # it on the finished graph.
@@ -177,16 +186,23 @@ class ScopeGraph(Record):
             found = self.member_maps[fqn] = MappingProxyType(out)
         return found
 
-    def edges_of(self, fqn: str) -> list[tuple[ExportEdge, frozenset[str]]]:
-        """The `@exported` clauses of scope `fqn`'s parts, each with the
-        parents on one `extends` chain from the first part to the clause's
-        part, once per chain; a clause that targets its own chain is left out."""
-        head = self.parts(fqn)[:1]
-        found, pending = [], [(part, frozenset()) for part in head]
-        while pending:
-            part, chain = pending.pop()
-            found += [(edge, chain) for edge in self.exports.get(part, ()) if edge.resolved_target not in chain]
-            pending += [(up, chain | {up}) for up in self.inherits.get(part, ())]
+    def edges_of(self, fqn: str) -> tuple[tuple[ExportEdge, frozenset[str]], ...]:
+        """The `@exported` clauses of scope `fqn`'s parts in label order,
+        once per `extends` chain from the first part to the clause's part,
+        each with what taking it enters: the parents on that chain, the
+        clause's target and the target's package object. A clause that
+        targets its own chain is left out."""
+        found = self.scope_edges.get(fqn)
+        if found is None:
+            steps, pending = [], [(part, frozenset()) for part in self.parts(fqn)[:1]]
+            while pending:
+                part, chain = pending.pop()
+                for edge in self.exports.get(part, ()):
+                    target = edge.resolved_target
+                    if target not in chain:
+                        steps.append((edge, chain | {target, *self.parts(target)[:1]}))
+                pending += [(up, chain | {up}) for up in self.inherits.get(part, ())]
+            found = self.scope_edges[fqn] = tuple(sorted(steps, key=lambda step: step[0].label()))
         return found
 
     def linearized_parents(self, tfqn: str) -> list[str]:
@@ -255,57 +271,34 @@ def _compose(outer: _Filter, inner: _Filter) -> _Filter:
     return wild, out
 
 
-def _selector_map(selectors: ast.ImportSelectors) -> dict[str, str | None]:
-    """Each name a selector mentions, with the name `ImportSelectors.apply`
-    makes it visible as (None hides it): the first selector of a name
-    decides. Beside a rename, the clause's wildcard hides the rename's new
-    name, unless a selector names it as a source: in `{a => b, _}`, `b`
-    means `a` only."""
-    names = {sel.source: selectors.apply(sel.source) for sel in selectors.names}
-    if selectors.wildcard:
-        for sel in selectors.names:
-            if sel.target and sel.target not in names:
-                names[sel.target] = None
-    return names
-
-
 def _selector_filter(selectors: ast.ImportSelectors) -> _Filter:
-    names = _selector_map(selectors)
     wild = selectors.wildcard
-    return wild, {name: to for name, to in names.items() if to != (name if wild else None)}
+    return wild, {name: to for name, to in selectors.table.items() if to != (name if wild else None)}
 
 
 def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
-    # Every scope reachable from `fqn`, with its edges in label order: each
-    # with its target, its `extends` chain and all that taking it visits.
-    steps: dict[str, list[tuple[ExportEdge, str, frozenset[str], frozenset[str]]]] = {}
-    pending = [fqn]
-    while pending:
-        scope = pending.pop()
-        if scope in steps:
-            continue
-        steps[scope] = [
-            (edge, edge.resolved_target, chain, chain | {edge.resolved_target, *graph.parts(edge.resolved_target)[:1]})
-            for edge, chain in sorted(graph.edges_of(scope), key=lambda step: step[0].label())
-        ]
-        pending.extend(target for _, target, _, _ in steps[scope])
-    members = {scope: graph.scope_members(scope) for scope in steps}
     # A name can reach a path's filter from a later edge only as a member of
     # a scope the path has not visited yet, or as the new name a selector
     # gives it on an edge of the path's last scope or of an unvisited one:
     # name -> (scope, whether by a rename) for each such source. So an edge's
     # hide of a name that arrives only from the edge's own scope, which every
     # path taking the edge has visited, decides nothing: the edge's filter
-    # serves every closure as it is.
+    # serves every closure as it is. The table covers the scopes reachable
+    # from `fqn` only: over the whole graph it would count scopes no path of
+    # this root reaches, and prune less.
     arrives: dict[str, list[tuple[str, bool]]] = {}
-    for scope, found in members.items():
-        for name in found:
+    reachable, pending = {fqn}, [fqn]
+    while pending:
+        scope = pending.pop()
+        for name in graph.scope_members(scope):
             arrives.setdefault(name, []).append((scope, False))
-    for scope, edges in steps.items():
-        for edge, _, _, _ in edges:
+        for edge, _ in graph.edges_of(scope):
             for name, to in edge.filter[1].items():
                 if to is not None and to != name:
                     arrives.setdefault(to, []).append((scope, True))
+            if edge.resolved_target not in reachable:
+                reachable.add(edge.resolved_target)
+                pending.append(edge.resolved_target)
 
     # Breadth-first over simple edge paths, each level in label order: the
     # first path to yield a pair is its witness.
@@ -315,14 +308,15 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
     while frontier:
         next_frontier = []
         for scope, path_filter, visited, path in frontier:
-            for edge, target, chain, target_ids in steps[scope]:
-                if target in visited or chain and not chain.isdisjoint(visited):
+            for edge, entered in graph.edges_of(scope):
+                if not entered.isdisjoint(visited):
                     continue
                 wild, names = _compose(path_filter, edge.filter)
                 if not wild and not names:
                     continue  # hides every name, here and beyond
+                target = edge.resolved_target
                 target_path = path + (edge,)
-                found = members[target]
+                found = graph.scope_members(target)
                 if wild:
                     visible_syms = ((names.get(name, name), sym) for name, sym in found.items())
                 else:
@@ -332,7 +326,7 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
                         key = (visible, sym.fqn)
                         if key not in witness:
                             witness[key] = (sym, target_path)
-                target_visited = visited | target_ids
+                target_visited = visited | entered
                 carried = {
                     name: visible
                     for name, visible in names.items()
@@ -362,7 +356,7 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
     for unit in units:
         _declare_unit(graph, unit)
     if REWRITER_MARKER not in graph.symbols:
-        _inject_rewriter_marker(graph)
+        _declare_unit(graph, _HOST_UNIT)
     for unit in units:
         _link_imports(graph, unit)
     # Parent names resolve without inherited names: every parent is looked
@@ -380,20 +374,8 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
     graph.closures.clear()
     graph.scope_parts.clear()
     graph.member_maps.clear()
+    graph.scope_edges.clear()
     return graph
-
-
-def _inject_rewriter_marker(graph: ScopeGraph) -> None:
-    # The host always provides the marker trait rewriter objects extend,
-    # unless the project defines its own.
-    sym = SymbolId(REWRITER_MARKER, TEMPLATE)
-    graph.symbols[REWRITER_MARKER] = sym
-    graph.members[REWRITER_MARKER] = []
-    graph.inherits[REWRITER_MARKER] = []
-    decl = ast.TemplateDef(ast.TRAIT, REWRITER_MARKER, (), ())
-    graph.decls[REWRITER_MARKER] = decl
-    graph.owner_unit[REWRITER_MARKER] = "<host>"
-    graph.package_members.setdefault("", []).append(sym)
 
 
 def _ensure_package(graph: ScopeGraph, path: ast.QualName, unit: ast.CompilationUnit) -> None:
@@ -648,7 +630,7 @@ def import_positions(
         target = resolve_import_path(graph, clause.path)
         if target is None:
             continue
-        selected = _selector_map(clause.selectors)
+        selected = clause.selectors.table
         renames = {visible: source for source, visible in selected.items() if visible is not None}
         if renames:
             named.append(ImportPosition(IMPORT_NAMED, index, target, renames=renames))

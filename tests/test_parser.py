@@ -88,6 +88,14 @@ def test_selector_forms():
     assert sel.apply("other") == "other"
 
 
+def test_a_wildcard_beside_a_rename_hides_the_new_name():
+    # SLS §4.7: the wildcard imports the members other than those the
+    # selectors name, on either side of an arrow.
+    (clause,) = parse_source("import p.L.{a => b, _}").top_imports()
+    assert clause.selectors.apply("a") == "b"
+    assert clause.selectors.apply("b") is None
+
+
 def test_single_name_import_is_a_named_selector():
     unit = parse_source("import a.b.c")
     (clause,) = list(unit.top_imports())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ml1 import ast
@@ -19,6 +21,7 @@ from ml1.resolve import (
 from ml1.scopes import BUILTIN, BUILTINS, REWRITER_MARKER, build_scope_graph, export_closure, lookup_qualified
 
 from conftest import PARENTS, build_project, parse_fixture, parse_source
+from gen import NAME_POOL, RENAME_POOL, EdgeSpec, _edge_filter, _selector_text
 
 
 def ref_symbols(resolution, name):
@@ -204,6 +207,60 @@ def test_a_rename_onto_a_name_shadows_the_wildcard_through_a_hub_too():
     assert not resolution.diagnostics
     assert ref_symbols(resolution, "b") == [("via_hub.ml1", "p.L.a"), ("inline.ml1", "p.L.a")]
     assert export_closure(graph, "q.Hub").lookup("b") == (graph.symbols["p.L.a"],)
+
+
+def random_clauses(count=300):
+    """`count` seeded draws of a provider's members and the selectors of one
+    clause over it: distinct sources, each kept, hidden or renamed (mostly
+    onto another member), with or without a trailing wildcard; the targets
+    stay distinct."""
+    rng = random.Random(20261019)
+    for _ in range(count):
+        members = sorted(rng.sample(NAME_POOL, rng.randint(1, len(NAME_POOL))))
+        named, taken = [], set()
+        for source in rng.sample(NAME_POOL, rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.3:
+                target = source
+            elif roll < 0.5:
+                target = None
+            else:
+                onto = [name for name in members if name != source]
+                target = rng.choice(onto if onto and rng.random() < 0.75 else RENAME_POOL)
+            if target in taken:
+                target = None
+            taken.add(target)
+            named.append((source, target))
+        yield members, EdgeSpec(0, 0, not named or rng.random() < 0.5, named)
+
+
+def test_a_hub_of_one_clause_binds_every_name_as_the_inlined_clause():
+    """The paper's law for one `@exported` clause: `import H._` binds each
+    name to the symbol, or gives the diagnostic, that the clause inlined does."""
+    names = NAME_POOL + RENAME_POOL
+    reads = "".join(f"    {name}\n" for name in names)
+    for members, edge in random_clauses():
+        selectors = _selector_text(edge)
+        vals = "".join(f"  val {name} = {i}\n" for i, name in enumerate(members))
+        units = [
+            parse_source(f"package p\n\nobject L {{\n{vals}}}\n", "l.ml1"),
+            parse_source(f"package q\n\nobject H {{\n  @exported import p.L.{selectors}\n}}\n", "h.ml1"),
+            *(
+                parse_source(f"import {path}\n\nobject {name} {{\n  def probe() = {{\n{reads}  }}\n}}\n", unit)
+                for name, path, unit in [("C", "q.H._", "via_hub.ml1"), ("D", f"p.L.{selectors}", "inline.ml1")]
+            ),
+        ]
+        _, resolution = resolve_project(*units)
+        codes = {(d.unit, d.span): d.code for d in resolution.diagnostics}
+        outcomes = [rec.symbol.fqn if rec.symbol else codes[(rec.unit, rec.span)] for rec in resolution.records]
+        assert outcomes[: len(names)] == outcomes[len(names) :], selectors
+
+
+def test_import_selectors_apply_the_oracle_selector_rule():
+    names = NAME_POOL + RENAME_POOL
+    for _, edge in random_clauses():
+        (clause,) = parse_source(f"import p.L.{_selector_text(edge)}").top_imports()
+        assert [clause.selectors.apply(name) for name in names] == [_edge_filter(edge, name) for name in names]
 
 
 def test_a_duplicate_template_sees_no_members_of_the_first_one():

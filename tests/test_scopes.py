@@ -358,6 +358,32 @@ def test_rewriter_marker_is_injected_once():
     assert graph.owner_unit["DefaultRewriter"] == "marker.ml1"
 
 
+def test_a_package_object_closure_never_reenters_its_own_package():
+    units = [
+        parse_source("package r\n\npackage object s {\n  @exported import r.s._\n}", "s.ml1"),
+        parse_source("package r.s\n\nobject Z {\n}", "z.ml1"),
+        parse_source("import r.s._\n\nobject C {\n  def f() = {\n    Z\n  }\n}", "c.ml1"),
+    ]
+    graph = build_project(*units)
+    assert export_closure(graph, "r.s.package").entries == ()
+    resolution = resolve_units(graph, units)
+    assert not resolution.diagnostics
+    assert [rec.symbol.fqn for rec in resolution.records if rec.name == "Z"] == ["r.s.Z"]
+
+
+def test_a_closure_built_while_parents_are_looked_up_is_rebuilt_once_they_are_linked():
+    # Looking up Y's parent `X.Q` builds X's closure before X extends P.
+    unit = parse_source(
+        "object L {\n  val a = 1\n}\n"
+        "object P {\n  @exported import L._\n}\n"
+        "object X extends P {\n}\n"
+        "object Y extends X.Q {\n}\n"
+    )
+    graph = build_scope_graph([unit])
+    assert codes(graph) == [E_UNRESOLVED_PARENT]
+    assert export_closure(graph, "X").lookup("a") == (graph.symbols["L.a"],)
+
+
 def test_closure_is_deterministic(salat_after_units):
     graph = build_project(*salat_after_units)
     pkgobj = graph.package_objects["com.mycompany.salat"]
