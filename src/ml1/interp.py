@@ -3,12 +3,14 @@
 Each expression node is compiled once, the first time it is needed, into a
 Python closure from an environment to a value (Feeley and Lapalme, "Using
 closures for code generation", 1987): a def's body when the def is first
-called, a thunk's body when it first runs, a template val's body when it
-is first read. The closures are cached per interpreter by node identity.
-Each reference is classified once by its resolved symbol, constant
-results are built once, and a block becomes a list of steps. Errors are
-raised when a closure runs, never when it is compiled, so an ill-formed
-node in code that never runs does no harm.
+called, a thunk's body with the expression around it, a template val's
+body when it is first read. The closures are cached per interpreter by
+node identity. Each reference is classified once by its resolved symbol,
+constant results are built once, and a block becomes a list of steps. A
+call is classified once by its callee's symbol, as a call of a builtin
+or of a template def; only a local or `val` callee is dispatched when the
+call runs. Errors are raised when a closure runs, never when it is
+compiled, so an ill-formed node in code that never runs does no harm.
 
 Values are plain where they can be: an integer or a string is a Python
 `int` or `str`, unit is the empty tuple `UNIT`, and an object or package
@@ -51,20 +53,21 @@ from ml1.tokens import Span
 
 _MAX_CALL_DEPTH = 200
 # Python frames one call may take, with room for nested arguments and
-# blocks. `run` raises Python's recursion limit to at least the default of
-# 1000 plus this much per allowed call, so the interpreter's own depth
-# limit is reached first.
+# blocks. A template def call takes two (its call closure and its body),
+# plus one per frame, block or argument list on the way to the next call:
+# four in a `go.defer` chain. `run` raises Python's recursion limit to at
+# least the default of 1000 plus this much per allowed call, so the
+# interpreter's own depth limit is reached first.
 _FRAMES_PER_CALL = 20
 _RECURSION_LIMIT = 1000 + _MAX_CALL_DEPTH * _FRAMES_PER_CALL
-_ARITY = {"print": 1, "error": 1, "concat": 2, "add": 2, "sub": 2}
 
 UNIT = ()  # the unit value; `print` shows it as `()`
 _INITIALISING = object()  # a template val's entry in `Interpreter.vals` while its body runs
 
 
 class ThunkV:
-    """A delayed block closing over the environment it was created in.
-    Runs at most once, when its frame unwinds."""
+    """The value of `thunk { ... }`, closing over the environment it was
+    created in. `__defer` registers the compiled block, not this value."""
 
     def __init__(self, env: "Frame | None", body: ast.Block):
         self.env = env
@@ -108,17 +111,27 @@ class Trace(Record):
 
 Frame = list  # [parent frame or None, slot 0, slot 1, ...]
 Code = Callable[[Frame | None], Value]
+Args = tuple[Code, ...]  # a call's compiled arguments
 
 
 def _constant(value: Value) -> Code:
     return lambda env: value
 
 
-def _failure(message: str, span: Span | None) -> Code:
-    def fail(env: Frame | None) -> Value:
-        raise EvalError(message, span)
+def _fail(span: Span | None, message: str) -> Value:
+    raise EvalError(message, span)
 
-    return fail
+
+def _failure(message: str, span: Span | None) -> Code:
+    return lambda env: _fail(span, message)
+
+
+def _raise(message: str) -> Callable[..., Value]:
+    return lambda interp, span, *values: _fail(span, message)
+
+
+def _arity_error(name: str, arity: int, count: int) -> Callable[..., Value]:
+    return _raise(f"{name} expects {arity} arguments, got {count}")
 
 
 def _local(depth: int, slot: int) -> Code:
@@ -166,11 +179,43 @@ def render(value: Value, span: Span | None) -> str:
     return f"<builtin {value.name}>"
 
 
+# Builtins: each is a function of the interpreter, the call's span and the
+# argument values, listed in `_BUILTINS` with its arity (None: any).
+
+
+def _print(interp: Interpreter, span: Span, value: Value) -> Value:
+    interp.events.append(render(value, span))
+    return UNIT
+
+
+def _integer(span: Span, name: str, value: Value) -> int:
+    if isinstance(value, int):
+        return value
+    raise EvalError(f"{name} needs integer arguments", span)
+
+
+_BUILTINS: dict[str, tuple[int | None, Callable[..., Value]]] = {
+    "print": (1, _print),
+    "error": (1, lambda interp, span, value: _fail(span, render(value, span))),
+    "concat": (2, lambda interp, span, a, b: render(a, span) + render(b, span)),
+    "add": (2, lambda interp, span, a, b: _integer(span, "add", a) + _integer(span, "add", b)),
+    "sub": (2, lambda interp, span, a, b: _integer(span, "sub", a) - _integer(span, "sub", b)),
+    "compose": (None, _raise("compose is interpreted at rewrite time, not at runtime")),
+}
+
+
+def _builtin(name: str, count: int) -> Callable[..., Value]:
+    """The function a call of builtin `name` with `count` arguments applies."""
+    arity, fn = _BUILTINS[name]
+    return fn if arity in (None, count) else _arity_error(name, arity, count)
+
+
 class Interpreter:
     def __init__(self, graph: ScopeGraph, resolution: Resolution):
         self.graph = graph
         self.resolution = resolution
-        self.frames: list[list[ThunkV]] = []
+        # Per active `__frame`, its thunks: (compiled block, environment, span).
+        self.frames: list[list[tuple[Code, Frame | None, Span]]] = []
         self.events: list[str] = []
         self.depth = 0
         # Compiled closures, keyed by node identity: structurally equal
@@ -200,7 +245,7 @@ class Interpreter:
         if limit < _RECURSION_LIMIT:
             sys.setrecursionlimit(_RECURSION_LIMIT)
         try:
-            trace.value = self.call_def(DefV(None, decl), [], decl.span)
+            trace.value = self._compile_def_call(decl, None, (), decl.span)(None)
         except EvalError as err:
             trace.error = err
         finally:
@@ -234,8 +279,7 @@ class Interpreter:
             block = node.body
             return lambda env: ThunkV(env, block)
         if isinstance(node, ast.DeferRegister):
-            thunk, register, span = node.thunk, self.defer_register, node.span
-            return lambda env: register(ThunkV(env, thunk.body), span)
+            return self._compile_defer(node)
         if isinstance(node, ast.DeferCandidate):
             return _failure("defer has no meaning here; the unit was not rewritten", node.span)
         return _failure(f"cannot evaluate {type(node).__name__}", getattr(node, "span", None))
@@ -275,25 +319,67 @@ class Interpreter:
         return _failure(f"{symbol.fqn} has no runtime value", ref.span)
 
     def _compile_call(self, node: ast.Call) -> Code:
-        callee = self.compile_ref(node.callee)
+        """Classify the call once, by its callee's symbol."""
         args = tuple(self.compile(arg) for arg in node.args)
-        call_def, call_builtin, span = self.call_def, self.call_builtin, node.span
+        ref, span = node.callee, node.span
+        symbol = None if id(ref) in self.resolution.addresses else self.resolution.symbol_for(ref)
+        decl = symbol and self.graph.decls.get(symbol.fqn)
+        if symbol and symbol.kind == BUILTIN:
+            return self._compile_apply(_builtin(symbol.short_name(), len(args)), args, span)
+        if symbol and symbol.kind == DEF and isinstance(decl, ast.DefDecl):
+            return self._compile_def_call(decl, None, args, span)
+        # A local or val callee: what it holds is known only when the call runs.
+        callee = self.compile_ref(ref)
 
         def call(env: Frame | None) -> Value:
             fn = callee(env)
-            # A loop, not a comprehension: on CPython 3.11 a comprehension
-            # adds a function object and a frame per call. On `defer_tree`
-            # it was slower at 28 of 36 stack offsets, by a quarter in the mean.
-            values = []
-            for arg in args:
-                values.append(arg(env))
             if isinstance(fn, DefV):
-                return call_def(fn, values, span)
+                return self._compile_def_call(fn.decl, fn.env, args, span)(env)
             if isinstance(fn, BuiltinV):
-                return call_builtin(fn.name, values, span)
+                return self._compile_apply(_builtin(fn.name, len(args)), args, span)(env)
+            for arg in args:
+                arg(env)
             raise EvalError(f"{render(fn, span)} is not callable", span)
 
         return call
+
+    def _compile_apply(self, fn: Callable[..., Value], args: Args, span: Span) -> Code:
+        """Evaluate the arguments in order, then return `fn(self, span, *values)`."""
+        interp = self
+        if len(args) == 1:
+            (a,) = args
+            return lambda env: fn(interp, span, a(env))
+        if len(args) == 2:
+            a, b = args
+            return lambda env: fn(interp, span, a(env), b(env))
+        return lambda env: fn(interp, span, *[arg(env) for arg in args])
+
+    def _compile_def_call(self, decl: ast.DefDecl, parent: Frame | None, args: Args, span: Span) -> Code:
+        """Enter `decl` in a frame under `parent`: check the arity and the
+        depth, then run the body, compiled at the first call."""
+        if len(args) != len(decl.params):
+            return self._compile_apply(_arity_error(decl.name, len(decl.params), len(args)), args, span)
+        interp, compile = self, self.compile
+        body: Code | None = None
+
+        def call_def(env: Frame | None) -> Value:
+            nonlocal body
+            frame = [parent]
+            for arg in args:  # on CPython 3.11 a comprehension would add a frame per call
+                frame.append(arg(env))
+            if interp.depth >= _MAX_CALL_DEPTH:
+                raise EvalError("call depth exceeded", span)
+            if body is None:
+                body = compile(decl.body)
+            interp.depth += 1
+            try:
+                return body(frame)
+            except RecursionError as err:
+                raise _eval_error(err, span) from None
+            finally:
+                interp.depth -= 1
+
+        return call_def
 
     def _compile_block(self, block: ast.Block) -> Code:
         decls: list[ast.DefDecl] = []
@@ -337,33 +423,13 @@ class Interpreter:
 
         return bind_val
 
-    # Evaluation -------------------------------------------------------------
-
-    def call_def(self, fn: DefV, args: list[Value], span: Span) -> Value:
-        decl = fn.decl
-        if len(args) != len(decl.params):
-            raise EvalError(
-                f"{decl.name} expects {len(decl.params)} arguments, got {len(args)}", span
-            )
-        if self.depth >= _MAX_CALL_DEPTH:
-            raise EvalError("call depth exceeded", span)
-        body = self.compile(decl.body)
-        self.depth += 1
-        try:
-            return body([fn.env, *args])
-        except RecursionError as err:
-            raise _eval_error(err, span) from None
-        finally:
-            self.depth -= 1
-
     # Deferred frames ----------------------------------------------------------
 
     def _compile_frame(self, node: ast.FrameExpr) -> Code:
-        body, frames, compile = self.compile(node.body), self.frames, self.compile
-        span = node.span
+        body, frames, span = self.compile(node.body), self.frames, node.span
 
         def run_frame(env: Frame | None) -> Value:
-            frame: list[ThunkV] = []
+            frame: list[tuple[Code, Frame | None, Span]] = []
             frames.append(frame)
             primary: EvalError | None = None
             value: Value = UNIT
@@ -375,11 +441,11 @@ class Interpreter:
                 # The frame stays active while it unwinds: a thunk's own
                 # defers land on it and run right after that thunk.
                 while frame:
-                    thunk = frame.pop()
+                    thunk, thunk_env, thunk_span = frame.pop()
                     try:
-                        compile(thunk.body)(thunk.env)
+                        thunk(thunk_env)
                     except (EvalError, RecursionError) as err:
-                        error = _eval_error(err, thunk.body.span)
+                        error = _eval_error(err, thunk_span)
                         if primary is None:
                             primary = error
                         else:
@@ -392,36 +458,19 @@ class Interpreter:
 
         return run_frame
 
-    def defer_register(self, thunk: ThunkV, span: Span) -> Value:
-        if not self.frames:
-            raise EvalError(
-                "no deferred-thunk frame is active; this indicates a rewriter bug",
-                span,
-                code=E_NO_FRAME,
-            )
-        self.frames[-1].append(thunk)
-        return UNIT
+    def _compile_defer(self, node: ast.DeferRegister) -> Code:
+        """`__defer(thunk { ... })`: push the thunk's block onto the innermost frame."""
+        frames, span, block_span = self.frames, node.span, node.thunk.body.span
+        code = self.compile(node.thunk.body)
 
-    # Builtins -----------------------------------------------------------------
-
-    def call_builtin(self, name: str, args: list[Value], span: Span) -> Value:
-        arity = _ARITY.get(name)
-        if arity is not None and len(args) != arity:
-            raise EvalError(f"{name} expects {arity} arguments, got {len(args)}", span)
-        if name == "print":
-            self.events.append(render(args[0], span))
+        def register(env: Frame | None) -> Value:
+            if not frames:
+                message = "no deferred-thunk frame is active; this indicates a rewriter bug"
+                raise EvalError(message, span, E_NO_FRAME)
+            frames[-1].append((code, env, block_span))
             return UNIT
-        if name == "error":
-            raise EvalError(render(args[0], span), span)
-        if name == "concat":
-            return render(args[0], span) + render(args[1], span)
-        if name in ("add", "sub"):
-            a, b = args
-            if not isinstance(a, int) or not isinstance(b, int):
-                raise EvalError(f"{name} needs integer arguments", span)
-            return a + b if name == "add" else a - b
-        # Every builtin but `compose` is handled above.
-        raise EvalError("compose is interpreted at rewrite time, not at runtime", span)
+
+        return register
 
 
 def run(graph: ScopeGraph, resolution: Resolution, entry_fqn: str) -> Trace:

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 import ml1
-from ml1 import ast, cli
+from ml1 import ast, cli, interp
 from ml1.cli import main
 from ml1.parser import parse_unit
 from ml1.printer import pretty_print
-from ml1.resolve import implicit_candidates, select_implicit
+from ml1.resolve import implicit_candidates, resolve_units, select_implicit
 from ml1.rewrite import DEFER_REWRITER, apply_rewriter, builtin_registry
 from ml1.scopes import REWRITER_MARKER, build_scope_graph
 from ml1.tokens import tokenize
@@ -453,21 +453,91 @@ def test_help_states_the_exit_contract_and_its_lint_exception(capsys):
     assert "lint exits 2 when the project has scope or resolution diagnostics" in text
 
 
-# A call to each builtin that fails at run time, with the error it gives.
+# A call to each builtin, and to the template def `f` of `unit_with_calls`,
+# that fails at run time, with the error it gives. Every argument is
+# evaluated before the call fails, so an argument that prints prints first.
 BUILTIN_FAILURES = {
     "print": ("print(1, 2)", "print expects 1 arguments, got 2"),
     "concat": ('concat("a")', "concat expects 2 arguments, got 1"),
     "add": ('add(1, "x")', "add needs integer arguments"),
     "compose": ("compose(1, 2)", "compose is interpreted at rewrite time, not at runtime"),
+    "print_printing": ('print(print("arg"), 2)', "print expects 1 arguments, got 2"),
+    "error": ('error(concat("e-", print("arg")))', "e-()"),
+    "concat_printing": ('concat(print("arg"))', "concat expects 2 arguments, got 1"),
+    "sub": ('sub(print("arg"), 1)', "sub needs integer arguments"),
+    "compose_printing": ('compose(print("arg"))', "compose is interpreted at rewrite time, not at runtime"),
+    "def": ('f(print("arg"))', "f expects 0 arguments, got 1"),
 }
+
+
+def unit_with_calls(tmp_path, main_body: str, members: str = "") -> Path:
+    unit = tmp_path / "m.ml1"
+    unit.write_text(
+        f"object Main {{\n{members}  def f() = {{\n    print(\"f\")\n  }}\n"
+        f"  def main() = {{\n    {main_body}\n  }}\n}}\n",
+        encoding="utf-8",
+    )
+    return unit
+
+
+def printed_by(call: str) -> list[str]:
+    return ["arg"] if 'print("arg")' in call else []
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_FAILURES))
 def test_failing_builtin_calls_exit_2(tmp_path, capsys, name):
     call, message = BUILTIN_FAILURES[name]
-    unit = tmp_path / "m.ml1"
-    unit.write_text(f"object Main {{\n  def main() = {{\n    {call}\n  }}\n}}\n", encoding="utf-8")
-    assert run_cli(capsys, "run", "--entry", "Main.main", str(unit)) == (2, "", f"error: {message}\n")
+    unit = unit_with_calls(tmp_path, call)
+    printed = "".join(line + "\n" for line in printed_by(call))
+    assert run_cli(capsys, "run", "--entry", "Main.main", str(unit)) == (2, printed, f"error: {message}\n")
+
+
+# The same calls with the right arity, with what `print` shows of each.
+RIGHT_ARITY = {
+    "print": ('print(print("arg"))', ["arg", "()", "()"]),
+    "concat": ('concat(print("arg"), 1)', ["arg", "()1"]),
+    "add": ("add(2, 3)", ["5"]),
+    "sub": ("sub(2, 3)", ["-1"]),
+    "def": ("f()", ["f", "()"]),
+}
+
+
+@pytest.mark.parametrize(
+    "call, printed, message",
+    [
+        *(pytest.param(call, printed_by(call), message, id=name) for name, (call, message) in BUILTIN_FAILURES.items()),
+        *(pytest.param(call, printed, None, id=f"{name}_right_arity") for name, (call, printed) in RIGHT_ARITY.items()),
+    ],
+)
+def test_a_call_through_an_alias_behaves_like_the_direct_call(tmp_path, capsys, call, printed, message):
+    # A builtin or template def called by name is bound when the call is
+    # compiled; through a template val or a def parameter it is found only
+    # when the call runs. Both must print, fail and point at the call alike.
+    callee, rest = call.split("(", 1)
+    paths = {  # the members added, main's call, and the call that fails
+        "direct": ("", call, call),
+        "val": (f"  val g = {{\n    {callee}\n  }}\n", f"g({rest}", f"g({rest}"),
+        "parameter": (f"  def apply(h) = {{\n    h({rest}\n  }}\n", f"apply({callee})", f"h({rest}"),
+    }
+    for path, (members, main_call, failing) in paths.items():
+        unit = unit_with_calls(tmp_path, f"print({main_call})", members)
+        status, out, err = run_cli(capsys, "run", "--entry", "Main.main", str(unit))
+        if message is None:
+            assert (status, out.splitlines(), err) == (0, printed, ""), path
+            continue
+        assert (status, out.splitlines(), err) == (2, printed, f"error: {message}\n"), path
+        source = unit.read_text(encoding="utf-8")
+        units = [parse_source(source, str(unit))]
+        graph = build_scope_graph(units)
+        trace = interp.run(graph, resolve_units(graph, units), "Main.main")
+        assert source[trace.error.span.start : trace.error.span.end] == failing, path
+
+
+def test_calls_that_would_fail_compile_and_never_run_in_a_def_never_called(tmp_path, capsys):
+    unused = "\n    ".join(call for call, _ in BUILTIN_FAILURES.values())
+    members = f"  def unused() = {{\n    {unused}\n  }}\n"
+    unit = unit_with_calls(tmp_path, 'print("ran")', members)
+    assert run_cli(capsys, "run", "--entry", "Main.main", str(unit)) == (0, "ran\n", "")
 
 
 def test_a_def_body_that_is_no_block_is_a_parse_error(tmp_path, capsys):

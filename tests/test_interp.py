@@ -518,3 +518,13 @@ def test_rendering_an_over_long_integer_fails_at_the_builtin_call(call):
     assert trace.failed and trace.events == []
     assert trace.error.message == f"integer too long to render (more than {limit} digits)"
     assert source[trace.error.span.start : trace.error.span.end] == call
+
+
+def test_concat_evaluates_both_arguments_before_rendering_either():
+    limit = sys.get_int_max_str_digits()
+    call = f"concat(add({'9' * limit}, {'9' * limit}), print(\"second\"))"
+    source = f"object Main {{\n  def main() = {{\n    {call}\n  }}\n}}"
+    trace = run_program(parse_source(source, "m.ml1"), entry="Main.main")
+    assert trace.events == ["second"]
+    assert trace.error.message == f"integer too long to render (more than {limit} digits)"
+    assert source[trace.error.span.start : trace.error.span.end] == call
