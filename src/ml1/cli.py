@@ -197,16 +197,14 @@ def _rewrite_units(
     names no unit is about the unit at hand. Units that see the same broken
     rewriter report it alike, so each distinct diagnostic is printed once,
     in the order first met."""
-    from ml1.resolve import implicit_candidates
     from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry
-    from ml1.scopes import REWRITER_MARKER
 
     registry = builtin_registry()
     results: list[tuple[ast.CompilationUnit, RewriteReport] | None] = []
     reported: set[str] = set()
     for unit in units:
         try:
-            chain = bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
+            chain = bind_rewriter(graph, unit, registry)
             results.append(apply_rewriter(chain, unit, registry))
         except SemanticError as err:
             diagnostic = err.diagnostic

@@ -10,7 +10,9 @@ same order.
 Only this module decides what a local name means: it gives each local
 reference the (depth, slot) of its binder (SICP §5.5.6) in the frames the
 interpreter makes, one per def call (its parameters) and one per block that
-declares something (its declarations, in statement order).
+declares something (its declarations, in statement order). The walker
+carries the current template's precedence list and a stack of these
+frames' scopes; nothing it derives is stored on the graph.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from ml1.scopes import (
     import_positions,
     lookup_qualified,
     template_fqn,
-    unit_positions,
 )
 from ml1.tokens import Span
 
@@ -50,33 +51,6 @@ class LocalScope:
         self.locals: dict[str, tuple[SymbolId, int, int]] = {}
         self.stats = stats
         self.at = 0  # index of the block statement being resolved
-
-
-class Site(Record):
-    """Where a reference occurs: its precedence list
-    (`scopes.import_positions`) and the chain of local scopes, one per
-    run-time frame, from outermost to innermost."""
-
-    positions: tuple[ImportPosition, ...]
-    locals_chain: tuple[LocalScope, ...] = ()
-
-    def with_scope(self, scope: LocalScope) -> "Site":
-        return Site(self.positions, self.locals_chain + (scope,))
-
-    def local(self, name: str) -> tuple[int, LocalScope, tuple[SymbolId, int, int]] | None:
-        """The innermost local `name`: its frame's depth, its scope, its entry."""
-        for depth, scope in enumerate(reversed(self.locals_chain)):
-            found = scope.locals.get(name)
-            if found is not None:
-                return depth, scope, found
-        return None
-
-
-def template_site(graph: ScopeGraph, unit: ast.CompilationUnit, tfqn: str) -> Site:
-    """The site of template `tfqn`'s body in `unit`, the unit declaring it
-    or a copy of that unit."""
-    clauses = [*unit.top_imports(), *(s for s in graph.decls[tfqn].stats if isinstance(s, ast.ImportClause))]
-    return Site(import_positions(graph, clauses, unit.package_path, tfqn))
 
 
 class RefRecord(Record, frozen=True):
@@ -101,7 +75,20 @@ class Resolution(Record):
 def resolve_units(graph: ScopeGraph, units: list[ast.CompilationUnit]) -> Resolution:
     resolution = Resolution()
     for unit in units:
-        _UnitWalker(graph, resolution, unit).walk()
+        clauses = [*unit.top_imports(), *(s for tpl in unit.templates() for s in tpl.stats)]
+        resolution.erased_imports += [
+            (unit.source_name, s.path, s.span) for s in clauses if isinstance(s, ast.ImportClause) and s.annotations
+        ]
+        walker = _UnitWalker(graph, resolution, unit)
+        for tpl in unit.templates():
+            walker.walk_template(tpl)
+    return resolution
+
+
+def resolve_template(graph: ScopeGraph, unit: ast.CompilationUnit, tpl: ast.TemplateDef) -> Resolution:
+    """The bindings of the references in template `tpl` of `unit`."""
+    resolution = Resolution()
+    _UnitWalker(graph, resolution, unit).walk_template(tpl)
     return resolution
 
 
@@ -111,36 +98,28 @@ class _UnitWalker:
         self.resolution = resolution
         self.unit = unit
         self.taken: set[str] = set()  # local FQNs given out in this unit
+        self.positions: tuple[ImportPosition, ...] = ()  # the current template's
+        self.scopes: list[LocalScope] = []  # one per enclosing run-time frame, innermost last
 
-    def walk(self) -> None:
-        clauses = [*self.unit.top_imports(), *(s for tpl in self.unit.templates() for s in tpl.stats)]
-        self.resolution.erased_imports += [
-            (self.unit.source_name, s.path, s.span)
-            for s in clauses
-            if isinstance(s, ast.ImportClause) and s.annotations
-        ]
-        for tpl in self.unit.templates():
-            tfqn = template_fqn(self.graph, self.unit, tpl)
-            site = (
-                template_site(self.graph, self.unit, tfqn)
-                if tfqn
-                else Site(unit_positions(self.graph, self.unit))
-            )
-            for stat in tpl.stats:
-                if isinstance(stat, ast.DefDecl):
-                    owner = f"{tfqn}.{stat.name}" if tfqn else stat.name
-                    self.walk_def(stat, site, owner)
-                elif not isinstance(stat, ast.ImportClause):
-                    self.walk_expr(stat, site, tfqn or "")
+    def walk_template(self, tpl: ast.TemplateDef) -> None:
+        tfqn = template_fqn(self.graph, self.unit, tpl)
+        self.positions = import_positions(self.graph, self.unit, tfqn)
+        for stat in tpl.stats:
+            if isinstance(stat, ast.DefDecl):
+                self.walk_def(stat, f"{tfqn}.{stat.name}" if tfqn else stat.name)
+            elif not isinstance(stat, ast.ImportClause):
+                self.walk_expr(stat, tfqn or "")
 
-    def walk_def(self, decl: ast.DefDecl, site: Site, owner: str) -> None:
+    def walk_def(self, decl: ast.DefDecl, owner: str) -> None:
         if decl.is_val:
-            self.walk_expr(decl.body, site, owner)
+            self.walk_expr(decl.body, owner)
             return
         params = LocalScope()
         for slot, name in enumerate(decl.params):
             params.locals[name] = (self._local_symbol(owner, name, VAL), slot, -1)
-        self.walk_expr(decl.body, site.with_scope(params), owner)
+        self.scopes.append(params)
+        self.walk_expr(decl.body, owner)
+        self.scopes.pop()
 
     def _local_symbol(self, owner: str, name: str, kind: str) -> SymbolId:
         """A symbol for a new binder: `owner.name`, with a `#k` suffix when
@@ -153,32 +132,35 @@ class _UnitWalker:
         self.taken.add(candidate)
         return SymbolId(candidate, kind)
 
-    def walk_expr(self, expr: ast.Expr, site: Site, owner: str) -> None:
+    def walk_expr(self, expr: ast.Expr, owner: str) -> None:
         if isinstance(expr, ast.Ref):
-            self.resolve_ref(expr, site)
+            self.resolve_ref(expr)
         elif isinstance(expr, ast.Block):
-            self.walk_block(expr, site, owner)
+            self.walk_block(expr, owner)
         else:
             for child in ast.child_nodes(expr):
-                self.walk_expr(child, site, owner)
+                self.walk_expr(child, owner)
 
-    def walk_block(self, block: ast.Block, site: Site, owner: str) -> None:
+    def walk_block(self, block: ast.Block, owner: str) -> None:
         # A block that declares nothing has no frame of its own.
         scope = LocalScope(block.stats)
         decls = [(i, stat) for i, stat in enumerate(block.stats) if isinstance(stat, ast.DefDecl)]
         for slot, (i, stat) in enumerate(decls):
             symbol = self._local_symbol(owner, stat.name, VAL if stat.is_val else DEF)
             scope.locals[stat.name] = (symbol, slot, i)
-        inner = site.with_scope(scope) if decls else site
+        if decls:
+            self.scopes.append(scope)
         for i, stat in enumerate(block.stats):
             scope.at = i
             if isinstance(stat, ast.DefDecl):
-                self.walk_def(stat, inner, scope.locals[stat.name][0].fqn)
+                self.walk_def(stat, scope.locals[stat.name][0].fqn)
             else:
-                self.walk_expr(stat, inner, owner)
+                self.walk_expr(stat, owner)
+        if decls:
+            self.scopes.pop()
 
-    def resolve_ref(self, ref: ast.Ref, site: Site) -> None:
-        symbol, address, diag = self._resolve_parts(ref.parts, ref.span, site)
+    def resolve_ref(self, ref: ast.Ref) -> None:
+        symbol, address, diag = self._resolve_parts(ref.parts, ref.span)
         if diag is not None:
             self.resolution.diagnostics.append(diag)
         record = RefRecord(self.unit.source_name, ref.span, ast.dotted(ref.parts), symbol)
@@ -188,12 +170,20 @@ class _UnitWalker:
         if address is not None:
             self.resolution.addresses[id(ref)] = address
 
+    def _local(self, name: str) -> tuple[int, LocalScope, tuple[SymbolId, int, int]] | None:
+        """The innermost local `name`: its frame's depth, its scope, its entry."""
+        for depth, scope in enumerate(reversed(self.scopes)):
+            found = scope.locals.get(name)
+            if found is not None:
+                return depth, scope, found
+        return None
+
     def _resolve_parts(
-        self, parts: ast.QualName, span: Span, site: Site
+        self, parts: ast.QualName, span: Span
     ) -> tuple[SymbolId | None, tuple[int, int] | None, Diagnostic | None]:
         """The symbol `parts` names, its lexical address when it is a
         local, and the diagnostic when it names no single symbol."""
-        found = site.local(parts[0])
+        found = self._local(parts[0])
         if found is not None:
             depth, scope, (symbol, slot, stat) = found
             # A reference to a local declared at or after its own statement
@@ -205,7 +195,7 @@ class _UnitWalker:
             if len(parts) > 1:  # a local is no package or template
                 return None, None, self._unresolved(ast.dotted(parts), span)
             return symbol, (depth, slot), None
-        hits, failed = lookup_qualified(self.graph, site.positions, parts)
+        hits, failed = lookup_qualified(self.graph, self.positions, parts)
         if len(hits) == 1:
             return hits[0], None, None
         if hits:
@@ -255,10 +245,10 @@ def implicit_candidates(
     graph: ScopeGraph, unit: ast.CompilationUnit, marker_fqn: str
 ) -> list[ImplicitCandidate]:
     """Implicit objects extending `marker_fqn` visible at the unit's top
-    scope, in the order of its import positions (`scopes.unit_positions`),
+    scope, in the order of its precedence list (`scopes.import_positions`),
     highest precedence first; within one position ordered by FQN."""
     found: list[ImplicitCandidate] = []
-    for position in unit_positions(graph, unit):
+    for position in import_positions(graph, unit):
         symbols = {
             sym
             for name in position.names(graph)

@@ -3,9 +3,10 @@
 A unit that brings an implicit rewriter object into scope gets every one
 of its templates transformed by the matching host-registered intrinsic.
 A bound rewriter is its chain: the intrinsic keys it applies, inner first.
-Rewriter objects whose body calls the builtin `compose(x, y)` chain two
-rewriters, applying the second argument first; its arguments mean the
-symbols `resolve` binds them to in the unit declaring the object.
+`bind_rewriter` scans a unit for the rewriter object its imports bring
+into scope. Rewriter objects whose body calls the builtin `compose(x, y)`
+chain two rewriters, applying the second argument first; the call binds
+as `resolve` binds it in a walk of the rewriter object alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ml1.diagnostics import (
     SemanticError,
 )
 from ml1.record import Record
-from ml1.resolve import ImplicitCandidate, resolve_units, select_implicit
+from ml1.resolve import implicit_candidates, resolve_template, select_implicit
 from ml1.scopes import BUILTINS, REWRITER_MARKER, TEMPLATE, ScopeGraph
 
 DEFER_REWRITER = "go.defer.rewriter"
@@ -43,10 +44,10 @@ def builtin_registry() -> Registry:
     return {DEFER_REWRITER: defer_lowering, UPPER_REWRITER: uppercase_defs}
 
 
-def bind_rewriter(graph: ScopeGraph, candidates: list[ImplicitCandidate], registry: Registry) -> Chain:
-    """Pick the winning rewriter object for a unit and return its chain;
-    no candidate at all means the empty chain."""
-    winner, tied = select_implicit(candidates)
+def bind_rewriter(graph: ScopeGraph, unit: ast.CompilationUnit, registry: Registry) -> Chain:
+    """Pick the winning rewriter object visible at `unit`'s top scope and
+    return its chain; no rewriter object at all means the empty chain."""
+    winner, tied = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
     if tied:
         raise SemanticError(
             Diagnostic(
@@ -87,7 +88,7 @@ def _chain_for(graph: ScopeGraph, fqn: str, registry: Registry, visiting: tuple[
 def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
     """The arguments of a call to the builtin `compose` in the rewriter
     object's body, either bare or as the sole statement of a member's body,
-    as `resolve` binds them in the unit declaring the object."""
+    as `resolve` binds them in that body."""
     decl = graph.decls[fqn]
     calls = []
     for stat in decl.stats:
@@ -100,9 +101,7 @@ def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
     if not calls:
         return None
     unit = next(u for u in graph.units if any(stat is decl for stat in u.top_stats))
-    resolution = graph.resolutions.get(id(unit))
-    if resolution is None:
-        resolution = graph.resolutions[id(unit)] = resolve_units(graph, [unit])
+    resolution = resolve_template(graph, unit, decl)
     call = next((c for c in calls if resolution.symbol_for(c.callee) == BUILTINS["compose"]), None)
     if call is None:
         return None

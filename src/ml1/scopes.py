@@ -25,7 +25,9 @@ add a pair or a smaller witness: once that filter hides every name, or once
 the same scope was already reached under the same filter with a visited set
 that is a subset of this path's. Closures are memoized on the graph; the
 memos built while parents are linked are dropped, so every closure is built
-from the finished graph.
+from the finished graph. The graph holds only memos of its own queries:
+what a later phase derives from it, such as a resolution, stays with that
+phase.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import field
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from ml1 import ast
 from ml1.diagnostics import (
@@ -46,9 +48,6 @@ from ml1.diagnostics import (
 )
 from ml1.record import Record
 from ml1.tokens import Span
-
-if TYPE_CHECKING:
-    from ml1.resolve import Resolution
 
 TEMPLATE = "template"
 DEF = "def"
@@ -154,10 +153,6 @@ class ScopeGraph(Record):
     scope_edges: dict[str, tuple[tuple[ExportEdge, frozenset[str]], ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    # `resolve_units` of each unit that declares a composed rewriter object,
-    # keyed by id(unit), since two units may share a name; `rewrite` fills
-    # it on the finished graph.
-    resolutions: dict[int, Resolution] = field(default_factory=dict, repr=False, compare=False)
 
     def parts(self, fqn: str) -> tuple[str, ...]:
         """The templates whose members and `@exported` clauses make up
@@ -528,7 +523,7 @@ def _resolve_parents(
     and the templates its `extends` names, each looked up at the unit's top
     scope. A name that is ambiguous or missing at any segment misses; the
     full resolver reports it with its candidates."""
-    positions = unit_positions(graph, unit)
+    positions = import_positions(graph, unit)
     for tpl in unit.templates():
         tfqn = template_fqn(graph, unit, tpl)
         if tfqn is None:
@@ -615,15 +610,21 @@ _BUILTIN_POSITION = ImportPosition(BUILTIN_SCOPE, 0, "")
 
 
 def import_positions(
-    graph: ScopeGraph, clauses: Iterable[ast.ImportClause], package_path: ast.QualName, template: str | None = None
+    graph: ScopeGraph, unit: ast.CompilationUnit, template: str | None = None
 ) -> tuple[ImportPosition, ...]:
-    """A site's precedence list, highest first: the member tier of the
-    enclosing `template`, if any; each clause's named selectors, then each
-    clause's wildcard, a later clause before an earlier one in both; the
-    enclosing packages, innermost first; last, the builtins. Each clause's
-    target is resolved here, once; a clause whose path does not resolve
-    provides nothing."""
-    members = () if template is None else (ImportPosition(ENCLOSING_TEMPLATE, 0, template),)
+    """The precedence list of a site in `unit`: its top scope, or the body
+    of `template`, declared by `unit` or a copy of it. Highest first: the
+    member tier of `template`, if any; each clause's named selectors, then
+    each clause's wildcard, a later clause before an earlier one in both,
+    the template's clauses after the unit's top-level ones; the enclosing
+    packages, innermost first; last, the builtins. Each clause's target is
+    resolved here, once; a clause whose path does not resolve provides
+    nothing."""
+    clauses = list(unit.top_imports())
+    members = ()
+    if template is not None:
+        clauses += (s for s in graph.decls[template].stats if isinstance(s, ast.ImportClause))
+        members = (ImportPosition(ENCLOSING_TEMPLATE, 0, template),)
     named: list[ImportPosition] = []
     wildcards: list[ImportPosition] = []
     for index, clause in reversed(list(enumerate(clauses))):
@@ -636,15 +637,11 @@ def import_positions(
             named.append(ImportPosition(IMPORT_NAMED, index, target, renames=renames))
         if clause.selectors.wildcard:
             wildcards.append(ImportPosition(IMPORT_WILDCARD, index, target, excluded=frozenset(selected)))
-    prefixes = [".".join(package_path[:depth]) for depth in range(len(package_path), -1, -1)]
+    path = unit.package_path
+    prefixes = [".".join(path[:depth]) for depth in range(len(path), -1, -1)]
     # A prefix that a template took (E_DUPLICATE_SYMBOL) encloses nothing.
     packages = [ImportPosition(ENCLOSING_PACKAGE, i, fqn) for i, fqn in enumerate(prefixes) if fqn not in graph.members]
     return (*members, *named, *wildcards, *packages, _BUILTIN_POSITION)
-
-
-def unit_positions(graph: ScopeGraph, unit: ast.CompilationUnit) -> tuple[ImportPosition, ...]:
-    """The precedence list at a unit's top scope."""
-    return import_positions(graph, unit.top_imports(), unit.package_path)
 
 
 def lookup_qualified(

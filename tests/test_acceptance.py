@@ -178,17 +178,13 @@ def test_c5_activation_by_import(capsys):
     lib = parse_fixture("lib", "go_defer.ml1")
     graph = build_project(lib, unit)
     registry = builtin_registry()
-    from ml1.resolve import implicit_candidates
     from ml1.rewrite import bind_rewriter
-    from ml1.scopes import REWRITER_MARKER
 
     plain_unit = parse_unit(tokenize(plain.read_text(encoding="utf-8")), "copy_plain.ml1")
     plain_graph = build_project(plain_unit)
-    assert bind_rewriter(
-        plain_graph, implicit_candidates(plain_graph, plain_unit, REWRITER_MARKER), registry
-    ) == ()
+    assert bind_rewriter(plain_graph, plain_unit, registry) == ()
 
-    ref = bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
+    ref = bind_rewriter(graph, unit, registry)
     rewritten, report = apply_rewriter(ref, unit, registry)
     assert report.chain == ["go.defer.rewriter"]
     assert sum(1 for n in ast.walk(rewritten) if isinstance(n, ast.DeferCandidate)) == 0
@@ -226,11 +222,9 @@ def test_c6_composition_golden_and_laws(capsys, compose_units):
     graph = build_project(*compose_units)
     client = compose_units[-1]
     registry = builtin_registry()
-    from ml1.resolve import implicit_candidates
     from ml1.rewrite import bind_rewriter
-    from ml1.scopes import REWRITER_MARKER
 
-    ref = bind_rewriter(graph, implicit_candidates(graph, client, REWRITER_MARKER), registry)
+    ref = bind_rewriter(graph, client, registry)
     composed, _ = apply_rewriter(ref, client, registry)
     step_b, _ = apply_rewriter(("go.defer.rewriter",), client, registry)
     step_ba, _ = apply_rewriter(("demo.upper.rewriter",), step_b, registry)

@@ -453,8 +453,9 @@ def test_help_states_the_exit_contract_and_its_lint_exception(capsys):
     assert "lint exits 2 when the project has scope or resolution diagnostics" in text
 
 
-# A call to each builtin, and to the template def `f` of `unit_with_calls`,
-# that fails at run time, with the error it gives. Every argument is
+# A call to each builtin, to the template def `f` of `unit_with_calls` and
+# to its object `Main`, which is no def, that fails at run time, with the
+# error it gives. Every argument is
 # evaluated before the call fails, so an argument that prints prints first.
 BUILTIN_FAILURES = {
     "print": ("print(1, 2)", "print expects 1 arguments, got 2"),
@@ -462,11 +463,13 @@ BUILTIN_FAILURES = {
     "add": ('add(1, "x")', "add needs integer arguments"),
     "compose": ("compose(1, 2)", "compose is interpreted at rewrite time, not at runtime"),
     "print_printing": ('print(print("arg"), 2)', "print expects 1 arguments, got 2"),
+    "print_three": ('print(print("arg"), 2, 3)', "print expects 1 arguments, got 3"),
     "error": ('error(concat("e-", print("arg")))', "e-()"),
     "concat_printing": ('concat(print("arg"))', "concat expects 2 arguments, got 1"),
     "sub": ('sub(print("arg"), 1)', "sub needs integer arguments"),
     "compose_printing": ('compose(print("arg"))', "compose is interpreted at rewrite time, not at runtime"),
     "def": ('f(print("arg"))', "f expects 0 arguments, got 1"),
+    "object": ('Main(print("arg"))', "Main is not callable"),
 }
 
 
@@ -768,15 +771,52 @@ CYCLES = {
 }
 
 
+def write_units(tmp_path, sources: dict[str, str]) -> list[str]:
+    for name, source in sources.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    return [str(tmp_path / name) for name in sources]
+
+
 @pytest.mark.parametrize("name", sorted(CYCLES))
 def test_cyclic_inheritance_is_reported_once(tmp_path, capsys, name):
-    paths = []
-    for file, source in CYCLES[name].items():
-        (tmp_path / file).write_text(source, encoding="utf-8")
-        paths.append(str(tmp_path / file))
-    status, _, err = run_cli(capsys, "resolve", *paths)
+    status, _, err = run_cli(capsys, "resolve", *write_units(tmp_path, CYCLES[name]))
     assert status == 1
     assert [line.split(": ")[1] for line in err.splitlines()] == ["E_CYCLIC_INHERITANCE"]
+
+
+def test_a_second_package_object_of_a_package_declares_nothing(tmp_path, capsys):
+    a, b, c = write_units(
+        tmp_path,
+        {
+            "a.ml1": "package r\n\npackage object s {\n  def f() = {\n    1\n  }\n}\n",
+            "b.ml1": "package r\n\npackage object s {\n  def g() = {\n    2\n  }\n}\n",
+            "c.ml1": "import r.s._\n\nobject C {\n  def main() = {\n    f()\n    g()\n  }\n}\n",
+        },
+    )
+    status, out, err = run_cli(capsys, "resolve", "--dump", "--format", "pretty", a, b, c)
+    assert (status, out.splitlines(), err.splitlines()) == (
+        1,
+        [f"{c}:46-47 f -> r.s.f", f"{c}:54-55 g -> <unresolved>"],
+        [
+            f"{b}:11-55: E_DUPLICATE_SYMBOL: r.s.package is already defined",
+            f"{c}:54-55: E_UNRESOLVED: g is not in scope",
+        ],
+    )
+
+
+def test_an_import_path_through_a_def_names_no_scope(tmp_path, capsys):
+    p, d = write_units(
+        tmp_path,
+        {
+            "p.ml1": "package object p {\n  def f() = {\n    1\n  }\n}\n",
+            "d.ml1": "import p.f._\n\nobject A {\n}\n",
+        },
+    )
+    assert run_cli(capsys, "resolve", p, d) == (
+        1,
+        "",
+        f"{d}:0-12: E_UNRESOLVED_IMPORT_PATH: import path p.f does not name a template or package\n",
+    )
 
 
 def unregistered_rewriter_project(tmp_path) -> list[str]:

@@ -6,10 +6,10 @@ import pytest
 
 from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
-from ml1.interp import UNIT, EvalError, Interpreter, run
+from ml1.interp import _BUILTINS, UNIT, EvalError, Interpreter, run
 from ml1.resolve import resolve_units
 from ml1.rewrite import apply_rewriter, builtin_registry
-from ml1.scopes import build_scope_graph
+from ml1.scopes import BUILTIN_NAMES, build_scope_graph
 from ml1.tokens import Span
 
 from conftest import build_project, parse_fixture, parse_source
@@ -102,6 +102,12 @@ def test_builtin_arithmetic_and_concat():
     )
     trace = run_program(unit, entry="Main.main")
     assert trace.events == ["6", "n=3"]
+
+
+def test_the_resolver_and_the_interpreter_name_the_same_builtins():
+    # A name only the resolver knew would reach `_BUILTINS[name]` at run
+    # time and end in an internal error.
+    assert sorted(BUILTIN_NAMES) == sorted(_BUILTINS)
 
 
 def test_missing_entry_is_reported():

@@ -16,9 +16,16 @@ from ml1.resolve import (
     implicit_candidates,
     resolve_units,
     select_implicit,
-    template_site,
 )
-from ml1.scopes import BUILTIN, BUILTINS, REWRITER_MARKER, build_scope_graph, export_closure, lookup_qualified
+from ml1.scopes import (
+    BUILTIN,
+    BUILTINS,
+    REWRITER_MARKER,
+    build_scope_graph,
+    export_closure,
+    import_positions,
+    lookup_qualified,
+)
 
 from conftest import PARENTS, build_project, parse_fixture, parse_source
 from gen import NAME_POOL, RENAME_POOL, EdgeSpec, _edge_filter, _selector_text
@@ -368,7 +375,7 @@ def test_resolve_name_is_deterministic():
     lib = parse_source("object Lib {\n  val x = 1\n}", "lib.ml1")
     unit = parse_source("import Lib._\n\nobject A {\n}", "a.ml1")
     graph = build_project(lib, unit)
-    positions = template_site(graph, unit, "A").positions
+    positions = import_positions(graph, unit, "A")
     first = lookup_qualified(graph, positions, ("x",))
     second = lookup_qualified(graph, positions, ("x",))
     assert first == second
@@ -381,7 +388,7 @@ def test_a_template_site_has_one_precedence_list():
         "package q.r\n\nimport p.Lib.{x => y, _}\n\nobject A {\n  import p.Lib._\n}", "a.ml1"
     )
     graph = build_project(lib, unit)
-    positions = template_site(graph, unit, "q.r.A").positions
+    positions = import_positions(graph, unit, "q.r.A")
     assert [(p.tier, p.index, p.scope) for p in positions] == [
         ("member", 0, "q.r.A"),
         ("import-named", 0, "p.Lib"),
@@ -404,7 +411,7 @@ def test_the_member_tier_offers_members_then_inherited_re_exports():
     base = parse_source("package p\n\ntrait T {\n  @exported import p.Lib._\n  def t() = {\n  }\n}", "t.ml1")
     unit = parse_source("package p\n\nobject A extends T {\n  val a = 2\n}", "a.ml1")
     graph = build_project(lib, base, unit)
-    member_tier = template_site(graph, unit, "p.A").positions[0]
+    member_tier = import_positions(graph, unit, "p.A")[0]
     assert member_tier.tier == "member"
     assert set(member_tier.names(graph)) == {"a", "t", "x"}
     assert [sym.fqn for sym in member_tier.lookup(graph, "x")] == ["p.Lib.x"]

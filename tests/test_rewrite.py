@@ -12,22 +12,20 @@ from ml1.diagnostics import (
     SemanticError,
 )
 from ml1.printer import pretty_print
-from ml1.resolve import implicit_candidates, resolve_units
+from ml1.resolve import resolve_template
 from ml1.rewrite import (
     apply_rewriter,
     bind_rewriter,
     builtin_registry,
     defer_lowering,
 )
-from ml1.scopes import REWRITER_MARKER
 
 from conftest import COMPOSE_CLIENT, COMPOSE_REPROS, FIXTURES, build_project, parse_fixture, parse_source
 from gen import random_unit_defs_only
 
 
 def bind_for(graph, unit, registry=None):
-    registry = registry or builtin_registry()
-    return bind_rewriter(graph, implicit_candidates(graph, unit, REWRITER_MARKER), registry)
+    return bind_rewriter(graph, unit, registry or builtin_registry())
 
 
 def test_import_binds_the_defer_intrinsic():
@@ -55,20 +53,30 @@ def test_composition_binds_inner_first(compose_units):
     assert ref == ("go.defer.rewriter", "demo.upper.rewriter")
 
 
-def test_the_declaring_unit_is_resolved_once_per_graph(compose_units, monkeypatch):
+def test_binding_clients_resolves_only_the_composed_rewriter_object(monkeypatch):
+    # The declaring unit's other template holds references a walk of the
+    # whole unit would resolve.
+    declaring = parse_source(
+        "package com.ext.AwithB\n\nobject Helper {\n  def h(x) = {\n    print(concat(x, \"!\"))\n  }\n}\n\n"
+        "implicit object rewriter extends DefaultRewriter {\n  compose(demo.upper.rewriter, go.defer.rewriter)\n}\n",
+        "awithb_rewriter.ml1",
+    )
     resolved = []
 
-    def counting(graph, units):
-        resolved.append([unit.source_name for unit in units])
-        return resolve_units(graph, units)
+    def spying(graph, unit, tpl):
+        resolution = resolve_template(graph, unit, tpl)
+        resolved.append(sorted(record.name for record in resolution.records))
+        return resolution
 
-    monkeypatch.setattr(rewrite, "resolve_units", counting)
+    monkeypatch.setattr(rewrite, "resolve_template", spying)
+    libs = [parse_fixture(r) for r in ("lib/go_defer.ml1", "lib/demo_upper.ml1", "compose/awithb.ml1")]
     client = COMPOSE_CLIENT.replace("hub._", "com.ext.AwithB._")
     clients = [parse_source(client.replace("App", f"App{i}"), f"c{i}.ml1") for i in range(3)]
-    graph = build_project(*compose_units, *clients)
+    graph = build_project(*libs, declaring, *clients)
     for client in clients:
         assert bind_for(graph, client) == ("go.defer.rewriter", "demo.upper.rewriter")
-    assert resolved == [["awithb_rewriter.ml1"]]
+    assert resolved
+    assert all(names == ["compose", "demo.upper.rewriter", "go.defer.rewriter"] for names in resolved)
 
 
 def test_composed_application_equals_sequential_application(compose_units):
