@@ -133,7 +133,7 @@ Expr = Union[IntLit, StrLit, Ref, Call, Block, DeferCandidate, FrameExpr, ThunkE
 class DefDecl(Record, frozen=True):
     name: str
     params: tuple[str, ...]
-    body: Expr  # a Block for defs; any expression for vals
+    body: Expr  # a def's Block, or its FrameExpr for `= __frame { ... }`; any expression for vals
     is_val: bool
     span: Span = field(default=NO_SPAN, compare=False)
 

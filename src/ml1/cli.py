@@ -308,7 +308,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # An unknown option's value may have been taken as a FILE, pushing
+        # a real file into the leftovers: name only the option words then.
+        options = [word for word in extras if word.startswith("-")]
+        parser.error(f"unrecognized arguments: {' '.join(options or extras)}")
     try:
         return args.fn(args)
     except _Exit as stop:

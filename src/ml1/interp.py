@@ -55,7 +55,8 @@ _MAX_CALL_DEPTH = 200
 # Python frames one call may take, with room for nested arguments and
 # blocks. A template def call takes two (its call closure and its body),
 # plus one per frame, block or argument list on the way to the next call:
-# four in a `go.defer` chain. `run` raises Python's recursion limit to at
+# three in a `go.defer` chain (the call, the `__frame` that is the def's
+# body, and the frame's block). `run` raises Python's recursion limit to at
 # least the default of 1000 plus this much per allowed call, so the
 # interpreter's own depth limit is reached first.
 _FRAMES_PER_CALL = 20

@@ -245,10 +245,9 @@ class _Parser:
         if self.at("{"):
             body: ast.Expr = self.block()
         else:
-            framed = self.expr()
-            if not isinstance(framed, ast.FrameExpr):
-                raise ParseError(framed.span, "a block body", "an expression")
-            body = ast.Block((framed,), framed.span)
+            body = self.expr()
+            if not isinstance(body, ast.FrameExpr):
+                raise ParseError(body.span, "a block body", "an expression")
         return ast.DefDecl(name, tuple(params), body, False, self.span_from(start))
 
     def block(self) -> ast.Block:

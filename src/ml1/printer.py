@@ -96,20 +96,8 @@ def _stat_lines(stat: ast.Stat) -> list[str]:
 
 
 def _def_lines(decl: ast.DefDecl) -> list[str]:
-    if decl.is_val:
-        body = _expr_lines(decl.body)
-        return [f"val {decl.name} = " + body[0]] + body[1:]
-    head = f"def {decl.name}({', '.join(decl.params)}) = "
-    body = decl.body
-    # A body that is exactly one frame prints in the lowered surface form.
-    if (
-        isinstance(body, ast.Block)
-        and len(body.stats) == 1
-        and isinstance(body.stats[0], ast.FrameExpr)
-    ):
-        lines = _prefixed_block("__frame ", body.stats[0].body)
-    else:
-        lines = _expr_lines(body)
+    head = f"val {decl.name} = " if decl.is_val else f"def {decl.name}({', '.join(decl.params)}) = "
+    lines = _expr_lines(decl.body)
     return [head + lines[0]] + lines[1:]
 
 

@@ -11,7 +11,7 @@ as `resolve` binds it in a walk of the rewriter object alone.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Callable
 
 from ml1 import ast
@@ -175,31 +175,19 @@ def _run_intrinsic(registry: Registry, key: str, tpl: ast.TemplateDef) -> ast.Te
 
 
 def _diff_count(before, after) -> int:
-    """Number of maximal differing positions between two trees; a changed
-    scalar field or reshaped child list counts once and is not descended."""
+    """Number of maximal differing positions between two trees, over the
+    values records compare; a changed scalar, a change of type or a child
+    list of another length counts once and is not descended."""
     if before == after:
         return 0
-    if type(before) is not type(after):
-        return 1
-    if not hasattr(before, "__dataclass_fields__"):
+    if type(before) is not type(after) or not isinstance(before, Record):
         return 1
     count = 0
-    for f in fields(before):
-        if f.compare is False:
-            continue
-        a, b = getattr(before, f.name), getattr(after, f.name)
-        if a == b:
-            continue
-        if isinstance(a, tuple) and isinstance(b, tuple):
-            if len(a) != len(b):
-                count += 1
-                continue
-            for x, y in zip(a, b):
-                count += _diff_count(x, y)
-        elif hasattr(a, "__dataclass_fields__") and type(a) is type(b):
-            count += _diff_count(a, b)
+    for a, b in zip(before._compared(before), after._compared(after)):
+        if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
+            count += sum(map(_diff_count, a, b))
         else:
-            count += 1
+            count += _diff_count(a, b)
     return count
 
 
@@ -207,8 +195,9 @@ def _diff_count(before, after) -> int:
 
 
 def defer_lowering(tpl: ast.TemplateDef) -> ast.TemplateDef:
-    """Replace each `defer { b }` with `__defer(thunk { b })` and wrap the
-    body of every def that registered at least one with `__frame`.
+    """Replace each `defer { b }` with `__defer(thunk { b })`, and give every
+    def that registered at least one a frame: its body becomes the
+    `FrameExpr` `__frame { body }`.
 
     Defers are judged per def: a nested def gets its own frame, while
     block-local vals register on the enclosing def. A defer with no
@@ -241,8 +230,11 @@ def _lower(node, hits: list[ast.DeferCandidate] | None):
 def _lower_def(decl: ast.DefDecl) -> ast.DefDecl:
     hits: list[ast.DeferCandidate] = []
     body = _lower(decl.body, hits)
-    if hits and isinstance(body, ast.Block):
-        body = ast.Block((ast.FrameExpr(body, body.span),), body.span)
+    if hits:
+        # A frame's body is a block: a def written as `__frame { ... }` keeps
+        # that frame as the one statement of the new frame's block.
+        block = body if isinstance(body, ast.Block) else ast.Block((body,), body.span)
+        body = ast.FrameExpr(block, body.span)
     return decl if body is decl.body else replace(decl, body=body)
 
 

@@ -164,10 +164,19 @@ def test_run_prints_every_kind_of_value(tmp_path, capsys):
     "command", [["run", "--entry", "Main.main"], ["lint", "--marker", "DefaultRewriter"]], ids=["run", "lint"]
 )
 def test_format_is_an_option_of_the_dumping_commands_only(command, capsys):
-    with pytest.raises(SystemExit) as info:
-        main([*command, "--format", "pretty", *fixture_paths(*SALAT_AFTER)])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    name, *flags = command
+    files = fixture_paths(*SALAT_AFTER)
+    fmt = ["--format", "pretty"]
+    # The option's value can be taken as a file, and a file can be left over:
+    # the error names the unknown option and no file.
+    for argv in ([*command, *fmt, *files], [name, *fmt, *flags, *files], [*command, *files, *fmt]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ml1 ")
+        assert err.endswith("ml1: error: unrecognized arguments: --format\n")
+        assert not any(path in err for path in files)
 
 
 def test_resolve_dump_shows_shared_context(capsys):

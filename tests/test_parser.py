@@ -167,7 +167,7 @@ def test_lowered_intrinsics_parse():
     )
     unit = parse_source(source)
     (decl,) = next(unit.templates()).stats
-    (frame,) = decl.body.stats
+    frame = decl.body
     assert isinstance(frame, ast.FrameExpr)
     register = frame.body.stats[0]
     assert isinstance(register, ast.DeferRegister)

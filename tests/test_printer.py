@@ -1,14 +1,18 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ml1 import ast
+from ml1.cli import main
+from ml1.diagnostics import SemanticError
 from ml1.parser import parse_unit
 from ml1.printer import pretty_print
+from ml1.rewrite import defer_lowering
 from ml1.tokens import tokenize
 
-from conftest import FIXTURES, parse_fixture, parse_source
-from gen import random_unit
+from conftest import FIXTURES, fixture_paths, parse_fixture, parse_source
+from gen import random_unit, random_unit_defs_only
 
 
 def round_trip(unit: ast.CompilationUnit) -> ast.CompilationUnit:
@@ -64,6 +68,55 @@ def test_seeded_units_round_trip():
         unit = random_unit(rng)
         again = round_trip(unit)
         assert again == unit, f"unit #{index} changed across print/parse"
+
+
+# Of 220 seeded units, how many `defer_lowering` accepts and how many of
+# those hold a frame afterwards. `random_unit` gives a def only trivial
+# bodies, so each of its defers sits outside any def and none is framed.
+LOWERED_AND_FRAMED = {"random_unit": (188, 0), "random_unit_defs_only": (220, 30)}
+
+
+@pytest.mark.parametrize("generate", [random_unit, random_unit_defs_only])
+def test_seeded_lowered_units_round_trip(generate):
+    rng = random.Random(2024)
+    lowered_units = framed_units = 0
+    for index in range(220):
+        unit = generate(rng)
+        try:
+            lowered = ast.map_children(
+                unit, lambda stat: defer_lowering(stat) if isinstance(stat, ast.TemplateDef) else stat
+            )
+        except SemanticError:
+            continue  # a defer outside any def
+        lowered_units += 1
+        framed_units += any(isinstance(node, ast.FrameExpr) for node in ast.walk(lowered))
+        assert round_trip(lowered) == lowered, f"lowered unit #{index} changed across print/parse"
+    assert (lowered_units, framed_units) == LOWERED_AND_FRAMED[generate.__name__]
+
+
+def test_a_def_written_as_a_frame_gets_a_frame_inside_it(tmp_path, capsys):
+    unit = tmp_path / "framed.ml1"
+    unit.write_text(
+        'import go.defer._\n\nobject M {\n  def f() = __frame { defer { print("a") }; print("b") }\n}\n',
+        encoding="utf-8",
+    )
+    files = [*fixture_paths("lib/go_defer.ml1"), str(unit)]
+    assert main(["rewrite", *files]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "import go.defer._\n\nobject M {\n"
+        "  def f() = __frame {\n"
+        "    __frame {\n"
+        "      __defer(thunk {\n"
+        '        print("a")\n'
+        "      })\n"
+        '      print("b")\n'
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )
+    assert main(["run", "--entry", "M.f", *files]) == 0
+    assert capsys.readouterr() == ("b\na\n", "")
 
 
 ident = st.sampled_from(["alpha", "f", "g", "value", "x9"])

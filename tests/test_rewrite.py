@@ -192,7 +192,7 @@ def test_copy_method_lowering_shape():
     assert count_kind(lowered, ast.DeferRegister) == 2
     assert count_kind(lowered, ast.FrameExpr) == 1
     copy_def = next(s for s in lowered.stats if isinstance(s, ast.DefDecl) and s.name == "copy")
-    (frame,) = copy_def.body.stats
+    frame = copy_def.body
     assert isinstance(frame, ast.FrameExpr)
     # registers replace the two defer statements in place
     register_kinds = [type(s).__name__ for s in frame.body.stats]
