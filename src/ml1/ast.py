@@ -7,11 +7,10 @@ a unit is equal to the result of parsing its own pretty-printed form.
 
 from __future__ import annotations
 
-from dataclasses import field, fields, replace
 from functools import cached_property
 from typing import Iterator, Union
 
-from ml1.record import Record
+from ml1.record import Record, field, fields, replace
 from ml1.tokens import Span
 
 NO_SPAN = Span(0, 0)
@@ -256,7 +255,7 @@ def to_dict(node) -> object:
     declaration order (camelCased)."""
     if isinstance(node, tuple):
         return [to_dict(item) for item in node]
-    if not hasattr(node, "__dataclass_fields__"):
+    if not isinstance(node, Record):
         return node
     out: dict[str, object] = {"kind": type(node).__name__}
     span = getattr(node, "span", None)

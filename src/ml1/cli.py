@@ -10,17 +10,15 @@ identical invocations produce identical output bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from ml1 import ast
 from ml1.diagnostics import SemanticError
 from ml1.parser import ParseError, parse_unit
 from ml1.printer import pretty_print
+from ml1.record import replace
 from ml1.tokens import LexError, Span, tokenize
 
 # The semantic phases are imported by the commands that use them, so
@@ -71,7 +69,10 @@ def _dump(document: object) -> str:
     """A generic tree as JSON, for `parse --dump-ast` and `rewrite --dump`.
     `resolve --dump` has its own writer (`_write_resolution`): `indent=2`
     makes `json.dumps` use its pure-Python encoder, which costs most of
-    that command's time on large closures."""
+    that command's time on large closures. `json` loads here, not at
+    start-up, because no other command needs it."""
+    import json
+
     return json.dumps(document, indent=2)
 
 
@@ -116,9 +117,10 @@ def _write_resolution(out: TextIO, graph: ScopeGraph, resolution: Resolution) ->
     indent=2)` gives for it, every string escaped by the same C encoder,
     written from the resolution and the closures as it goes, one unit or
     template at a time."""
+    from json.encoder import encode_basestring_ascii as enc
+
     from ml1.scopes import TEMPLATE, export_closure
 
-    enc = encode_basestring_ascii
     # Each edge's label, encoded once: witness paths repeat edges many times.
     labels = {id(edge): enc(edge.label()) for edges in graph.exports.values() for edge in edges}
 

@@ -41,12 +41,11 @@ thunks.
 from __future__ import annotations
 
 import sys
-from dataclasses import field
 from typing import Callable
 
 from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_NO_ENTRY, E_NO_FRAME
-from ml1.record import Record
+from ml1.record import Record, field
 from ml1.resolve import Resolution
 from ml1.scopes import BUILTIN, DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph, SymbolId
 from ml1.tokens import Span

@@ -17,8 +17,6 @@ frames' scopes; nothing it derives is stored on the graph.
 
 from __future__ import annotations
 
-from dataclasses import field
-
 from ml1 import ast
 from ml1.diagnostics import (
     Diagnostic,
@@ -27,7 +25,7 @@ from ml1.diagnostics import (
     E_FORWARD_REFERENCE,
     E_UNRESOLVED,
 )
-from ml1.record import Record
+from ml1.record import Record, field
 from ml1.scopes import (
     DEF,
     TEMPLATE,

@@ -11,7 +11,6 @@ as `resolve` binds it in a walk of the rewriter object alone.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 from ml1 import ast
@@ -24,7 +23,7 @@ from ml1.diagnostics import (
     E_UNREGISTERED_REWRITER,
     SemanticError,
 )
-from ml1.record import Record
+from ml1.record import Record, replace
 from ml1.resolve import implicit_candidates, resolve_template, select_implicit
 from ml1.scopes import BUILTINS, REWRITER_MARKER, TEMPLATE, ScopeGraph
 

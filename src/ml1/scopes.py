@@ -32,7 +32,6 @@ phase.
 
 from __future__ import annotations
 
-from dataclasses import field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -46,7 +45,7 @@ from ml1.diagnostics import (
     E_UNRESOLVED_IMPORT_PATH,
     E_UNRESOLVED_PARENT,
 )
-from ml1.record import Record
+from ml1.record import Record, field
 from ml1.tokens import Span
 
 TEMPLATE = "template"

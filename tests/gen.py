@@ -316,7 +316,9 @@ def random_template(rng: random.Random, allow_defer: bool) -> ast.TemplateDef:
         if roll < 0.3:
             stats.append(random_import(rng, annotated=True))
         elif roll < 0.75:
-            stats.append(random_def(rng, 2, allow_defer))
+            # Deep enough that a def's body may hold a defer, which
+            # `go.defer` frames.
+            stats.append(random_def(rng, 4, allow_defer))
         else:
             stats.append(random_expr(rng, 2, allow_defer))
     name = _ident(rng).capitalize() + str(rng.randint(0, 9))

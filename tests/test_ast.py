@@ -1,7 +1,7 @@
-import dataclasses
 import random
 
 from ml1 import ast
+from ml1.record import Record, fields
 from ml1.rewrite import defer_lowering, uppercase_defs
 
 from gen import random_unit, random_unit_defs_only
@@ -13,7 +13,7 @@ NODE_CLASSES = {
     value
     for value in vars(ast).values()
     if isinstance(value, type)
-    and dataclasses.is_dataclass(value)
+    and issubclass(value, Record)
     and value.__module__ == ast.__name__
     and value not in SELECTOR_VALUES
 }
@@ -32,7 +32,7 @@ def generated_trees(seed: int, count: int):
 def test_every_node_class_has_a_child_field_entry():
     assert set(ast.CHILD_FIELDS) == NODE_CLASSES
     for cls, names in ast.CHILD_FIELDS.items():
-        declared = [f.name for f in dataclasses.fields(cls)]
+        declared = [f.name for f in fields(cls)]
         assert [n for n in declared if n in names] == list(names), cls
 
 
@@ -55,11 +55,13 @@ def test_map_children_rebuilds_only_the_changed_field():
 
 
 def _scan(node):
-    """Pre-order nodes found through every dataclass field, independent of
-    the child-field table."""
+    """Pre-order nodes found through every name of `__dataclass_fields__`,
+    independent of the child-field table. The bench's node count
+    (`bench/layers._nodes`) walks the same table, so this also pins that
+    the table reaches every node."""
     yield node
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in node.__dataclass_fields__:
+        value = getattr(node, name)
         items = value if isinstance(value, tuple) else (value,)
         for item in items:
             if type(item) in NODE_CLASSES:

@@ -1,12 +1,12 @@
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
 from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
 from ml1.interp import _BUILTINS, UNIT, EvalError, Interpreter, run
+from ml1.record import replace
 from ml1.resolve import resolve_units
 from ml1.rewrite import apply_rewriter, builtin_registry
 from ml1.scopes import BUILTIN_NAMES, build_scope_graph
