@@ -278,7 +278,7 @@ def cmd_lint(args) -> int:
     if _report_diagnostics(graph, resolution):
         return FAILURE
     lines = []
-    for marker in args.marker:
+    for marker in dict.fromkeys(args.marker):  # a repeated marker is checked once
         for divergence in check_context_consistency(graph, units, marker):
             lines.append(divergence.render())
     for line in sorted(lines):

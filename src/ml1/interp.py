@@ -12,10 +12,13 @@ or of a template def; only a local or `val` callee is dispatched when the
 call runs. Errors are raised when a closure runs, never when it is
 compiled, so an ill-formed node in code that never runs does no harm.
 
-Values are plain where they can be: an integer or a string is a Python
-`int` or `str`, unit is the empty tuple `UNIT`, and an object or package
-is the resolver's `SymbolId`, printed as its FQN. Only defs, thunks and
-builtins have classes of their own (`DefV`, `ThunkV`, `BuiltinV`).
+A value is what the resolver bound where it can be: an integer or a
+string is a Python `int` or `str`, unit is the empty tuple `UNIT`, and an
+object, package or builtin is the resolver's `SymbolId`, printed as its
+FQN or, for a builtin, as `<builtin NAME>`. A thunk is its `ThunkExpr`
+node, printed `<thunk>`; nothing calls a thunk value, since `__defer`
+compiles the thunk's block itself. Only a def has a class of its own,
+`DefV`, because a local def closes over its defining frame.
 
 An environment is a frame: its parent frame, then one slot per local. A
 def call's frame holds its arguments; a declaring block's frame holds its
@@ -47,7 +50,7 @@ from ml1 import ast
 from ml1.diagnostics import E_CYCLIC_VAL, E_NO_ENTRY, E_NO_FRAME
 from ml1.record import Record, field
 from ml1.resolve import Resolution
-from ml1.scopes import BUILTIN, DEF, PACKAGE, TEMPLATE, VAL, ScopeGraph, SymbolId
+from ml1.scopes import BUILTIN, DEF, VAL, ScopeGraph, SymbolId
 from ml1.tokens import Span
 
 _MAX_CALL_DEPTH = 200
@@ -65,15 +68,6 @@ UNIT = ()  # the unit value; `print` shows it as `()`
 _INITIALISING = object()  # a template val's entry in `Interpreter.vals` while its body runs
 
 
-class ThunkV:
-    """The value of `thunk { ... }`, closing over the environment it was
-    created in. `__defer` registers the compiled block, not this value."""
-
-    def __init__(self, env: "Frame | None", body: ast.Block):
-        self.env = env
-        self.body = body
-
-
 class DefV:
     """A callable def; local defs close over their defining environment."""
 
@@ -82,12 +76,7 @@ class DefV:
         self.decl = decl
 
 
-class BuiltinV:
-    def __init__(self, name: str):
-        self.name = name
-
-
-Value = int | str | tuple | SymbolId | ThunkV | DefV | BuiltinV
+Value = int | str | tuple | SymbolId | DefV | ast.ThunkExpr
 
 
 class EvalError(Exception):
@@ -171,12 +160,10 @@ def render(value: Value, span: Span | None) -> str:
     if value is UNIT:
         return "()"
     if isinstance(value, SymbolId):
-        return value.fqn
-    if isinstance(value, ThunkV):
-        return "<thunk>"
+        return f"<builtin {value.short_name()}>" if value.kind == BUILTIN else value.fqn
     if isinstance(value, DefV):
         return f"<def {value.decl.name}>"
-    return f"<builtin {value.name}>"
+    return "<thunk>"  # a ThunkExpr
 
 
 # Builtins: each is a function of the interpreter, the call's span and the
@@ -233,7 +220,7 @@ class Interpreter:
         trace = Trace(events=self.events)
         sym = self.graph.symbols.get(entry_fqn)
         decl = self.graph.decls.get(entry_fqn)
-        if sym is None or sym.kind != DEF or not isinstance(decl, ast.DefDecl) or decl.params:
+        if sym is None or sym.kind != DEF or decl.params:
             trace.error = EvalError(
                 f"{entry_fqn} is not a zero-argument def", code=E_NO_ENTRY
             )
@@ -276,8 +263,7 @@ class Interpreter:
         if isinstance(node, ast.FrameExpr):
             return self._compile_frame(node)
         if isinstance(node, ast.ThunkExpr):
-            block = node.body
-            return lambda env: ThunkV(env, block)
+            return _constant(node)
         if isinstance(node, ast.DeferRegister):
             return self._compile_defer(node)
         if isinstance(node, ast.DeferCandidate):
@@ -285,18 +271,17 @@ class Interpreter:
         return _failure(f"cannot evaluate {type(node).__name__}", getattr(node, "span", None))
 
     def compile_ref(self, ref: ast.Ref) -> Code:
-        """Classify a reference once, by its address or resolved symbol."""
+        """Classify a reference once: a local, unresolved, a template `val`,
+        or a constant (a template def's `DefV`, or the symbol itself)."""
         address = self.resolution.addresses.get(id(ref))
         if address is not None:
             return _local(*address)
         symbol = self.resolution.symbol_for(ref)
         if symbol is None:
             return _failure(f"{ast.dotted(ref.parts)} was not resolved", ref.span)
-        if symbol.kind == BUILTIN:
-            return _constant(BuiltinV(symbol.short_name()))
-        decl = self.graph.decls.get(symbol.fqn)
-        if symbol.kind == VAL and isinstance(decl, ast.DefDecl):
-            fqn, body, compile, vals, span = symbol.fqn, decl.body, self.compile, self.vals, ref.span
+        if symbol.kind == VAL:
+            fqn, compile, vals, span = symbol.fqn, self.compile, self.vals, ref.span
+            body = self.graph.decls[fqn].body
 
             def read_val(env: Frame | None) -> Value:
                 value = vals.get(fqn)
@@ -312,22 +297,17 @@ class Interpreter:
                 return value
 
             return read_val
-        if symbol.kind == DEF and isinstance(decl, ast.DefDecl):
-            return _constant(DefV(None, decl))
-        if symbol.kind in (TEMPLATE, PACKAGE):
-            return _constant(symbol)
-        return _failure(f"{symbol.fqn} has no runtime value", ref.span)
+        return _constant(DefV(None, self.graph.decls[symbol.fqn]) if symbol.kind == DEF else symbol)
 
     def _compile_call(self, node: ast.Call) -> Code:
         """Classify the call once, by its callee's symbol."""
         args = tuple(self.compile(arg) for arg in node.args)
         ref, span = node.callee, node.span
         symbol = None if id(ref) in self.resolution.addresses else self.resolution.symbol_for(ref)
-        decl = symbol and self.graph.decls.get(symbol.fqn)
         if symbol and symbol.kind == BUILTIN:
             return self._compile_apply(_builtin(symbol.short_name(), len(args)), args, span)
-        if symbol and symbol.kind == DEF and isinstance(decl, ast.DefDecl):
-            return self._compile_def_call(decl, None, args, span)
+        if symbol and symbol.kind == DEF:
+            return self._compile_def_call(self.graph.decls[symbol.fqn], None, args, span)
         # A local or val callee: what it holds is known only when the call runs.
         callee = self.compile_ref(ref)
 
@@ -335,8 +315,8 @@ class Interpreter:
             fn = callee(env)
             if isinstance(fn, DefV):
                 return self._compile_def_call(fn.decl, fn.env, args, span)(env)
-            if isinstance(fn, BuiltinV):
-                return self._compile_apply(_builtin(fn.name, len(args)), args, span)(env)
+            if isinstance(fn, SymbolId) and fn.kind == BUILTIN:
+                return self._compile_apply(_builtin(fn.short_name(), len(args)), args, span)(env)
             for arg in args:
                 arg(env)
             raise EvalError(f"{render(fn, span)} is not callable", span)

@@ -196,7 +196,7 @@ def _diff_count(before, after) -> int:
 def defer_lowering(tpl: ast.TemplateDef) -> ast.TemplateDef:
     """Replace each `defer { b }` with `__defer(thunk { b })`, and give every
     def that registered at least one a frame: its body becomes the
-    `FrameExpr` `__frame { body }`.
+    `FrameExpr` `__frame { body }`, unless it already is one.
 
     Defers are judged per def: a nested def gets its own frame, while
     block-local vals register on the enclosing def. A defer with no
@@ -229,11 +229,10 @@ def _lower(node, hits: list[ast.DeferCandidate] | None):
 def _lower_def(decl: ast.DefDecl) -> ast.DefDecl:
     hits: list[ast.DeferCandidate] = []
     body = _lower(decl.body, hits)
-    if hits:
-        # A frame's body is a block: a def written as `__frame { ... }` keeps
-        # that frame as the one statement of the new frame's block.
-        block = body if isinstance(body, ast.Block) else ast.Block((body,), body.span)
-        body = ast.FrameExpr(block, body.span)
+    # A def written as `__frame { ... }` keeps that frame: every defer in it
+    # registers there, so a second frame would only add a nesting level.
+    if hits and not isinstance(body, ast.FrameExpr):
+        body = ast.FrameExpr(body, body.span)
     return decl if body is decl.body else replace(decl, body=body)
 
 

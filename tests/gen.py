@@ -8,8 +8,10 @@ reference lexer scans one character at a time.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ml1 import ast
 from ml1.tokens import (
@@ -222,6 +224,41 @@ def dense_family_sources(k: int, vals: int = 2) -> list[tuple[str, str]]:
         lines.append("}")
         sources.append((f"d{i}.ml1", "\n".join(lines) + "\n"))
     return sources
+
+
+# Every two-clause hub up to a small bound ------------------------------------
+
+
+HUB_PROVIDER_MEMBERS = [("x",), ("y",), ("x", "y")]
+HUB_SELECTORS = ["_", "x", "y", "{x => y}", "{x => _, _}", "{y => x, _}", "{x => y, _}"]
+
+
+def two_clause_hub_sources() -> Iterator[list[tuple[str, str]]]:
+    """Every project of the two-clause hub space, as (unit name, source)
+    pairs. Providers `p.A` and `p.B` each have the members `{x}`, `{y}` or
+    `{x, y}`. The hub `q.H` has two `@exported` clauses, each importing A or
+    B with one of `HUB_SELECTORS`. The hub client `C` imports `q.H._`
+    directly or through `q2.H2 { @exported import q.H._ }`, and the inline
+    client `D` holds the hub's two clauses itself. Both clients read `x`
+    and then `y`, the hub client first: 3 * 3 * 14 * 14 * 2 = 3,528
+    projects."""
+    clauses = [f"p.{provider}.{selectors}" for provider in "AB" for selectors in HUB_SELECTORS]
+    reads = "object {} {{\n  def probe() = {{\n    x\n    y\n  }}\n}}\n"
+    for members_a, members_b, first, second, through in itertools.product(
+        HUB_PROVIDER_MEMBERS, HUB_PROVIDER_MEMBERS, clauses, clauses, (False, True)
+    ):
+        sources = []
+        for name, members in (("A", members_a), ("B", members_b)):
+            vals = "".join(f"  val {member} = 0\n" for member in members)
+            sources.append((f"{name.lower()}.ml1", f"package p\n\nobject {name} {{\n{vals}}}\n"))
+        exported = f"  @exported import {first}\n  @exported import {second}\n"
+        sources.append(("h.ml1", f"package q\n\nobject H {{\n{exported}}}\n"))
+        if through:
+            sources.append(("h2.ml1", "package q2\n\nobject H2 {\n  @exported import q.H._\n}\n"))
+        hub = "q2.H2._" if through else "q.H._"
+        sources.append(("hub_client.ml1", f"import {hub}\n\n" + reads.format("C")))
+        sources.append(("inline_client.ml1", f"import {first}\nimport {second}\n\n" + reads.format("D")))
+        yield sources
 
 
 # Random units for round-trip and rewriter-law testing -------------------------

@@ -160,6 +160,52 @@ def test_run_prints_every_kind_of_value(tmp_path, capsys):
     )
 
 
+# Each kind of value: an expression that makes it, the direct form that
+# prints it and calls it with "a" (None where no name can be called), and
+# the stdout and stderr of printing it and then making that call.
+VALUE_PATHS = {
+    "integer": ("7", None, "7\n", "error: 7 is not callable\n"),
+    "string": ('"s"', None, "s\n", "error: s is not callable\n"),
+    "unit": ("{ }", None, "()\n", "error: () is not callable\n"),
+    "object": ("O", 'print(O); print(O("a"))', "p.q.O\n", "error: p.q.O is not callable\n"),
+    "package": ("p.q", 'print(p.q); print(p.q("a"))', "p.q\n", "error: p.q is not callable\n"),
+    "template_def": ("O.t", 'print(O.t); print(O.t("a"))', "<def t>\nta\n", ""),
+    "local_def": (
+        '{ def g(x) = { concat("g", x) }; g }',
+        'def g(x) = { concat("g", x) }; print(g); print(g("a"))',
+        "<def g>\nga\n",
+        "",
+    ),
+    "builtin": ("print", 'print(print); print(print("a"))', "<builtin print>\na\n()\n", ""),
+    "thunk": ("thunk { 1 }", None, "<thunk>\n", "error: <thunk> is not callable\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_PATHS))
+def test_a_value_prints_and_calls_alike_on_every_path(tmp_path, capsys, kind):
+    # A value held by a template val, a def parameter or a block val is the
+    # value its expression makes: printed and called, it behaves as the
+    # direct form does.
+    expr, direct, out, err = VALUE_PATHS[kind]
+    use = 'print(v); print(v("a"))'
+    paths = {  # the members added and main's body
+        "template_val": (f"  val v = {expr}\n", use),
+        "parameter": (f"  def use(v) = {{ {use} }}\n", f"use({expr})"),
+        "block_val": ("", f"val v = {expr}; {use}"),
+    }
+    if direct:
+        paths["direct"] = ("", direct)
+    for path, (members, body) in paths.items():
+        unit = tmp_path / "values.ml1"
+        unit.write_text(
+            "package p.q\n\nobject O {\n  def t(x) = { concat(\"t\", x) }\n}\n\n"
+            f"object Main {{\n{members}  def main() = {{ {body} }}\n}}\n",
+            encoding="utf-8",
+        )
+        status = 2 if err else 0
+        assert run_cli(capsys, "run", "--entry", "p.q.Main.main", str(unit)) == (status, out, err), path
+
+
 @pytest.mark.parametrize(
     "command", [["run", "--entry", "Main.main"], ["lint", "--marker", "DefaultRewriter"]], ids=["run", "lint"]
 )
@@ -352,6 +398,14 @@ def test_lint_accepts_repeated_markers(capsys):
     lines = out.splitlines()
     assert len(lines) == 1  # no unit imports a rewriter in this project
     assert lines[0].startswith("DIVERGENCE Context ")
+
+
+def test_lint_prints_a_repeated_markers_divergences_once(capsys):
+    files = fixture_paths(*SALAT_BEFORE)
+    once = run_cli(capsys, "lint", "--marker", "Context", *files)
+    assert once[0] == 1
+    markers = ["--marker", "Context", "--marker", "DefaultRewriter", "--marker", "Context"]
+    assert run_cli(capsys, "lint", *markers, *files) == once
 
 
 def test_lint_passes_on_the_shared_hub(capsys):
@@ -603,13 +657,14 @@ def test_deep_nesting_is_a_coded_parse_error(tmp_path, capsys, argv):
 
 
 # Def bodies nested exactly as deep as the parser allows, in the shapes the
-# phases recurse over: blocks, argument lists, defers (two levels each) and
-# explicit frames.
+# phases recurse over: blocks, argument lists, defers (two levels each),
+# explicit frames, and a def written as a frame that holds a defer.
 NESTED_AT_THE_LIMIT = {
     "blocks": "{ " * 99 + "print(1)" + " }" * 99,
     "arguments": "{ print(" + "concat(" * 98 + '"a"' + ', "b")' * 98 + ") }",
     "defers": "{ " + "defer { " * 49 + "print(1)" + " }" * 49 + " }",
     "frames": "{ " + "__frame { __defer(thunk { " * 33 + "1" + " }) }" * 33 + " }",
+    "framed_def": "__frame { " + "{ " * 96 + "defer { print(1) }" + " }" * 96 + " }",
 }
 
 
@@ -637,6 +692,19 @@ def test_rewrite_output_at_the_limit_parses_again(shape):
     unit = parse_source(nested_unit(shape))
     lowered, _ = apply_rewriter((DEFER_REWRITER,), unit, builtin_registry())
     assert parse_source(pretty_print(lowered)) == lowered
+
+
+def test_a_framed_def_at_the_limit_runs_alike_after_rewrite(tmp_path, capsys):
+    # The lowered def keeps its one frame, so the rewritten unit is no
+    # deeper than the written one and runs the defer on the same frame.
+    unit = tmp_path / "nested.ml1"
+    unit.write_text(nested_unit("framed_def"), encoding="utf-8")
+    rewritten = tmp_path / "rewritten.ml1"
+    lowered, _ = apply_rewriter((DEFER_REWRITER,), parse_source(nested_unit("framed_def")), builtin_registry())
+    rewritten.write_text(pretty_print(lowered), encoding="utf-8")
+    for path in (unit, rewritten):
+        argv = ["run", "--entry", "Main.main", *fixture_paths("lib/go_defer.ml1"), str(path)]
+        assert run_cli(capsys, *argv) == (0, "1\n", ""), path.name
 
 
 def test_one_defer_past_the_limit_is_a_coded_parse_error(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_seeded_lowered_units_round_trip(generate):
     assert (lowered_units, framed_units) == LOWERED_AND_FRAMED[generate.__name__]
 
 
-def test_a_def_written_as_a_frame_gets_a_frame_inside_it(tmp_path, capsys):
+def test_a_def_written_as_a_frame_keeps_its_one_frame(tmp_path, capsys):
     unit = tmp_path / "framed.ml1"
     unit.write_text(
         'import go.defer._\n\nobject M {\n  def f() = __frame { defer { print("a") }; print("b") }\n}\n',
@@ -106,12 +106,10 @@ def test_a_def_written_as_a_frame_gets_a_frame_inside_it(tmp_path, capsys):
     assert out.endswith(
         "import go.defer._\n\nobject M {\n"
         "  def f() = __frame {\n"
-        "    __frame {\n"
-        "      __defer(thunk {\n"
-        '        print("a")\n'
-        "      })\n"
-        '      print("b")\n'
-        "    }\n"
+        "    __defer(thunk {\n"
+        '      print("a")\n'
+        "    })\n"
+        '    print("b")\n'
         "  }\n"
         "}\n"
     )

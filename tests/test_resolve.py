@@ -28,7 +28,7 @@ from ml1.scopes import (
 )
 
 from conftest import PARENTS, build_project, parse_fixture, parse_source
-from gen import NAME_POOL, RENAME_POOL, EdgeSpec, _edge_filter, _selector_text
+from gen import NAME_POOL, RENAME_POOL, EdgeSpec, _edge_filter, _selector_text, two_clause_hub_sources
 
 
 def ref_symbols(resolution, name):
@@ -261,6 +261,30 @@ def test_a_hub_of_one_clause_binds_every_name_as_the_inlined_clause():
         codes = {(d.unit, d.span): d.code for d in resolution.diagnostics}
         outcomes = [rec.symbol.fqn if rec.symbol else codes[(rec.unit, rec.span)] for rec in resolution.records]
         assert outcomes[: len(names)] == outcomes[len(names) :], selectors
+
+
+def test_a_hub_of_two_clauses_binds_as_inline_or_ambiguously_among_its_candidates():
+    """The weak hub law on every project of `two_clause_hub_sources`: for
+    each read, the hub client binds what the inline client binds (a symbol,
+    or the same diagnostic), or it gives E_AMBIGUOUS with the inline
+    client's symbol among the candidates. A split is a read where the two
+    differ. The law with equality, which the paper states, is open."""
+    projects = splits = 0
+    violations = []
+    for sources in two_clause_hub_sources():
+        _, resolution = resolve_project(*(parse_source(text, name) for name, text in sources))
+        found = {(d.unit, d.span): (d.code, d.candidates) for d in resolution.diagnostics}
+        outcomes = [rec.symbol.fqn if rec.symbol else found[(rec.unit, rec.span)] for rec in resolution.records]
+        projects += 1
+        assert len(outcomes) == 4, sources
+        for hub, inline in zip(outcomes[:2], outcomes[2:]):
+            if hub == inline:
+                continue
+            splits += 1
+            if not (isinstance(hub, tuple) and hub[0] == E_AMBIGUOUS and inline in hub[1]):
+                violations.append((sources, hub, inline))
+    assert violations == []
+    assert (projects, splits) == (3528, 736)
 
 
 def test_import_selectors_apply_the_oracle_selector_rule():
