@@ -62,10 +62,6 @@ class ImportSelectors(Record, frozen=True):
                     table.setdefault(sel.target, None)
         return table
 
-    def apply(self, name: str) -> str | None:
-        """Visible name this filter gives `name`, or None when filtered out."""
-        return self.table.get(name, name if self.wildcard else None)
-
 
 WILDCARD = ImportSelectors(wildcard=True)
 

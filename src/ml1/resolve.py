@@ -28,7 +28,6 @@ from ml1.diagnostics import (
 from ml1.record import Record, field
 from ml1.scopes import (
     DEF,
-    TEMPLATE,
     VAL,
     ImportPosition,
     ScopeGraph,
@@ -230,28 +229,28 @@ class ImplicitCandidate(Record, frozen=True):
     position: int
 
 
-def _is_marker_implicit(graph: ScopeGraph, sym: SymbolId, marker_fqn: str) -> bool:
-    if sym.kind != TEMPLATE:
-        return False
-    decl = graph.decls.get(sym.fqn)
-    if not isinstance(decl, ast.TemplateDef) or not decl.is_implicit:
-        return False
-    return marker_fqn in graph.linearized_parents(sym.fqn)
-
-
 def implicit_candidates(
     graph: ScopeGraph, unit: ast.CompilationUnit, marker_fqn: str
 ) -> list[ImplicitCandidate]:
     """Implicit objects extending `marker_fqn` visible at the unit's top
     scope, in the order of its precedence list (`scopes.import_positions`),
-    highest precedence first; within one position ordered by FQN."""
+    highest precedence first; within one position ordered by FQN. Each
+    position is asked only for the names such an object can be visible
+    under (see `ImportPosition`): its short name and each name a selector
+    renames to. That finds what asking for every visible name would."""
+    objects = {
+        graph.symbols[fqn]
+        for fqn in graph.members
+        if graph.decls[fqn].is_implicit and marker_fqn in graph.parts(fqn)[1:]
+    }
+    if not objects:
+        return []
+    names = {to for edges in graph.exports.values() for edge in edges for to in edge.selectors.table.values() if to}
+    names.update(sym.short_name() for sym in objects)
     found: list[ImplicitCandidate] = []
     for position in import_positions(graph, unit):
         symbols = {
-            sym
-            for name in position.names(graph)
-            for sym in position.lookup(graph, name)
-            if _is_marker_implicit(graph, sym, marker_fqn)
+            sym for name in names.union(position.renames) for sym in position.lookup(graph, name) if sym in objects
         }
         found += (
             ImplicitCandidate(sym, position.tier, position.index)

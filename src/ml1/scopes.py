@@ -19,15 +19,17 @@ every closure.
 per (visible name, symbol) pair: the shortest, then the lowest by its list
 of edge labels. Paths are expanded breadth-first in that order. Each edge's
 selectors make one filter, built once per graph (`ExportEdge.filter`); a
-path's filters compose into one, which is then restricted to the names a
-later edge can still deliver to it. A path stops exactly when it cannot
-add a pair or a smaller witness: once that filter hides every name, or once
-the same scope was already reached under the same filter with a visited set
-that is a subset of this path's. Closures are memoized on the graph; the
-memos built while parents are linked are dropped, so every closure is built
-from the finished graph. The graph holds only memos of its own queries:
-what a later phase derives from it, such as a resolution, stays with that
-phase.
+path's filters compose into one. A path takes no edge whose composed
+filter hides every name. After taking an edge's pairs it stops when that
+filter, restricted to the names a later edge can still deliver, keeps no
+name and no wildcard, or when an earlier path reached the same scope under
+the same restricted filter with a subset of this path's visited set. No
+pair or witness is lost, but paths with incomparable visited sets are all
+expanded even when they can add nothing, so layered hubs cost work
+exponential in their depth. Closures are memoized on the graph; the memos
+built while parents are linked are dropped, so every closure is built from
+the finished graph. The graph holds only memos of its own queries: what a
+later phase derives from it, such as a resolution, stays with that phase.
 """
 
 from __future__ import annotations
@@ -565,7 +567,10 @@ class ImportPosition(Record, frozen=True):
     enclosing package (ENCLOSING_PACKAGE) or the builtins (BUILTIN_SCOPE).
     `index` is the clause's textual index, the package's distance from the
     innermost one, or 0; `scope` is the template, the imported scope or the
-    package, or "" for the builtins."""
+    package, or "" for the builtins. `lookup` finds a symbol only under
+    its short name, which keys every member map and starts every closure
+    entry, or under a name that a selector, of this clause or of an
+    `@exported` clause on the closure path, renamed it to."""
 
     tier: str
     index: int
@@ -591,18 +596,6 @@ class ImportPosition(Record, frozen=True):
             return ()
         inherited = {sym for parent in graph.inherits[self.scope] for sym in export_closure(graph, parent).lookup(name)}
         return tuple(sorted(inherited, key=lambda sym: sym.fqn))
-
-    def names(self, graph: ScopeGraph) -> Iterable[str]:
-        """Every name `lookup` may find symbols under."""
-        if self.tier == IMPORT_NAMED:
-            return self.renames
-        names = set(BUILTINS if self.tier == BUILTIN_SCOPE else graph.scope_members(self.scope))
-        if self.tier == IMPORT_WILDCARD:
-            names.update(export_closure(graph, self.scope).by_name)
-            return names - self.excluded
-        if self.tier == ENCLOSING_TEMPLATE:
-            names.update(name for parent in graph.inherits[self.scope] for name in export_closure(graph, parent).by_name)
-        return names
 
 
 _BUILTIN_POSITION = ImportPosition(BUILTIN_SCOPE, 0, "")

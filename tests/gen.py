@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the production code paths: the export
 closure oracle enumerates simple edge paths over a plain description of
 the graph, the defer oracle simulates traces with a list-as-stack, and the
-reference lexer scans one character at a time.
+reference lexer scans one character at a time. The implicit scan oracle
+keeps the scan's first definition: it lists every name a position
+provides and looks each one up.
 """
 
 from __future__ import annotations
@@ -14,6 +16,19 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ml1 import ast
+from ml1.scopes import (
+    BUILTIN_SCOPE,
+    BUILTINS,
+    ENCLOSING_TEMPLATE,
+    IMPORT_NAMED,
+    IMPORT_WILDCARD,
+    TEMPLATE,
+    ImportPosition,
+    ScopeGraph,
+    SymbolId,
+    export_closure,
+    import_positions,
+)
 from ml1.tokens import (
     E_ILLEGAL_CHARACTER,
     E_UNSUPPORTED_ESCAPE,
@@ -226,6 +241,23 @@ def dense_family_sources(k: int, vals: int = 2) -> list[tuple[str, str]]:
     return sources
 
 
+def layered_family_spec(k: int, back_edge: bool = False) -> GraphSpec:
+    """Layers 0 to k of two templates each: layer i holds T(2i) and
+    T(2i+1), each with one member of its own (`v<index>`), and each
+    template of layer i < k wildcard-exports both templates of layer i+1.
+    With `back_edge`, both templates of layer k also wildcard-export T0.
+    The 2^i paths to layer i have pairwise incomparable visited sets."""
+    count = 2 * (k + 1)
+    edges = [
+        EdgeSpec(origin, target, True, [])
+        for origin in range(2 * k)
+        for target in (2 * (origin // 2 + 1), 2 * (origin // 2 + 1) + 1)
+    ]
+    if back_edge:
+        edges += [EdgeSpec(origin, 0, True, []) for origin in (2 * k, 2 * k + 1)]
+    return GraphSpec([[f"v{index}"] for index in range(count)], edges)
+
+
 # Every two-clause hub up to a small bound ------------------------------------
 
 
@@ -259,6 +291,94 @@ def two_clause_hub_sources() -> Iterator[list[tuple[str, str]]]:
         sources.append(("hub_client.ml1", f"import {hub}\n\n" + reads.format("C")))
         sources.append(("inline_client.ml1", f"import {first}\nimport {second}\n\n" + reads.format("D")))
         yield sources
+
+
+# Implicit-heavy projects and the implicit scan by names -----------------------
+
+
+IMPLICIT_MARKERS = ("k.Context", "k.Sub", "DefaultRewriter")
+IMPLICIT_OBJECT_NAMES = ("c0", "c1", "c2", "c3")
+_OBJECT_PARENTS = (" extends k.Context", " extends k.Sub", " extends DefaultRewriter", "")
+_HUB_SELECTORS = (
+    "_", "{c0 => ctx, _}", "{c1 => _, _}", "{c0 => c1, c1 => c0}", "{c0 => c1, c1 => c0, _}",
+    "c2", "{c3 => ctx}", "{ctx => c0, _}", "{ctx => c3}",
+)
+_CLIENT_PACKAGES = ("", "a", "a.b", "p0", "p0.inner", "h")
+
+
+def implicit_project_sources(rng: random.Random) -> list[tuple[str, str]]:
+    """A random project heavy in implicit objects, as (unit name, source)
+    pairs: the marker trait `k.Context` and its sub-trait `k.Sub`; one to
+    three provider packages `p<i>` of implicit and plain objects named from
+    `IMPLICIT_OBJECT_NAMES`, each extending a marker, `DefaultRewriter` or
+    nothing, some packages with a package object that re-exports another
+    provider; hubs `h.H<j>`, some extending an earlier hub, whose
+    `@exported` clauses import providers and other hubs with wildcards,
+    renames, hides and swaps; and clients in several packages."""
+    sources = [("k.ml1", "package k\n\ntrait Context {\n}\n\ntrait Sub extends Context {\n}\n")]
+    packages = [f"p{i}" for i in range(rng.randint(1, 3))]
+    hubs = [f"h.H{j}" for j in range(rng.randint(1, 3))]
+    for package in packages:
+        objects = [
+            ("implicit " if rng.random() < 0.7 else "") + f"object {name}{rng.choice(_OBJECT_PARENTS)} {{\n}}\n"
+            for name in sorted(rng.sample(IMPLICIT_OBJECT_NAMES, rng.randint(1, 4)))
+        ]
+        sources.append((f"{package}.ml1", f"package {package}\n\n" + "\n".join(objects)))
+        if rng.random() < 0.3:
+            target = rng.choice([*packages, *hubs])
+            clause = f"  @exported import {target}.{rng.choice(_HUB_SELECTORS)}\n"
+            sources.append((f"{package}_object.ml1", f"package object {package} {{\n{clause}}}\n"))
+    for j, hub in enumerate(hubs):
+        extends = f" extends H{rng.randrange(j)}" if j and rng.random() < 0.3 else ""
+        clauses = "".join(
+            f"  @exported import {rng.choice([*packages, *hubs])}.{rng.choice(_HUB_SELECTORS)}\n"
+            for _ in range(rng.randint(1, 3))
+        )
+        sources.append((f"h{j}.ml1", f"package h\n\nobject H{j}{extends} {{\n{clauses}}}\n"))
+    for i in range(rng.randint(2, 4)):
+        package = rng.choice(_CLIENT_PACKAGES)
+        imports = [
+            f"import {rng.choice([*packages, *hubs])}.{rng.choice([*_HUB_SELECTORS, *IMPLICIT_OBJECT_NAMES])}\n"
+            for _ in range(rng.randint(0, 3))
+        ]
+        header = [f"package {package}\n"] if package else []
+        blocks = [block for block in (header, imports, [f"object Main{i} {{\n}}\n"]) if block]
+        sources.append((f"client{i}.ml1", "\n".join("".join(block) for block in blocks)))
+    return sources
+
+
+def _position_names(graph: ScopeGraph, position: ImportPosition) -> set[str]:
+    """Every name `position.lookup` may find symbols under, tier by tier."""
+    if position.tier == IMPORT_NAMED:
+        return set(position.renames)
+    names = set(BUILTINS if position.tier == BUILTIN_SCOPE else graph.scope_members(position.scope))
+    if position.tier == IMPORT_WILDCARD:
+        names.update(export_closure(graph, position.scope).by_name)
+        return names - position.excluded
+    if position.tier == ENCLOSING_TEMPLATE:
+        for parent in graph.inherits[position.scope]:
+            names.update(export_closure(graph, parent).by_name)
+    return names
+
+
+def implicit_scan_oracle(
+    graph: ScopeGraph, unit: ast.CompilationUnit, marker_fqn: str
+) -> list[tuple[SymbolId, str, int]]:
+    """(symbol, tier, index) of each implicit object extending `marker_fqn`
+    at each position of the unit's top scope, found by looking up every
+    name the position provides: positions in precedence order, symbols by
+    FQN within one."""
+    found = []
+    for position in import_positions(graph, unit):
+        symbols = set()
+        for name in _position_names(graph, position):
+            for sym in position.lookup(graph, name):
+                decl = graph.decls.get(sym.fqn)
+                if sym.kind == TEMPLATE and isinstance(decl, ast.TemplateDef) and decl.is_implicit:
+                    if marker_fqn in graph.linearized_parents(sym.fqn):
+                        symbols.add(sym)
+        found += [(sym, position.tier, position.index) for sym in sorted(symbols, key=lambda s: s.fqn)]
+    return found
 
 
 # Random units for round-trip and rewriter-law testing -------------------------

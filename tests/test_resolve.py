@@ -19,16 +19,28 @@ from ml1.resolve import (
 )
 from ml1.scopes import (
     BUILTIN,
+    BUILTIN_NAMES,
     BUILTINS,
     REWRITER_MARKER,
+    ImportPosition,
     build_scope_graph,
     export_closure,
     import_positions,
     lookup_qualified,
 )
 
-from conftest import PARENTS, build_project, parse_fixture, parse_source
-from gen import NAME_POOL, RENAME_POOL, EdgeSpec, _edge_filter, _selector_text, two_clause_hub_sources
+from conftest import FIXTURE_GROUPS, PARENTS, build_project, parse_fixture, parse_source
+from gen import (
+    IMPLICIT_MARKERS,
+    NAME_POOL,
+    RENAME_POOL,
+    EdgeSpec,
+    _edge_filter,
+    _selector_text,
+    implicit_project_sources,
+    implicit_scan_oracle,
+    two_clause_hub_sources,
+)
 
 
 def ref_symbols(resolution, name):
@@ -291,7 +303,9 @@ def test_import_selectors_apply_the_oracle_selector_rule():
     names = NAME_POOL + RENAME_POOL
     for _, edge in random_clauses():
         (clause,) = parse_source(f"import p.L.{_selector_text(edge)}").top_imports()
-        assert [clause.selectors.apply(name) for name in names] == [_edge_filter(edge, name) for name in names]
+        selectors = clause.selectors
+        visible = [selectors.table.get(name, name if selectors.wildcard else None) for name in names]
+        assert visible == [_edge_filter(edge, name) for name in names]
 
 
 def test_a_duplicate_template_sees_no_members_of_the_first_one():
@@ -427,7 +441,8 @@ def test_a_template_site_has_one_precedence_list():
     assert lookup_qualified(graph, positions, ("y", "z")) == ((), 1)
     assert lookup_qualified(graph, positions, ("nothing", "z")) == ((), 0)
     assert lookup_qualified(graph, positions, ("print",)) == ((BUILTINS["print"],), 0)
-    assert set(positions[-1].names(graph)) == set(BUILTINS)
+    builtins = positions[-1]
+    assert [builtins.lookup(graph, name) for name in BUILTIN_NAMES] == [(BUILTINS[name],) for name in BUILTIN_NAMES]
 
 
 def test_the_member_tier_offers_members_then_inherited_re_exports():
@@ -437,7 +452,7 @@ def test_the_member_tier_offers_members_then_inherited_re_exports():
     graph = build_project(lib, base, unit)
     member_tier = import_positions(graph, unit, "p.A")[0]
     assert member_tier.tier == "member"
-    assert set(member_tier.names(graph)) == {"a", "t", "x"}
+    assert [sym.fqn for sym in member_tier.lookup(graph, "a")] == ["p.A.a"]
     assert [sym.fqn for sym in member_tier.lookup(graph, "x")] == ["p.Lib.x"]
     assert [sym.fqn for sym in member_tier.lookup(graph, "t")] == ["p.T.t"]
 
@@ -713,6 +728,79 @@ def test_marker_match_is_transitive():
     graph = build_project(*units)
     candidates = implicit_candidates(graph, units[-1], "Marker")
     assert [c.symbol.fqn for c in candidates] == ["impls.deep"]
+
+
+def scan(graph, unit, marker):
+    return [(c.symbol, c.tier, c.position) for c in implicit_candidates(graph, unit, marker)]
+
+
+def test_the_implicit_scan_equals_the_scan_by_names_on_implicit_heavy_projects():
+    # The scan looks up only the names an implicit object can be visible
+    # under; the oracle looks up every name each position provides.
+    rng = random.Random(2101)
+    scans = found = 0
+    for _ in range(400):
+        units = [parse_source(src, name) for name, src in implicit_project_sources(rng)]
+        graph = build_project(*units)
+        for unit in units:
+            for marker in IMPLICIT_MARKERS:
+                expected = implicit_scan_oracle(graph, unit, marker)
+                assert scan(graph, unit, marker) == expected, ([u.source_name for u in units], unit.source_name)
+                scans += 1
+                found += bool(expected)
+    assert (scans, found) == (10326, 2319)
+
+
+def test_the_implicit_scan_equals_the_scan_by_names_on_the_fixtures():
+    # Every template of each fixture project serves as the marker.
+    scans = found = 0
+    for files in FIXTURE_GROUPS.values():
+        units = [parse_fixture(path) for path in files]
+        graph = build_scope_graph(units)
+        for marker in graph.members:
+            for unit in units:
+                expected = implicit_scan_oracle(graph, unit, marker)
+                assert scan(graph, unit, marker) == expected, (files, marker, unit.source_name)
+                scans += 1
+                found += bool(expected)
+    assert (scans, found) == (296, 15)
+
+
+def wide_hub_units(defs, clients=20):
+    """`lib.Big` holds `defs` members; `h.Hub` re-exports it and the
+    implicit `k.c1`; each client imports the hub and `go.defer`."""
+    big = "".join(f"  val d{i} = {i}\n" for i in range(defs))
+    sources = [
+        ("big.ml1", f"package lib\n\nobject Big {{\n{big}}}\n"),
+        ("k.ml1", "package k\n\ntrait Context {\n}\n\nimplicit object c1 extends Context {\n}\n"),
+        ("hub.ml1", "package h\n\nobject Hub {\n  @exported import lib.Big._\n  @exported import k.c1\n}\n"),
+    ]
+    client = "package c{}\n\nimport h.Hub._\nimport go.defer._\n\nobject Main {{\n}}\n"
+    sources += [(f"c{i}.ml1", client.format(i)) for i in range(clients)]
+    return [parse_fixture("lib", "go_defer.ml1"), *(parse_source(src, name) for name, src in sources)]
+
+
+def test_the_implicit_scan_costs_the_same_on_a_wider_hub(monkeypatch):
+    # Lookups per client stay fixed however many names the hub re-exports.
+    lookup = ImportPosition.lookup
+    calls = []
+
+    def counting(position, graph, name):
+        calls.append(name)
+        return lookup(position, graph, name)
+
+    monkeypatch.setattr(ImportPosition, "lookup", counting)
+    counts = []
+    for defs in (400, 800):
+        units = wide_hub_units(defs)
+        graph = build_project(*units)
+        calls.clear()
+        for unit in units[4:]:
+            assert [c.symbol.fqn for c in implicit_candidates(graph, unit, REWRITER_MARKER)] == ["go.defer.rewriter"]
+            assert [c.symbol.fqn for c in implicit_candidates(graph, unit, "k.Context")] == ["k.c1"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 20 * 20  # at most 20 lookups per client
+    assert counts == [300, 300]
 
 
 # Divergence linting -----------------------------------------------------------

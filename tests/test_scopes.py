@@ -21,6 +21,7 @@ from gen import (
     closure_witness_oracle,
     dense_family_sources,
     graph_spec_sources,
+    layered_family_spec,
     random_graph_spec,
 )
 
@@ -268,6 +269,19 @@ def test_dense_wildcard_family_has_one_direct_witness_per_pair():
             for m in range(2)
         }
         assert witnesses(closure) == expected
+
+
+@pytest.mark.parametrize("back_edge, largest", [(False, 8), (True, 6)])
+def test_layered_families_match_the_oracles(back_edge, largest):
+    # No two of the 2^i paths to layer i have comparable visited sets, and
+    # with the back edge every template reaches every other.
+    for k in range(largest + 1):
+        spec = layered_family_spec(k, back_edge)
+        graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+        for index in range(len(spec.members)):
+            closure = export_closure(graph, spec.template_name(index))
+            assert closure.pairs() == closure_oracle(spec, index), (k, index)
+            assert witnesses(closure) == closure_witness_oracle(spec, index), (k, index)
 
 
 def test_repeated_closure_is_the_same_object(salat_after_units):
