@@ -259,7 +259,8 @@ def cmd_run(args) -> int:
     if _report_diagnostics(final_graph, resolution):
         return SEMANTIC
     trace = run(final_graph, resolution, args.entry)
-    sys.stdout.write("".join(event + "\n" for event in trace.events))
+    if trace.events:
+        sys.stdout.write("\n".join(trace.events) + "\n")
     if trace.failed:
         print(f"error: {trace.error.message}", file=sys.stderr)
         for suppressed in trace.error.suppressed:

@@ -6,7 +6,8 @@ closures for code generation", 1987): a def's body when the def is first
 called, a thunk's body with the expression around it, a template val's
 body when it is first read. The closures are cached per interpreter by
 node identity. Each reference is classified once by its resolved symbol,
-constant results are built once, and a block becomes a list of steps. A
+constant results are built once, and a block becomes its steps run in
+order; a block that declares nothing and has one step is that step. A
 call is classified once by its callee's symbol, as a call of a builtin
 or of a template def; only a local or `val` callee is dispatched when the
 call runs. Errors are raised when a closure runs, never when it is
@@ -55,12 +56,13 @@ from ml1.tokens import Span
 
 _MAX_CALL_DEPTH = 200
 # Python frames one call may take, with room for nested arguments and
-# blocks. A template def call takes two (its call closure and its body),
-# plus one per frame, block or argument list on the way to the next call:
-# three in a `go.defer` chain (the call, the `__frame` that is the def's
-# body, and the frame's block). `run` raises Python's recursion limit to at
-# least the default of 1000 plus this much per allowed call, so the
-# interpreter's own depth limit is reached first.
+# blocks. A template def call takes one, its call closure, plus one per
+# frame, block or argument list on the way to the next call; a block of
+# one step that declares nothing is that step and takes none. A `go.defer`
+# chain takes three (the call, the `__frame` that is the def's body, and
+# the frame's block, which registers a thunk and calls on). `run` raises
+# Python's recursion limit to at least the default of 1000 plus this much
+# per allowed call, so the interpreter's own depth limit is reached first.
 _FRAMES_PER_CALL = 20
 _RECURSION_LIMIT = 1000 + _MAX_CALL_DEPTH * _FRAMES_PER_CALL
 
@@ -168,11 +170,16 @@ def render(value: Value, span: Span | None) -> str:
 
 # Builtins: each is a function of the interpreter, the call's span and the
 # argument values, listed in `_BUILTINS` with its arity (None: any).
+# `print` and `concat` take a string as it is, without a call of `render`.
 
 
 def _print(interp: Interpreter, span: Span, value: Value) -> Value:
-    interp.events.append(render(value, span))
+    interp.events.append(value if isinstance(value, str) else render(value, span))
     return UNIT
+
+
+def _concat(interp: Interpreter, span: Span, a: Value, b: Value) -> str:
+    return (a if isinstance(a, str) else render(a, span)) + (b if isinstance(b, str) else render(b, span))
 
 
 def _integer(span: Span, name: str, value: Value) -> int:
@@ -184,7 +191,7 @@ def _integer(span: Span, name: str, value: Value) -> int:
 _BUILTINS: dict[str, tuple[int | None, Callable[..., Value]]] = {
     "print": (1, _print),
     "error": (1, lambda interp, span, value: _fail(span, render(value, span))),
-    "concat": (2, lambda interp, span, a, b: render(a, span) + render(b, span)),
+    "concat": (2, _concat),
     "add": (2, lambda interp, span, a, b: _integer(span, "add", a) + _integer(span, "add", b)),
     "sub": (2, lambda interp, span, a, b: _integer(span, "sub", a) - _integer(span, "sub", b)),
     "compose": (None, _raise("compose is interpreted at rewrite time, not at runtime")),
@@ -377,9 +384,10 @@ class Interpreter:
                 result = step(env)
             return result
 
-        # A block that declares nothing needs no frame of its own.
+        # A block that declares nothing needs no frame of its own, and one
+        # with a single step is that step.
         if not decls:
-            return run_steps
+            return steps[0] if len(steps) == 1 else run_steps
         blank = (None,) * len(decls)
         defs = tuple((index, decl) for index, decl in enumerate(decls, 1) if not decl.is_val)
 

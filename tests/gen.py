@@ -609,6 +609,35 @@ def program_unit(program: list[Action]) -> ast.CompilationUnit:
     return ast.CompilationUnit((), (imports, template), "gen_main.ml1")
 
 
+# A deferring binary call tree ---------------------------------------------------
+
+
+def defer_tree_unit(depth: int) -> ast.CompilationUnit:
+    """`Main.main` calls `t0("r")`; each `t<i>(p)` defers `print(p)` and,
+    below `depth`, calls `t<i+1>` on `concat(p, "l")` and `concat(p, "r")`.
+    The unit imports `go.defer`, which frames every def."""
+    defs = [ast.DefDecl("main", (), ast.Block((ast.Call(ast.Ref(("t0",)), (ast.StrLit("r"),)),)), False)]
+    p = ast.Ref(("p",))
+    for level in range(depth + 1):
+        stats: list[ast.Stat] = [ast.DeferCandidate(ast.Block((ast.Call(ast.Ref(("print",)), (p,)),)))]
+        if level < depth:
+            for side in "lr":
+                arg = ast.Call(ast.Ref(("concat",)), (p, ast.StrLit(side)))
+                stats.append(ast.Call(ast.Ref((f"t{level + 1}",)), (arg,)))
+        defs.append(ast.DefDecl(f"t{level}", ("p",), ast.Block(tuple(stats)), False))
+    template = ast.TemplateDef(ast.OBJECT, "Main", (), tuple(defs))
+    imports = ast.ImportClause((), ("go", "defer"), ast.WILDCARD)
+    return ast.CompilationUnit((), (imports, template), "gen_tree.ml1")
+
+
+def defer_tree_events(depth: int, p: str = "r") -> list[str]:
+    """The trace of `defer_tree_unit(depth)` from the call `t0(p)`: each
+    call's deferred print runs after both of its children, so post-order."""
+    if depth == 0:
+        return [p]
+    return [*defer_tree_events(depth - 1, p + "l"), *defer_tree_events(depth - 1, p + "r"), p]
+
+
 # Random binding programs for the resolver/interpreter differential test -------
 
 

@@ -206,6 +206,22 @@ def test_a_value_prints_and_calls_alike_on_every_path(tmp_path, capsys, kind):
         assert run_cli(capsys, "run", "--entry", "p.q.Main.main", str(unit)) == (status, out, err), path
 
 
+@pytest.mark.parametrize("kind", sorted(VALUE_PATHS))
+def test_concat_and_error_render_every_value_as_print_does(tmp_path, capsys, kind):
+    # `print` and `concat` skip `render` for a string; every kind of value
+    # still reads the same through `print`, `concat` and `error`.
+    expr, _, out, _ = VALUE_PATHS[kind]
+    shown = out.splitlines()[0]
+    unit = tmp_path / "values.ml1"
+    unit.write_text(
+        "package p.q\n\nobject O {\n  def t(x) = { concat(\"t\", x) }\n}\n\n"
+        f"object Main {{\n  def main() = {{ val v = {expr}; print(concat(v, v)); error(v) }}\n}}\n",
+        encoding="utf-8",
+    )
+    expected = (2, f"{shown}{shown}\n", f"error: {shown}\n")
+    assert run_cli(capsys, "run", "--entry", "p.q.Main.main", str(unit)) == expected
+
+
 @pytest.mark.parametrize(
     "command", [["run", "--entry", "Main.main"], ["lint", "--marker", "DefaultRewriter"]], ids=["run", "lint"]
 )

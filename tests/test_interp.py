@@ -1,5 +1,6 @@
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -534,3 +535,79 @@ def test_concat_evaluates_both_arguments_before_rendering_either():
     assert trace.events == ["second"]
     assert trace.error.message == f"integer too long to render (more than {limit} digits)"
     assert source[trace.error.span.start : trace.error.span.end] == call
+
+
+INTERP_FILE = str(Path("ml1", "interp.py"))
+INLINED = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
+
+
+def count_interp_calls(fn):
+    """`fn()`'s result and the number of Python calls it makes into code in
+    `ml1/interp.py`. Comprehensions and generator expressions are not
+    counted: from 3.12 comprehensions are inlined (PEP 709), and each
+    resumption of a generator is a call of its own."""
+    calls = 0
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename.endswith(INTERP_FILE) and code.co_name not in INLINED:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_a_deferring_call_costs_at_most_eleven_interpreter_calls():
+    # Per `go.defer` call, about 10.5: the def call, its frame, its block
+    # (inner calls only) and the registration; the deferred print's
+    # application, its read of `p` and the builtin; the concat that made
+    # `p`, with its two arguments. That holds only while `print` and
+    # `concat` skip `render` for a string and the one-step thunk block
+    # `{ print(p) }` is its step; without them it is about 15.
+    depth = 10
+    lowered, _ = apply_rewriter(("go.defer.rewriter",), gen.defer_tree_unit(depth), builtin_registry())
+    graph, resolution = resolved(GO_DEFER, lowered)
+    trace, calls = count_interp_calls(lambda: run(graph, resolution, "Main.main"))
+    assert not trace.failed
+    assert trace.events == gen.defer_tree_events(depth)
+    assert calls / len(trace.events) <= 11, calls / len(trace.events)
+
+
+def test_a_block_of_one_step_is_worth_that_step():
+    source = (
+        'object Main {\n  def f() = { "f" }\n  def g() = { error(concat("g", f())) }\n'
+        '  def main() = {\n    print({ f() })\n    print({ { { 7 } } })\n    { g() }\n  }\n}'
+    )
+    trace = run_program(parse_source(source, "m.ml1"), entry="Main.main")
+    assert trace.events == ["f", "7"]
+    assert trace.error.message == "gf"
+    span = trace.error.span
+    assert source[span.start : span.end] == 'error(concat("g", f()))'
+
+
+def test_a_one_statement_thunk_keeps_the_span_of_its_failing_call():
+    source = (
+        "import go.defer._\n\nobject Main {\n  def main() = {\n"
+        '    defer { error("late") }\n    print("body")\n  }\n}'
+    )
+    trace = run_program(GO_DEFER, parse_source(source, "m.ml1"), entry="Main.main")
+    assert trace.events == ["body"]
+    assert trace.error.message == "late"
+    span = trace.error.span
+    assert source[span.start : span.end] == 'error("late")'
+
+
+def test_a_block_of_one_declaration_keeps_its_frame_and_is_unit():
+    source = (
+        "object Main {\n  def main() = {\n"
+        "    print({ val x = 1 })\n    print({ def g() = { 1 } })\n  }\n}"
+    )
+    trace = run_program(parse_source(source, "m.ml1"), entry="Main.main")
+    assert not trace.failed
+    assert trace.events == ["()", "()"]
