@@ -15,14 +15,12 @@ import sys
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from ml1 import ast
-from ml1.diagnostics import SemanticError
 from ml1.parser import ParseError, parse_unit
-from ml1.printer import pretty_print
 from ml1.record import replace
 from ml1.tokens import LexError, Span, tokenize
 
-# The semantic phases are imported by the commands that use them, so
-# `parse` loads only the front end.
+# The semantic phases, the printer and the diagnostics are imported where
+# they are used, so `parse` loads only the lexer, the parser and the AST.
 if TYPE_CHECKING:
     from ml1.resolve import RefRecord, Resolution
     from ml1.rewrite import RewriteReport
@@ -167,6 +165,8 @@ def cmd_parse(args) -> int:
     if args.dump_ast:
         for unit in units:
             if args.format == "pretty":
+                from ml1.printer import pretty_print
+
                 sys.stdout.write(pretty_print(unit))
             else:
                 print(_dump(ast.to_dict(unit)))
@@ -199,6 +199,7 @@ def _rewrite_units(
     names no unit is about the unit at hand. Units that see the same broken
     rewriter report it alike, so each distinct diagnostic is printed once,
     in the order first met."""
+    from ml1.diagnostics import SemanticError
     from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry
 
     registry = builtin_registry()
@@ -221,6 +222,7 @@ def _rewrite_units(
 
 
 def cmd_rewrite(args) -> int:
+    from ml1.printer import pretty_print
     from ml1.scopes import build_scope_graph
 
     units = _load_units(args.files)

@@ -17,19 +17,21 @@ every closure.
 
 `export_closure` is the one closure engine. It keeps a single witness path
 per (visible name, symbol) pair: the shortest, then the lowest by its list
-of edge labels. Paths are expanded breadth-first in that order. Each edge's
-selectors make one filter, built once per graph (`ExportEdge.filter`); a
-path's filters compose into one. A path takes no edge whose composed
-filter hides every name. After taking an edge's pairs it stops when that
-filter, restricted to the names a later edge can still deliver, keeps no
-name and no wildcard, or when an earlier path reached the same scope under
-the same restricted filter with a subset of this path's visited set. No
-pair or witness is lost, but paths with incomparable visited sets are all
-expanded even when they can add nothing, so layered hubs cost work
-exponential in their depth. Closures are memoized on the graph; the memos
-built while parents are linked are dropped, so every closure is built from
-the finished graph. The graph holds only memos of its own queries: what a
-later phase derives from it, such as a resolution, stays with that phase.
+of edge labels. Paths are expanded breadth-first in that order; a path's
+filter composes its clauses' selector tables. After taking an edge's pairs
+a path stops when that filter, restricted to the names a later edge can
+still deliver, keeps no name and no wildcard, or when an earlier path
+reached the same scope under the same restricted filter having visited a
+subset of the scopes this one visited and can still enter
+(`ScopeGraph.reach`). No pair or witness is lost. On an acyclic graph no
+visited scope can be entered again, so each scope is expanded at most once
+per restricted filter and closures cost polynomial work. A cycle through the
+root keeps every scope enterable, so incomparable visited sets are all
+expanded there, and that work stays exponential in the cycle's length.
+Closures are memoized on the graph; the memos built while parents are
+linked are dropped, so every closure is built from the finished graph. The
+graph holds only memos of its own queries: what a later phase derives from
+it, such as a resolution, stays with that phase.
 """
 
 from __future__ import annotations
@@ -98,12 +100,6 @@ class ExportEdge(Record, frozen=True):
     def label(self) -> str:
         return f"{self.origin}[{self.index}]=>{self.resolved_target}"
 
-    @cached_property
-    def filter(self) -> _Filter:
-        """The clause's selectors as one filter, built once per edge and
-        shared by every closure that takes it."""
-        return _selector_filter(self.selectors)
-
 
 class ClosureEntry(Record, frozen=True):
     visible_name: str
@@ -144,8 +140,8 @@ class ScopeGraph(Record):
     owner_unit: dict[str, str] = field(default_factory=dict)
     units: list[ast.CompilationUnit] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # Memos of `export_closure`, `parts`, `scope_members` and `edges_of`,
-    # keyed by scope FQN. Each entry depends on `inherits`, so
+    # Memos of `export_closure`, `parts`, `scope_members`, `edges_of` and
+    # `reach`, keyed by scope FQN. Each entry depends on `inherits`, so
     # `build_scope_graph` clears the memos once every parent is linked; after
     # that each entry is built once and shared read-only.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
@@ -154,6 +150,7 @@ class ScopeGraph(Record):
     scope_edges: dict[str, tuple[tuple[ExportEdge, frozenset[str]], ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    scope_reach: dict[str, frozenset[str]] = field(default_factory=dict, repr=False, compare=False)
 
     def parts(self, fqn: str) -> tuple[str, ...]:
         """The templates whose members and `@exported` clauses make up
@@ -201,6 +198,21 @@ class ScopeGraph(Record):
             found = self.scope_edges[fqn] = tuple(sorted(steps, key=lambda step: step[0].label()))
         return found
 
+    def reach(self, fqn: str) -> frozenset[str]:
+        """The scopes a closure path at scope `fqn` can still enter: what
+        each edge reachable from `fqn` enters."""
+        found = self.scope_reach.get(fqn)
+        if found is None:
+            out, seen, pending = set(), {fqn}, [fqn]
+            while pending:
+                for edge, entered in self.edges_of(pending.pop()):
+                    out |= entered
+                    if edge.resolved_target not in seen:
+                        seen.add(edge.resolved_target)
+                        pending.append(edge.resolved_target)
+            found = self.scope_reach[fqn] = frozenset(out)
+        return found
+
     def linearized_parents(self, tfqn: str) -> list[str]:
         """Transitive parents, left-to-right depth-first, first occurrence
         kept. Iterative, so a deep hierarchy cannot exhaust the stack."""
@@ -233,9 +245,9 @@ def export_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
 
 # A combined selector filter: (wildcard, explicit map). A name in the map
 # becomes its value (None hides it); any other name passes unchanged when
-# wildcard is set and is hidden otherwise. Maps are kept normal (no entry
-# that repeats the default), so equal filters have equal keys. Filters are
-# shared between paths and closures and never mutated.
+# wildcard is set and is hidden otherwise. An edge's map is its clause's
+# table and may repeat the default; `_compose` returns normal maps (no such
+# entry), so equal path filters have equal keys. Never mutated.
 _Filter = tuple[bool, dict[str, "str | None"]]
 _IDENTITY: _Filter = (True, {})
 
@@ -247,8 +259,6 @@ def _compose(outer: _Filter, inner: _Filter) -> _Filter:
     inner_wild, inner_map = inner
     if inner_wild and not inner_map:
         return outer
-    if outer_wild and not outer_map:
-        return inner
     wild = outer_wild and inner_wild
     out: dict[str, str | None] = {}
     for name, mid in inner_map.items():
@@ -267,34 +277,22 @@ def _compose(outer: _Filter, inner: _Filter) -> _Filter:
     return wild, out
 
 
-def _selector_filter(selectors: ast.ImportSelectors) -> _Filter:
-    wild = selectors.wildcard
-    return wild, {name: to for name, to in selectors.table.items() if to != (name if wild else None)}
-
-
 def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
     # A name can reach a path's filter from a later edge only as a member of
     # a scope the path has not visited yet, or as the new name a selector
     # gives it on an edge of the path's last scope or of an unvisited one:
-    # name -> (scope, whether by a rename) for each such source. So an edge's
-    # hide of a name that arrives only from the edge's own scope, which every
-    # path taking the edge has visited, decides nothing: the edge's filter
-    # serves every closure as it is. The table covers the scopes reachable
-    # from `fqn` only: over the whole graph it would count scopes no path of
-    # this root reaches, and prune less.
+    # name -> (scope, whether by a rename) for each such source. The table
+    # covers `fqn` and the scopes its paths can enter (`ScopeGraph.reach`,
+    # shared by every closure): over the whole graph it would count scopes
+    # no path of this root reaches, and prune less.
     arrives: dict[str, list[tuple[str, bool]]] = {}
-    reachable, pending = {fqn}, [fqn]
-    while pending:
-        scope = pending.pop()
+    for scope in graph.reach(fqn) | {fqn}:
         for name in graph.scope_members(scope):
             arrives.setdefault(name, []).append((scope, False))
         for edge, _ in graph.edges_of(scope):
-            for name, to in edge.filter[1].items():
+            for name, to in edge.selectors.table.items():
                 if to is not None and to != name:
                     arrives.setdefault(to, []).append((scope, True))
-            if edge.resolved_target not in reachable:
-                reachable.add(edge.resolved_target)
-                pending.append(edge.resolved_target)
 
     # Breadth-first over simple edge paths, each level in label order: the
     # first path to yield a pair is its witness.
@@ -307,9 +305,7 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
             for edge, entered in graph.edges_of(scope):
                 if not entered.isdisjoint(visited):
                     continue
-                wild, names = _compose(path_filter, edge.filter)
-                if not wild and not names:
-                    continue  # hides every name, here and beyond
+                wild, names = _compose(path_filter, (edge.selectors.wildcard, edge.selectors.table))
                 target = edge.resolved_target
                 target_path = path + (edge,)
                 found = graph.scope_members(target)
@@ -333,7 +329,7 @@ def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
                 seen = expanded.setdefault((target, wild, frozenset(carried.items())), [])
                 if any(earlier <= target_visited for earlier in seen):
                     continue  # an earlier, smaller path reaches all this one can
-                seen.append(target_visited)
+                seen.append(target_visited & graph.reach(target))
                 next_frontier.append((target, (wild, carried), target_visited, target_path))
         frontier = next_frontier
     return ExportClosure(
@@ -371,6 +367,7 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
     graph.scope_parts.clear()
     graph.member_maps.clear()
     graph.scope_edges.clear()
+    graph.scope_reach.clear()
     return graph
 
 

@@ -138,15 +138,7 @@ def test_hidden_names_never_pass_their_edge():
             assert entry.visible_name != "a"
 
 
-def test_each_edge_filter_is_built_once_per_graph(monkeypatch):
-    built = []
-    selector_filter = scopes._selector_filter
-
-    def counting(selectors):
-        built.append(selectors)
-        return selector_filter(selectors)
-
-    monkeypatch.setattr(scopes, "_selector_filter", counting)
+def test_a_rename_reaches_every_closure_that_takes_its_edge():
     # Both hubs reach Mid's edge; every closure takes it.
     unit = parse_source(
         "object Base {\n  val a = 1\n  val b = 2\n}\n"
@@ -157,7 +149,6 @@ def test_each_edge_filter_is_built_once_per_graph(monkeypatch):
     graph = build_project(unit)
     closures = [export_closure(graph, name) for name in ("Base", "Mid", "Hub1", "Hub2")]
     assert [closure.lookup("c") for closure in closures] == [(), *[(graph.symbols["Base.a"],)] * 3]
-    assert len(built) == sum(len(edges) for edges in graph.exports.values()) == 3
 
 
 def test_random_graphs_match_the_path_enumeration_oracle():
@@ -282,6 +273,26 @@ def test_layered_families_match_the_oracles(back_edge, largest):
             closure = export_closure(graph, spec.template_name(index))
             assert closure.pairs() == closure_oracle(spec, index), (k, index)
             assert witnesses(closure) == closure_witness_oracle(spec, index), (k, index)
+
+
+def test_a_layered_family_closes_within_a_state_budget(monkeypatch):
+    # Each expanded path and each scope a reach walk visits costs one
+    # `edges_of` call: L(40) from T0 takes 3,443. Expanding every simple
+    # path would take about 2^40, so the spy stops at the budget.
+    spec = layered_family_spec(40)
+    graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+    calls = 0
+    edges_of = scopes.ScopeGraph.edges_of
+
+    def counting(self, fqn):
+        nonlocal calls
+        calls += 1
+        assert calls <= 5_000, "L(40) took more than 5,000 edges_of calls"
+        return edges_of(self, fqn)
+
+    monkeypatch.setattr(scopes.ScopeGraph, "edges_of", counting)
+    closure = export_closure(graph, spec.template_name(0))
+    assert closure.pairs() == {(f"v{i}", f"T{i}.v{i}") for i in range(2, 82)}
 
 
 def test_repeated_closure_is_the_same_object(salat_after_units):
