@@ -226,19 +226,6 @@ def walk(node) -> Iterator[object]:
         yield from walk(child)
 
 
-def strip_import_annotations(unit: CompilationUnit) -> CompilationUnit:
-    """Copy of `unit` with annotations removed from every import clause."""
-
-    def strip(node):
-        if isinstance(node, ImportClause):
-            return replace(node, annotations=()) if node.annotations else node
-        if isinstance(node, (CompilationUnit, TemplateDef)):
-            return map_children(node, strip)
-        return node  # imports occur only at unit and template level
-
-    return strip(unit)
-
-
 def _camel(name: str) -> str:
     if name == "kind":  # the node-kind key is reserved for the type name
         return "templateKind"

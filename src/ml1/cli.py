@@ -191,24 +191,21 @@ def cmd_resolve(args) -> int:
     return SEMANTIC if had else OK
 
 
-def _rewrite_units(
-    graph: ScopeGraph, units: list[ast.CompilationUnit]
-) -> list[tuple[ast.CompilationUnit, RewriteReport] | None]:
-    """Each unit with the rewriter its imports switch on bound and applied,
-    and its report; None for a unit whose rewriter fails. A diagnostic that
-    names no unit is about the unit at hand. Units that see the same broken
-    rewriter report it alike, so each distinct diagnostic is printed once,
-    in the order first met."""
+def _rewrite_units(graph: ScopeGraph) -> list[tuple[ast.CompilationUnit, RewriteReport] | None]:
+    """Each of the graph's units with the rewriter its imports switch on
+    bound and applied, and its report; None for a unit whose rewriter
+    fails. A diagnostic that names no unit is about the unit at hand. Units
+    that see the same broken rewriter report it alike, so each distinct
+    diagnostic is printed once, in the order first met."""
     from ml1.diagnostics import SemanticError
-    from ml1.rewrite import apply_rewriter, bind_rewriter, builtin_registry
+    from ml1.rewrite import apply_rewriter, bind_rewriter
 
-    registry = builtin_registry()
     results: list[tuple[ast.CompilationUnit, RewriteReport] | None] = []
     reported: set[str] = set()
-    for unit in units:
+    for unit in graph.units:
         try:
-            chain = bind_rewriter(graph, unit, registry)
-            results.append(apply_rewriter(chain, unit, registry))
+            chain = bind_rewriter(graph, unit)
+            results.append(apply_rewriter(chain, unit))
         except SemanticError as err:
             diagnostic = err.diagnostic
             if diagnostic.unit is None:
@@ -229,7 +226,7 @@ def cmd_rewrite(args) -> int:
     graph = build_scope_graph(units)
     if _report_diagnostics(graph):
         return SEMANTIC
-    results = _rewrite_units(graph, units)
+    results = _rewrite_units(graph)
     for result in results:
         if result is None:
             continue
@@ -252,7 +249,7 @@ def cmd_run(args) -> int:
     graph = build_scope_graph(units)
     if _report_diagnostics(graph):
         return SEMANTIC
-    results = _rewrite_units(graph, units)
+    results = _rewrite_units(graph)
     if None in results:
         return SEMANTIC
     rewritten = [unit for unit, _ in results]
@@ -282,7 +279,7 @@ def cmd_lint(args) -> int:
         return FAILURE
     lines = []
     for marker in dict.fromkeys(args.marker):  # a repeated marker is checked once
-        for divergence in check_context_consistency(graph, units, marker):
+        for divergence in check_context_consistency(graph, marker):
             lines.append(divergence.render())
     for line in sorted(lines):
         print(line)

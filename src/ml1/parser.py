@@ -30,8 +30,6 @@ class ParseError(Exception):
     def __init__(self, span: Span, expected: str, found: str, code: str | None = None):
         super().__init__(f"{span.start}-{span.end}: expected {expected}, found {found}")
         self.span = span
-        self.expected = expected
-        self.found = found
         self.code = code
 
 

@@ -25,7 +25,7 @@ from ml1.diagnostics import (
     E_FORWARD_REFERENCE,
     E_UNRESOLVED,
 )
-from ml1.record import Record, field
+from ml1.record import Record, field, replace
 from ml1.scopes import (
     DEF,
     VAL,
@@ -215,9 +215,18 @@ class _UnitWalker:
 
 
 def erase_import_annotations(units: list[ast.CompilationUnit]) -> list[ast.CompilationUnit]:
-    """Strip annotations from every import clause; the scope graph already
-    carries their meaning. Idempotent."""
-    return [ast.strip_import_annotations(unit) for unit in units]
+    """Copies of `units` with annotations stripped from every import clause;
+    the scope graph already carries their meaning. A unit with none is
+    returned as the same object. Idempotent."""
+
+    def strip(node):
+        if isinstance(node, ast.ImportClause):
+            return replace(node, annotations=()) if node.annotations else node
+        if isinstance(node, (ast.CompilationUnit, ast.TemplateDef)):
+            return ast.map_children(node, strip)
+        return node  # imports occur only at unit and template level
+
+    return [strip(unit) for unit in units]
 
 
 # Implicit-object scanning ----------------------------------------------------
@@ -277,14 +286,12 @@ def select_implicit(
     return None, tuple(winners)
 
 
-def check_context_consistency(
-    graph: ScopeGraph, units: list[ast.CompilationUnit], marker_fqn: str
-) -> list[Divergence]:
-    """Pairs of units whose winning implicit provider for `marker_fqn`
-    differs. A unit with no winner (none visible, or a tie) contributes no
-    pair; an empty result means the project is consistent."""
+def check_context_consistency(graph: ScopeGraph, marker_fqn: str) -> list[Divergence]:
+    """Pairs of the graph's units whose winning implicit provider for
+    `marker_fqn` differs. A unit with no winner (none visible, or a tie)
+    contributes no pair; an empty result means the project is consistent."""
     winners: list[tuple[str, SymbolId]] = []
-    for unit in sorted(units, key=lambda u: u.source_name):
+    for unit in sorted(graph.units, key=lambda u: u.source_name):
         winner, _tied = select_implicit(implicit_candidates(graph, unit, marker_fqn))
         if winner is not None:
             winners.append((unit.source_name, winner))

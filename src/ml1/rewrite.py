@@ -1,17 +1,16 @@
 """Import-activated whole-unit rewriting.
 
 A unit that brings an implicit rewriter object into scope gets every one
-of its templates transformed by the matching host-registered intrinsic.
-A bound rewriter is its chain: the intrinsic keys it applies, inner first.
-`bind_rewriter` scans a unit for the rewriter object its imports bring
-into scope. Rewriter objects whose body calls the builtin `compose(x, y)`
-chain two rewriters, applying the second argument first; the call binds
-as `resolve` binds it in a walk of the rewriter object alone.
+of its templates transformed by that object's entry in `INTRINSICS`. A
+bound rewriter is its chain: the intrinsic keys it applies, inner first.
+`bind_rewriter(graph, unit)` scans a unit for the rewriter object its
+imports bring into scope; `apply_rewriter(chain, unit)` runs the chain.
+Rewriter objects whose body calls the builtin `compose(x, y)` chain two
+rewriters, applying the second argument first; the call binds as
+`resolve` binds it in a walk of the rewriter object alone.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from ml1 import ast
 from ml1.diagnostics import (
@@ -34,16 +33,8 @@ UPPER_REWRITER = "demo.upper.rewriter"
 # concatenates them; the identity rewriter is `()`.
 Chain = tuple[str, ...]
 
-# Host-side intrinsics keyed by the declaring implicit object's FQN; each
-# transformation must be pure.
-Registry = dict[str, Callable[[ast.TemplateDef], ast.TemplateDef]]
 
-
-def builtin_registry() -> Registry:
-    return {DEFER_REWRITER: defer_lowering, UPPER_REWRITER: uppercase_defs}
-
-
-def bind_rewriter(graph: ScopeGraph, unit: ast.CompilationUnit, registry: Registry) -> Chain:
+def bind_rewriter(graph: ScopeGraph, unit: ast.CompilationUnit) -> Chain:
     """Pick the winning rewriter object visible at `unit`'s top scope and
     return its chain; no rewriter object at all means the empty chain."""
     winner, tied = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
@@ -57,10 +48,10 @@ def bind_rewriter(graph: ScopeGraph, unit: ast.CompilationUnit, registry: Regist
         )
     if winner is None:
         return ()
-    return _chain_for(graph, winner.fqn, registry, visiting=())
+    return _chain_for(graph, winner.fqn, visiting=())
 
 
-def _chain_for(graph: ScopeGraph, fqn: str, registry: Registry, visiting: tuple[str, ...]) -> Chain:
+def _chain_for(graph: ScopeGraph, fqn: str, visiting: tuple[str, ...]) -> Chain:
     if fqn in visiting:
         raise SemanticError(
             Diagnostic(
@@ -71,7 +62,7 @@ def _chain_for(graph: ScopeGraph, fqn: str, registry: Registry, visiting: tuple[
         )
     composition = _composition_args(graph, fqn)
     if composition is None:
-        if fqn not in registry:
+        if fqn not in INTRINSICS:
             raise SemanticError(
                 Diagnostic(
                     E_UNREGISTERED_REWRITER,
@@ -80,8 +71,8 @@ def _chain_for(graph: ScopeGraph, fqn: str, registry: Registry, visiting: tuple[
             )
         return (fqn,)
     outer_fqn, inner_fqn = composition
-    outer = _chain_for(graph, outer_fqn, registry, visiting + (fqn,))
-    return _chain_for(graph, inner_fqn, registry, visiting + (fqn,)) + outer
+    outer = _chain_for(graph, outer_fqn, visiting + (fqn,))
+    return _chain_for(graph, inner_fqn, visiting + (fqn,)) + outer
 
 
 def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
@@ -135,9 +126,7 @@ class RewriteReport(Record):
         }
 
 
-def apply_rewriter(
-    chain: Chain, unit: ast.CompilationUnit, registry: Registry
-) -> tuple[ast.CompilationUnit, RewriteReport]:
+def apply_rewriter(chain: Chain, unit: ast.CompilationUnit) -> tuple[ast.CompilationUnit, RewriteReport]:
     """Run the chain over every template of the unit, in source order. A
     unit the chain leaves unchanged is returned as the same object."""
     report = RewriteReport(unit.source_name, list(chain))
@@ -147,7 +136,7 @@ def apply_rewriter(
             return stat
         transformed = stat
         for key in chain:
-            transformed = _run_intrinsic(registry, key, transformed)
+            transformed = _run_intrinsic(key, transformed)
         replaced = _diff_count(stat, transformed)
         if not replaced:
             return stat
@@ -158,9 +147,9 @@ def apply_rewriter(
     return ast.map_children(unit, rewrite), report
 
 
-def _run_intrinsic(registry: Registry, key: str, tpl: ast.TemplateDef) -> ast.TemplateDef:
+def _run_intrinsic(key: str, tpl: ast.TemplateDef) -> ast.TemplateDef:
     try:
-        return registry[key](tpl)
+        return INTRINSICS[key](tpl)
     except SemanticError as err:
         inner = err.diagnostic
         raise SemanticError(
@@ -249,3 +238,8 @@ def uppercase_defs(tpl: ast.TemplateDef) -> ast.TemplateDef:
         return node
 
     return rename(tpl)
+
+
+# Host-side intrinsics keyed by the declaring implicit object's FQN; a host
+# adds one by adding an entry, and each transformation must be pure.
+INTRINSICS = {DEFER_REWRITER: defer_lowering, UPPER_REWRITER: uppercase_defs}

@@ -14,7 +14,7 @@ from ml1.cli import main as cli_main
 from ml1.parser import E_ANNOTATION_AT_TOP_LEVEL, ParseError, parse_unit
 from ml1.printer import pretty_print
 from ml1.resolve import erase_import_annotations, resolve_units
-from ml1.rewrite import apply_rewriter, builtin_registry
+from ml1.rewrite import apply_rewriter
 from ml1.scopes import build_scope_graph, export_closure
 from ml1.tokens import tokenize
 
@@ -141,14 +141,13 @@ def test_c4_defer_semantics(capsys):
     from ml1.interp import run as interp_run
 
     go_defer = parse_fixture("lib", "go_defer.ml1")
-    registry = builtin_registry()
     rng = random.Random(4242)
     violations = 0
     for _ in range(200):
         program = random_program(rng)
         events, primary, suppressed = simulate(program)
         unit = program_unit(program)
-        lowered, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
+        lowered, _ = apply_rewriter(("go.defer.rewriter",), unit)
         graph = build_scope_graph([go_defer, lowered])
         resolution = resolve_units(graph, [go_defer, lowered])
         trace = interp_run(graph, resolution, "Main.main")
@@ -177,15 +176,14 @@ def test_c5_activation_by_import(capsys):
     unit = parse_fixture("defer", "copy.ml1")
     lib = parse_fixture("lib", "go_defer.ml1")
     graph = build_project(lib, unit)
-    registry = builtin_registry()
     from ml1.rewrite import bind_rewriter
 
     plain_unit = parse_unit(tokenize(plain.read_text(encoding="utf-8")), "copy_plain.ml1")
     plain_graph = build_project(plain_unit)
-    assert bind_rewriter(plain_graph, plain_unit, registry) == ()
+    assert bind_rewriter(plain_graph, plain_unit) == ()
 
-    ref = bind_rewriter(graph, unit, registry)
-    rewritten, report = apply_rewriter(ref, unit, registry)
+    ref = bind_rewriter(graph, unit)
+    rewritten, report = apply_rewriter(ref, unit)
     assert report.chain == ["go.defer.rewriter"]
     assert sum(1 for n in ast.walk(rewritten) if isinstance(n, ast.DeferCandidate)) == 0
     defer_defs = [
@@ -221,13 +219,12 @@ def test_c6_composition_golden_and_laws(capsys, compose_units):
 
     graph = build_project(*compose_units)
     client = compose_units[-1]
-    registry = builtin_registry()
     from ml1.rewrite import bind_rewriter
 
-    ref = bind_rewriter(graph, client, registry)
-    composed, _ = apply_rewriter(ref, client, registry)
-    step_b, _ = apply_rewriter(("go.defer.rewriter",), client, registry)
-    step_ba, _ = apply_rewriter(("demo.upper.rewriter",), step_b, registry)
+    ref = bind_rewriter(graph, client)
+    composed, _ = apply_rewriter(ref, client)
+    step_b, _ = apply_rewriter(("go.defer.rewriter",), client)
+    step_ba, _ = apply_rewriter(("demo.upper.rewriter",), step_b)
     assert composed == step_ba
 
     upper = ("demo.upper.rewriter",)
@@ -236,13 +233,13 @@ def test_c6_composition_golden_and_laws(capsys, compose_units):
     mismatches = 0
     for _ in range(100):
         unit = random_unit_defs_only(rng)
-        left, _ = apply_rewriter((upper + defer) + upper, unit, registry)
-        right, _ = apply_rewriter(upper + (defer + upper), unit, registry)
+        left, _ = apply_rewriter((upper + defer) + upper, unit)
+        right, _ = apply_rewriter(upper + (defer + upper), unit)
         if left != right:
             mismatches += 1
-        with_identity, _ = apply_rewriter(defer + (), unit, registry)
-        plain, _ = apply_rewriter(defer, unit, registry)
-        other_identity, _ = apply_rewriter(() + defer, unit, registry)
+        with_identity, _ = apply_rewriter(defer + (), unit)
+        plain, _ = apply_rewriter(defer, unit)
+        other_identity, _ = apply_rewriter(() + defer, unit)
         if with_identity != plain or other_identity != plain:
             mismatches += 1
     assert mismatches == 0

@@ -12,7 +12,7 @@ from ml1.cli import main
 from ml1.parser import parse_unit
 from ml1.printer import pretty_print
 from ml1.resolve import implicit_candidates, resolve_units, select_implicit
-from ml1.rewrite import DEFER_REWRITER, apply_rewriter, builtin_registry
+from ml1.rewrite import DEFER_REWRITER, apply_rewriter
 from ml1.scopes import REWRITER_MARKER, build_scope_graph
 from ml1.tokens import tokenize
 
@@ -706,7 +706,7 @@ def test_nesting_at_the_limit_keeps_the_exit_contract(tmp_path, capsys, argv, sh
 @pytest.mark.parametrize("shape", sorted(NESTED_AT_THE_LIMIT))
 def test_rewrite_output_at_the_limit_parses_again(shape):
     unit = parse_source(nested_unit(shape))
-    lowered, _ = apply_rewriter((DEFER_REWRITER,), unit, builtin_registry())
+    lowered, _ = apply_rewriter((DEFER_REWRITER,), unit)
     assert parse_source(pretty_print(lowered)) == lowered
 
 
@@ -716,7 +716,7 @@ def test_a_framed_def_at_the_limit_runs_alike_after_rewrite(tmp_path, capsys):
     unit = tmp_path / "nested.ml1"
     unit.write_text(nested_unit("framed_def"), encoding="utf-8")
     rewritten = tmp_path / "rewritten.ml1"
-    lowered, _ = apply_rewriter((DEFER_REWRITER,), parse_source(nested_unit("framed_def")), builtin_registry())
+    lowered, _ = apply_rewriter((DEFER_REWRITER,), parse_source(nested_unit("framed_def")))
     rewritten.write_text(pretty_print(lowered), encoding="utf-8")
     for path in (unit, rewritten):
         argv = ["run", "--entry", "Main.main", *fixture_paths("lib/go_defer.ml1"), str(path)]

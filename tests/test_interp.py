@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 from ml1 import ast
-from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME
+from ml1.diagnostics import E_CYCLIC_VAL, E_FORWARD_REFERENCE, E_NO_ENTRY, E_NO_FRAME, E_UNRESOLVED
 from ml1.interp import _BUILTINS, UNIT, EvalError, Interpreter, run
 from ml1.record import replace
 from ml1.resolve import resolve_units
-from ml1.rewrite import apply_rewriter, builtin_registry
+from ml1.rewrite import apply_rewriter
 from ml1.scopes import BUILTIN_NAMES, build_scope_graph
 from ml1.tokens import Span
 
@@ -21,11 +21,10 @@ from gen import program_unit, random_program, simulate
 def run_program(*units, entry):
     """Rewrite with the defer intrinsic where imported, then evaluate."""
     graph = build_project(*units)
-    registry = builtin_registry()
     rewritten = []
     for unit in units:
         if any(clause.path == ("go", "defer") for clause in unit.top_imports()):
-            new_unit, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
+            new_unit, _ = apply_rewriter(("go.defer.rewriter",), unit)
         else:
             new_unit = unit
         rewritten.append(new_unit)
@@ -256,8 +255,7 @@ def test_inner_thunk_errors_are_primary_or_suppressed():
 def test_frame_stack_is_balanced_after_runs():
     unit = parse_fixture("defer", "copy.ml1")
     graph = build_project(GO_DEFER, unit)
-    registry = builtin_registry()
-    lowered, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
+    lowered, _ = apply_rewriter(("go.defer.rewriter",), unit)
     final = build_scope_graph([GO_DEFER, lowered])
     resolution = resolve_units(final, [GO_DEFER, lowered])
     machine = Interpreter(final, resolution)
@@ -279,12 +277,11 @@ def test_defer_in_untaken_path_never_runs():
 
 def test_generated_programs_match_the_simulator():
     rng = random.Random(101)
-    registry = builtin_registry()
     for index in range(120):
         program = random_program(rng)
         events, primary, suppressed = simulate(program)
         unit = program_unit(program)
-        lowered, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
+        lowered, _ = apply_rewriter(("go.defer.rewriter",), unit)
         graph = build_scope_graph([GO_DEFER, lowered])
         resolution = resolve_units(graph, [GO_DEFER, lowered])
         assert not resolution.diagnostics
@@ -302,6 +299,18 @@ def resolved(*units):
     resolution = resolve_units(graph, list(units))
     assert not graph.diagnostics and not resolution.diagnostics
     return graph, resolution
+
+
+def test_an_unresolved_reference_fails_the_run_at_its_span():
+    unit = parse_source("object Main {\n  def main() = {\n    print(nope)\n  }\n}", "m.ml1")
+    graph = build_project(unit)
+    resolution = resolve_units(graph, [unit])
+    assert [d.code for d in resolution.diagnostics] == [E_UNRESOLVED]
+    nope = next(n for n in ast.walk(unit) if isinstance(n, ast.Ref) and n.parts == ("nope",))
+    trace = run(graph, resolution, "Main.main")
+    assert trace.events == []
+    assert trace.error.message == "nope was not resolved"
+    assert trace.error.span == nope.span
 
 
 def with_body(unit, tname, dname, body):
@@ -377,9 +386,7 @@ def test_equal_references_evaluate_their_own_bindings():
 
 
 def test_repeated_runs_on_one_graph_give_identical_traces():
-    lowered, _ = apply_rewriter(
-        ("go.defer.rewriter",), parse_fixture("defer", "copy_boom.ml1"), builtin_registry()
-    )
+    lowered, _ = apply_rewriter(("go.defer.rewriter",), parse_fixture("defer", "copy_boom.ml1"))
     graph, resolution = resolved(GO_DEFER, lowered)
     traces = []
     machine = Interpreter(graph, resolution)
@@ -496,11 +503,10 @@ def test_every_read_sees_the_binder_the_resolver_chose():
     printed read yields the tag of the symbol `resolve` bound it to, and
     that symbol is the binder Scala's block rules pick."""
     rng = random.Random(2718)
-    registry = builtin_registry()
     events = forward_calls = 0
     for index in range(220):
         program = gen.BindingProgram(rng)
-        lowered, _ = apply_rewriter(("go.defer.rewriter",), program.unit, registry)
+        lowered, _ = apply_rewriter(("go.defer.rewriter",), program.unit)
         graph, resolution = resolved(GO_DEFER, lowered)
         reads = printed_reads(lowered)
         assert set(reads) == set(program.expected)
@@ -571,7 +577,7 @@ def test_a_deferring_call_costs_at_most_eleven_interpreter_calls():
     # `concat` skip `render` for a string and the one-step thunk block
     # `{ print(p) }` is its step; without them it is about 15.
     depth = 10
-    lowered, _ = apply_rewriter(("go.defer.rewriter",), gen.defer_tree_unit(depth), builtin_registry())
+    lowered, _ = apply_rewriter(("go.defer.rewriter",), gen.defer_tree_unit(depth))
     graph, resolution = resolved(GO_DEFER, lowered)
     trace, calls = count_interp_calls(lambda: run(graph, resolution, "Main.main"))
     assert not trace.failed

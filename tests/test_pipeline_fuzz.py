@@ -26,4 +26,4 @@ def test_random_projects_never_crash_the_pipeline():
         resolve_units(graph, units)
         for unit in units:
             implicit_candidates(graph, unit, REWRITER_MARKER)
-        check_context_consistency(graph, units, REWRITER_MARKER)
+        check_context_consistency(graph, REWRITER_MARKER)

@@ -149,3 +149,13 @@ def test_hypothesis_def_bodies_round_trip(body):
     template = ast.TemplateDef(ast.OBJECT, "T", (), (decl,))
     unit = ast.CompilationUnit((), (template,), "<hyp>")
     assert round_trip(unit) == unit
+
+
+def test_a_declaration_in_argument_position_is_not_printed():
+    # The parser never puts a def where an expression goes; the printer
+    # refuses such a tree instead of printing text that parses otherwise.
+    stray = ast.DefDecl("g", (), ast.IntLit(1), True)
+    call = ast.Call(ast.Ref(("f",)), (stray,))
+    unit = ast.CompilationUnit((), (ast.TemplateDef(ast.OBJECT, "Main", (), (call,)),))
+    with pytest.raises(TypeError, match="not an expression node"):
+        pretty_print(unit)

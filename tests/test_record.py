@@ -234,3 +234,18 @@ def test_a_record_without_a_docstring_is_described_by_its_fields():
 
     assert Point.__doc__ == "Point(x, y)"
     assert Point.__match_args__ == ("x", "y") and Point.y == 0
+
+
+def test_a_record_with_no_compared_field_matches_its_dataclass_twin():
+    # Every field left out of equality: instances compare by the empty tuple.
+    class Note(Record, frozen=True):
+        """Only a span, which equality ignores."""
+
+        span: Span = record.field(default=None, compare=False)
+
+    twin = _twin(Note, frozen=True)
+    a, b, ta, tb = Note(Span(0, 1)), Note(Span(1, 2)), twin(Span(0, 1)), twin(Span(1, 2))
+    assert Note._compared(a) == ()
+    assert (a == b) is (ta == tb) is True
+    assert (a != b) is (ta != tb) is False
+    assert hash(a) == hash(b) == hash(ta) == hash(tb)

@@ -611,7 +611,7 @@ def test_erasure_changes_no_resolution_output(salat_after_units):
 
 def test_unit_without_annotations_is_returned_unchanged():
     unit = parse_source("import a.b._\n\nobject A {\n}", "a.ml1")
-    stripped = ast.strip_import_annotations(unit)
+    [stripped] = erase_import_annotations([unit])
     assert stripped is unit
 
 
@@ -808,7 +808,7 @@ def test_the_implicit_scan_costs_the_same_on_a_wider_hub(monkeypatch):
 
 def test_divergent_contexts_are_reported_once(salat_before_units):
     graph = build_project(*salat_before_units)
-    divergences = check_context_consistency(graph, salat_before_units, "Context")
+    divergences = check_context_consistency(graph, "Context")
     assert [d.render() for d in divergences] == [
         "DIVERGENCE Context before_a.ml1:salatimpl.customCtx"
         " != before_b.ml1:salatimpl.globalCtx"
@@ -817,13 +817,13 @@ def test_divergent_contexts_are_reported_once(salat_before_units):
 
 def test_shared_hub_restores_consistency(salat_after_units):
     graph = build_project(*salat_after_units)
-    assert check_context_consistency(graph, salat_after_units, "Context") == []
+    assert check_context_consistency(graph, "Context") == []
 
 
 def test_single_unit_projects_are_always_consistent():
     unit = parse_source("object A {\n}", "a.ml1")
     graph = build_project(unit)
-    assert check_context_consistency(graph, [unit], "Context") == []
+    assert check_context_consistency(graph, "Context") == []
 
 
 def test_builtin_table_is_complete():

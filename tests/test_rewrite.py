@@ -11,12 +11,13 @@ from ml1.diagnostics import (
     E_UNREGISTERED_REWRITER,
     SemanticError,
 )
+from ml1.cli import main
 from ml1.printer import pretty_print
+from ml1.record import replace
 from ml1.resolve import resolve_template
 from ml1.rewrite import (
     apply_rewriter,
     bind_rewriter,
-    builtin_registry,
     defer_lowering,
 )
 
@@ -24,24 +25,19 @@ from conftest import COMPOSE_CLIENT, COMPOSE_REPROS, FIXTURES, build_project, pa
 from gen import random_unit_defs_only
 
 
-def bind_for(graph, unit, registry=None):
-    return bind_rewriter(graph, unit, registry or builtin_registry())
-
-
 def test_import_binds_the_defer_intrinsic():
     lib = parse_fixture("lib", "go_defer.ml1")
     unit = parse_fixture("defer", "copy.ml1")
     graph = build_project(lib, unit)
-    assert bind_for(graph, unit) == ("go.defer.rewriter",)
+    assert bind_rewriter(graph, unit) == ("go.defer.rewriter",)
 
 
 def test_no_rewriter_in_scope_binds_identity():
     unit = parse_fixture("defer", "copy_plain.ml1")
     graph = build_project(unit)
-    registry = builtin_registry()
-    ref = bind_for(graph, unit, registry)
+    ref = bind_rewriter(graph, unit)
     assert ref == ()
-    rewritten, report = apply_rewriter(ref, unit, registry)
+    rewritten, report = apply_rewriter(ref, unit)
     assert rewritten is unit
     assert report.chain == []
 
@@ -49,7 +45,7 @@ def test_no_rewriter_in_scope_binds_identity():
 def test_composition_binds_inner_first(compose_units):
     graph = build_project(*compose_units)
     client = compose_units[-1]
-    ref = bind_for(graph, client)
+    ref = bind_rewriter(graph, client)
     assert ref == ("go.defer.rewriter", "demo.upper.rewriter")
 
 
@@ -74,7 +70,7 @@ def test_binding_clients_resolves_only_the_composed_rewriter_object(monkeypatch)
     clients = [parse_source(client.replace("App", f"App{i}"), f"c{i}.ml1") for i in range(3)]
     graph = build_project(*libs, declaring, *clients)
     for client in clients:
-        assert bind_for(graph, client) == ("go.defer.rewriter", "demo.upper.rewriter")
+        assert bind_rewriter(graph, client) == ("go.defer.rewriter", "demo.upper.rewriter")
     assert resolved
     assert all(names == ["compose", "demo.upper.rewriter", "go.defer.rewriter"] for names in resolved)
 
@@ -82,11 +78,10 @@ def test_binding_clients_resolves_only_the_composed_rewriter_object(monkeypatch)
 def test_composed_application_equals_sequential_application(compose_units):
     graph = build_project(*compose_units)
     client = compose_units[-1]
-    registry = builtin_registry()
-    ref = bind_for(graph, client, registry)
-    composed, report = apply_rewriter(ref, client, registry)
-    step_b, _ = apply_rewriter(("go.defer.rewriter",), client, registry)
-    step_ba, _ = apply_rewriter(("demo.upper.rewriter",), step_b, registry)
+    ref = bind_rewriter(graph, client)
+    composed, report = apply_rewriter(ref, client)
+    step_b, _ = apply_rewriter(("go.defer.rewriter",), client)
+    step_ba, _ = apply_rewriter(("demo.upper.rewriter",), step_b)
     assert composed == step_ba
     assert report.chain == ["go.defer.rewriter", "demo.upper.rewriter"]
     assert report.templates_touched == 1
@@ -100,8 +95,38 @@ def test_unregistered_rewriter_is_an_error():
     unit = parse_source("import custom._\n\nobject Main {\n}", "main.ml1")
     graph = build_project(lib, unit)
     with pytest.raises(SemanticError) as err:
-        bind_for(graph, unit)
+        bind_rewriter(graph, unit)
     assert err.value.code == E_UNREGISTERED_REWRITER
+
+
+def test_a_host_registers_an_intrinsic_by_adding_an_entry(tmp_path, capsys, monkeypatch):
+    # `rewrite.INTRINSICS` is the one plug point: an entry keyed by the
+    # rewriter object's FQN switches it on for binding, applying and `rewrite`.
+    lib = "package x\n\nimplicit object rewriter extends DefaultRewriter {\n}\n"
+    client = "import x._\n\nobject Main {\n  def main() = {\n    print(1)\n  }\n}\n"
+
+    def tag(tpl):
+        return replace(tpl, stats=(*tpl.stats, ast.DefDecl("tagged", (), ast.IntLit(1), True)))
+
+    monkeypatch.setitem(rewrite.INTRINSICS, "x.rewriter", tag)
+    units = [parse_source(lib, "x.ml1"), parse_source(client, "c.ml1")]
+    graph = build_project(*units)
+    chain = bind_rewriter(graph, units[1])
+    assert chain == ("x.rewriter",)
+    rewritten, report = apply_rewriter(chain, units[1])
+    expected = client.replace("  }\n}\n", "  }\n  val tagged = 1\n}\n")
+    assert pretty_print(rewritten) == expected
+    assert report.templates_touched == 1
+    paths = []
+    for name, text in (("x.ml1", lib), ("c.ml1", client)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text, encoding="utf-8")
+    assert main(["rewrite", *map(str, paths)]) == 0
+    # The library unit sees its own rewriter through its package, so the
+    # intrinsic tags it too.
+    tagged_lib = pretty_print(apply_rewriter(bind_rewriter(graph, units[0]), units[0])[0])
+    assert "val tagged = 1" in tagged_lib
+    assert capsys.readouterr().out == tagged_lib + expected
 
 
 def test_ambiguous_rewriters_raise():
@@ -113,7 +138,7 @@ def test_ambiguous_rewriters_raise():
     unit = parse_source("import duo._\n\nobject Main {\n}", "main.ml1")
     graph = build_project(impl, unit)
     with pytest.raises(SemanticError) as err:
-        bind_for(graph, unit)
+        bind_rewriter(graph, unit)
     assert err.value.code == E_AMBIGUOUS_IMPLICIT
 
 
@@ -131,7 +156,7 @@ def test_compose_cycles_are_detected():
     unit = parse_source("import a._\n\nobject Main {\n}", "main.ml1")
     graph = build_project(a, b, unit)
     with pytest.raises(SemanticError) as err:
-        bind_for(graph, unit)
+        bind_rewriter(graph, unit)
     assert err.value.code == E_REWRITER_CYCLE
 
 
@@ -144,7 +169,7 @@ def test_compose_recognised_inside_member_bodies():
     )
     unit = parse_source("import hub._\n\nobject Main {\n}", "main.ml1")
     graph = build_project(*libs, hub, unit)
-    ref = bind_for(graph, unit)
+    ref = bind_rewriter(graph, unit)
     assert ref == ("go.defer.rewriter", "demo.upper.rewriter")
 
 
@@ -157,7 +182,7 @@ def compose_repro_units(name):
 def test_compose_arguments_bind_where_resolve_binds_them(name):
     units = compose_repro_units(name)
     graph = build_project(*units)
-    assert bind_for(graph, units[-1]) == ("go.defer.rewriter", "demo.upper.rewriter")
+    assert bind_rewriter(graph, units[-1]) == ("go.defer.rewriter", "demo.upper.rewriter")
 
 
 def test_compose_arguments_bind_in_the_declaring_unit_when_units_share_a_name():
@@ -165,14 +190,14 @@ def test_compose_arguments_bind_in_the_declaring_unit_when_units_share_a_name():
     libs = [(FIXTURES / "lib" / name).read_text(encoding="utf-8") for name in ("go_defer.ml1", "demo_upper.ml1")]
     units = [parse_source(text) for text in (*libs, COMPOSE_REPROS["template_import_rename"], COMPOSE_CLIENT)]
     graph = build_project(*units)
-    assert bind_for(graph, units[-1]) == ("go.defer.rewriter", "demo.upper.rewriter")
+    assert bind_rewriter(graph, units[-1]) == ("go.defer.rewriter", "demo.upper.rewriter")
 
 
 def test_a_member_compose_shadows_the_builtin():
     units = compose_repro_units("member_compose_shadows_builtin")
     graph = build_project(*units)
     with pytest.raises(SemanticError) as err:
-        bind_for(graph, units[-1])
+        bind_rewriter(graph, units[-1])
     assert err.value.code == E_UNREGISTERED_REWRITER
     assert err.value.diagnostic.message == "no intrinsic transformation is registered for hub.rewriter"
 
@@ -249,10 +274,9 @@ def test_rewrite_error_is_wrapped_when_applied():
         "import go.defer._\n\nobject X {\n  defer {\n    f()\n  }\n}", "x.ml1"
     )
     graph = build_project(lib, unit)
-    registry = builtin_registry()
-    ref = bind_for(graph, unit, registry)
+    ref = bind_rewriter(graph, unit)
     with pytest.raises(SemanticError) as err:
-        apply_rewriter(ref, unit, registry)
+        apply_rewriter(ref, unit)
     assert err.value.code == E_REWRITE
     assert E_DEFER_OUTSIDE_METHOD in err.value.diagnostic.message
 
@@ -266,21 +290,19 @@ def test_lowering_is_idempotent():
 
 def test_lowering_leaves_no_candidates_on_generated_units():
     rng = random.Random(5)
-    registry = builtin_registry()
     for _ in range(80):
         unit = random_unit_defs_only(rng)
-        rewritten, _ = apply_rewriter(("go.defer.rewriter",), unit, registry)
+        rewritten, _ = apply_rewriter(("go.defer.rewriter",), unit)
         assert count_kind(rewritten, ast.DeferCandidate) == 0
-        again, _ = apply_rewriter(("go.defer.rewriter",), rewritten, registry)
+        again, _ = apply_rewriter(("go.defer.rewriter",), rewritten)
         assert again == rewritten
 
 
 def test_activation_is_opt_in_per_import():
     unit = parse_fixture("defer", "copy_plain.ml1")
     graph = build_project(unit)
-    registry = builtin_registry()
-    ref = bind_for(graph, unit, registry)
-    rewritten, report = apply_rewriter(ref, unit, registry)
+    ref = bind_rewriter(graph, unit)
+    rewritten, report = apply_rewriter(ref, unit)
     assert pretty_print(rewritten) == pretty_print(unit)
     assert report.chain == []
     assert report.templates_touched == 0
@@ -292,28 +314,26 @@ def test_activation_is_opt_in_per_import():
 
 def test_identity_laws_on_generated_units():
     rng = random.Random(17)
-    registry = builtin_registry()
     upper = ("demo.upper.rewriter",)
     for _ in range(40):
         unit = random_unit_defs_only(rng)
-        left, _ = apply_rewriter(upper + (), unit, registry)
-        right, _ = apply_rewriter(() + upper, unit, registry)
-        plain, _ = apply_rewriter(upper, unit, registry)
+        left, _ = apply_rewriter(upper + (), unit)
+        right, _ = apply_rewriter(() + upper, unit)
+        plain, _ = apply_rewriter(upper, unit)
         assert left == plain
         assert right == plain
-        same, _ = apply_rewriter(() + (), unit, registry)
+        same, _ = apply_rewriter(() + (), unit)
         assert same == unit
 
 
 def test_composition_is_associative_on_generated_units():
     rng = random.Random(23)
-    registry = builtin_registry()
     upper = ("demo.upper.rewriter",)
     defer = ("go.defer.rewriter",)
     for _ in range(40):
         unit = random_unit_defs_only(rng)
-        left, _ = apply_rewriter((upper + defer) + upper, unit, registry)
-        right, _ = apply_rewriter(upper + (defer + upper), unit, registry)
+        left, _ = apply_rewriter((upper + defer) + upper, unit)
+        right, _ = apply_rewriter(upper + (defer + upper), unit)
         assert left == right
 
 
@@ -321,8 +341,7 @@ def test_uppercase_rewriter_renames_defs_only():
     unit = parse_source(
         "object A {\n  val keep = 1\n  def f() = {\n    def g() = {\n      1\n    }\n    g()\n  }\n}"
     )
-    registry = builtin_registry()
-    rewritten, report = apply_rewriter(("demo.upper.rewriter",), unit, registry)
+    rewritten, report = apply_rewriter(("demo.upper.rewriter",), unit)
     (template,) = list(rewritten.templates())
     names = [s.name for s in template.stats if isinstance(s, ast.DefDecl)]
     assert names == ["keep", "F"]

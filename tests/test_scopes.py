@@ -82,8 +82,23 @@ def test_unresolved_parent_is_reported():
     assert codes(graph) == [E_UNRESOLVED_PARENT]
 
 
-def test_a_hierarchy_deeper_than_the_recursion_limit_links_and_resolves():
+def test_a_hierarchy_deeper_than_the_recursion_limit_links_and_resolves(monkeypatch):
     depth = sys.getrecursionlimit() + 100
+    # Linking and resolving ask for the linearization of every template of
+    # the chain, d(d-1)/2 parents in all (604,450 at depth 1,100). The spy
+    # pins that quadratic growth: more parents than that fail.
+    budget = depth * (depth - 1) // 2
+    parents = 0
+    linearized_parents = scopes.ScopeGraph.linearized_parents
+
+    def summing(self, tfqn):
+        nonlocal parents
+        found = linearized_parents(self, tfqn)
+        parents += len(found)
+        assert parents <= budget, f"linearizations returned more than {budget:,} parents"
+        return found
+
+    monkeypatch.setattr(scopes.ScopeGraph, "linearized_parents", summing)
     source = "object T0 {\n  val x = 1\n}\n"
     source += "".join(f"object T{i} extends T{i - 1} {{\n}}\n" for i in range(1, depth))
     source += f"object C {{\n  val y = T{depth - 1}.x\n}}\n"
@@ -293,6 +308,31 @@ def test_a_layered_family_closes_within_a_state_budget(monkeypatch):
     monkeypatch.setattr(scopes.ScopeGraph, "edges_of", counting)
     closure = export_closure(graph, spec.template_name(0))
     assert closure.pairs() == {(f"v{i}", f"T{i}.v{i}") for i in range(2, 82)}
+
+
+def test_a_dense_family_closes_within_a_state_budget(monkeypatch):
+    # A clique of k wildcard hubs closes from D0 in k(k+2) `edges_of`
+    # calls: 80, 288 and 840 at k = 8, 16 and 28.
+    k = 28
+    graph = build_project(*[parse_source(src, name) for name, src in dense_family_sources(k)])
+    calls = 0
+    edges_of = scopes.ScopeGraph.edges_of
+
+    def counting(self, fqn):
+        nonlocal calls
+        calls += 1
+        assert calls <= 1_000, "the k=28 clique took more than 1,000 edges_of calls"
+        return edges_of(self, fqn)
+
+    monkeypatch.setattr(scopes.ScopeGraph, "edges_of", counting)
+    closure = export_closure(graph, "D0")
+    assert closure.pairs() == {(f"v{j}_{m}", f"D{j}.v{j}_{m}") for j in range(1, k) for m in range(2)}
+
+
+def test_unknown_scope_has_no_closure():
+    graph = build_project(parse_source("object A {\n}"))
+    with pytest.raises(KeyError, match="unknown scope: no.such"):
+        export_closure(graph, "no.such")
 
 
 def test_repeated_closure_is_the_same_object(salat_after_units):

@@ -73,3 +73,8 @@ def test_start_up_loads_no_dataclasses_and_json_only_to_dump(bare, command, stat
     new = set(loaded) - bare
     assert not {"dataclasses", "inspect"} & new
     assert ("json" in new) == loads_json
+
+
+def test_importing_the_package_loads_only_the_package(bare):
+    loaded = _modules("-c", "import sys, ml1; print(*sys.modules, sep='\\n')")
+    assert set(loaded) - bare == {"ml1"}
