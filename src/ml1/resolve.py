@@ -5,7 +5,8 @@ the order `scopes.import_positions` gives it (the enclosing template's
 member tier, named selectors, wildcards, enclosing packages, builtins).
 `scopes.lookup_qualified` walks that list for every reference that is not
 a local. The implicit scan walks the list of a unit's top scope in the
-same order.
+same order and stops at the first position that provides an implicit
+object.
 
 Only this module decides what a local name means: it gives each local
 reference the (depth, slot) of its binder (SICP §5.5.6) in the frames the
@@ -232,58 +233,30 @@ def erase_import_annotations(units: list[ast.CompilationUnit]) -> list[ast.Compi
 # Implicit-object scanning ----------------------------------------------------
 
 
-class ImplicitCandidate(Record, frozen=True):
-    symbol: SymbolId
-    tier: str
-    position: int
-
-
-def implicit_candidates(
-    graph: ScopeGraph, unit: ast.CompilationUnit, marker_fqn: str
-) -> list[ImplicitCandidate]:
-    """Implicit objects extending `marker_fqn` visible at the unit's top
-    scope, in the order of its precedence list (`scopes.import_positions`),
-    highest precedence first; within one position ordered by FQN. Each
-    position is asked only for the names such an object can be visible
-    under (see `ImportPosition`): its short name and each name a selector
-    renames to. That finds what asking for every visible name would."""
+def implicit_candidates(graph: ScopeGraph, unit: ast.CompilationUnit, marker_fqn: str) -> tuple[SymbolId, ...]:
+    """The implicit objects extending `marker_fqn` at the first position of
+    the unit's top-scope precedence list (`scopes.import_positions`) that
+    provides any, ordered by FQN, or () when no position does: one symbol
+    is the unit's winner, several tie. Each position is asked only for the
+    names such an object can be visible under (see `ImportPosition`): its
+    short name and each name a selector renames to. That finds what asking
+    for every visible name would."""
     objects = {
         graph.symbols[fqn]
         for fqn in graph.members
         if graph.decls[fqn].is_implicit and marker_fqn in graph.parts(fqn)[1:]
     }
     if not objects:
-        return []
+        return ()
     names = {to for edges in graph.exports.values() for edge in edges for to in edge.selectors.table.values() if to}
     names.update(sym.short_name() for sym in objects)
-    found: list[ImplicitCandidate] = []
     for position in import_positions(graph, unit):
         symbols = {
             sym for name in names.union(position.renames) for sym in position.lookup(graph, name) if sym in objects
         }
-        found += (
-            ImplicitCandidate(sym, position.tier, position.index)
-            for sym in sorted(symbols, key=lambda s: s.fqn)
-        )
-    return found
-
-
-def select_implicit(
-    candidates: list[ImplicitCandidate],
-) -> tuple[SymbolId | None, tuple[SymbolId, ...]]:
-    """Apply the selection policy to candidates in precedence order: the
-    first candidate's position wins. Returns (winner, tied): several
-    distinct symbols at the winning position tie, and the winner is None."""
-    if not candidates:
-        return None, ()
-    first = candidates[0]
-    winners = sorted(
-        {c.symbol for c in candidates if (c.tier, c.position) == (first.tier, first.position)},
-        key=lambda s: s.fqn,
-    )
-    if len(winners) == 1:
-        return winners[0], ()
-    return None, tuple(winners)
+        if symbols:
+            return tuple(sorted(symbols, key=lambda s: s.fqn))
+    return ()
 
 
 def check_context_consistency(graph: ScopeGraph, marker_fqn: str) -> list[Divergence]:
@@ -292,16 +265,12 @@ def check_context_consistency(graph: ScopeGraph, marker_fqn: str) -> list[Diverg
     contributes no pair; an empty result means the project is consistent."""
     winners: list[tuple[str, SymbolId]] = []
     for unit in sorted(graph.units, key=lambda u: u.source_name):
-        winner, _tied = select_implicit(implicit_candidates(graph, unit, marker_fqn))
-        if winner is not None:
-            winners.append((unit.source_name, winner))
-    divergences: list[Divergence] = []
-    for i in range(len(winners)):
-        for j in range(i + 1, len(winners)):
-            unit_a, sym_a = winners[i]
-            unit_b, sym_b = winners[j]
-            if sym_a != sym_b:
-                divergences.append(
-                    Divergence(marker_fqn, unit_a, unit_b, sym_a.fqn, sym_b.fqn)
-                )
-    return divergences
+        found = implicit_candidates(graph, unit, marker_fqn)
+        if len(found) == 1:
+            winners.append((unit.source_name, found[0]))
+    return [
+        Divergence(marker_fqn, unit_a, unit_b, sym_a.fqn, sym_b.fqn)
+        for i, (unit_a, sym_a) in enumerate(winners)
+        for unit_b, sym_b in winners[i + 1 :]
+        if sym_a != sym_b
+    ]

@@ -23,7 +23,7 @@ from ml1.diagnostics import (
     SemanticError,
 )
 from ml1.record import Record, replace
-from ml1.resolve import implicit_candidates, resolve_template, select_implicit
+from ml1.resolve import implicit_candidates, resolve_template
 from ml1.scopes import BUILTINS, REWRITER_MARKER, TEMPLATE, ScopeGraph
 
 DEFER_REWRITER = "go.defer.rewriter"
@@ -37,18 +37,16 @@ Chain = tuple[str, ...]
 def bind_rewriter(graph: ScopeGraph, unit: ast.CompilationUnit) -> Chain:
     """Pick the winning rewriter object visible at `unit`'s top scope and
     return its chain; no rewriter object at all means the empty chain."""
-    winner, tied = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
-    if tied:
+    found = implicit_candidates(graph, unit, REWRITER_MARKER)
+    if len(found) > 1:
         raise SemanticError(
             Diagnostic(
                 E_AMBIGUOUS_IMPLICIT,
                 "several rewriters are visible at the same position",
-                candidates=tuple(s.fqn for s in tied),
+                candidates=tuple(s.fqn for s in found),
             )
         )
-    if winner is None:
-        return ()
-    return _chain_for(graph, winner.fqn, visiting=())
+    return _chain_for(graph, found[0].fqn, visiting=()) if found else ()
 
 
 def _chain_for(graph: ScopeGraph, fqn: str, visiting: tuple[str, ...]) -> Chain:
@@ -98,7 +96,7 @@ def _composition_args(graph: ScopeGraph, fqn: str) -> tuple[str, str] | None:
     resolved = []
     for arg in call.args:
         sym = resolution.symbol_for(arg)
-        if sym is None or sym.kind != TEMPLATE or REWRITER_MARKER not in graph.linearized_parents(sym.fqn):
+        if sym is None or sym.kind != TEMPLATE or REWRITER_MARKER not in graph.parts(sym.fqn)[1:]:
             raise SemanticError(
                 Diagnostic(
                     E_UNREGISTERED_REWRITER,

@@ -184,17 +184,26 @@ class ScopeGraph(Record):
         once per `extends` chain from the first part to the clause's part,
         each with what taking it enters: the parents on that chain, the
         clause's target and the target's package object. A clause that
-        targets its own chain is left out."""
+        targets its own chain is left out. A chain goes up only to a part
+        that has a clause among its own parts (`live`)."""
         found = self.scope_edges.get(fqn)
         if found is None:
-            steps, pending = [], [(part, frozenset()) for part in self.parts(fqn)[:1]]
+            parts, heirs = self.parts(fqn), {}
+            for part in parts:
+                for up in self.inherits.get(part, ()):
+                    heirs.setdefault(up, []).append(part)
+            down = [part for part in parts if self.exports.get(part)]
+            for part in down:
+                down += heirs.pop(part, ())
+            live = set(down)
+            steps, pending = [], [(part, frozenset()) for part in parts[:1]]
             while pending:
                 part, chain = pending.pop()
                 for edge in self.exports.get(part, ()):
                     target = edge.resolved_target
                     if target not in chain:
                         steps.append((edge, chain | {target, *self.parts(target)[:1]}))
-                pending += [(up, chain | {up}) for up in self.inherits.get(part, ())]
+                pending += [(up, chain | {up}) for up in self.inherits.get(part, ()) if up in live]
             found = self.scope_edges[fqn] = tuple(sorted(steps, key=lambda step: step[0].label()))
         return found
 

@@ -258,6 +258,23 @@ def layered_family_spec(k: int, back_edge: bool = False) -> GraphSpec:
     return GraphSpec([[f"v{index}"] for index in range(count)], edges)
 
 
+def diamond_ladder_spec(k: int, clause: bool = False) -> GraphSpec:
+    """T0, then for rung i = 1..k: T(3i-2) and T(3i-1) each extend
+    T(3i-3), and T(3i) extends both, so 2^k `extends` chains lead from
+    T(3k) to T0. With `clause`, T0 holds `@exported import T(3k+1)._` and
+    T(3k+1) declares `x`; without, no template has an `@exported` clause."""
+    parents = [[]]
+    for i in range(1, k + 1):
+        parents += [[3 * i - 3], [3 * i - 3], [3 * i - 2, 3 * i - 1]]
+    members = [[] for _ in parents]
+    edges = []
+    if clause:
+        parents.append([])
+        members.append(["x"])
+        edges.append(EdgeSpec(0, 3 * k + 1, True, []))
+    return GraphSpec(members, edges, parents)
+
+
 # Every two-clause hub up to a small bound ------------------------------------
 
 

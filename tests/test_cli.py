@@ -11,7 +11,7 @@ from ml1 import ast, cli, interp
 from ml1.cli import main
 from ml1.parser import parse_unit
 from ml1.printer import pretty_print
-from ml1.resolve import implicit_candidates, resolve_units, select_implicit
+from ml1.resolve import implicit_candidates, resolve_units
 from ml1.rewrite import DEFER_REWRITER, apply_rewriter
 from ml1.scopes import REWRITER_MARKER, build_scope_graph
 from ml1.tokens import tokenize
@@ -1005,9 +1005,9 @@ def test_rewrite_chains_apply_the_compose_arguments_resolve_binds(tmp_path, caps
     _, out, _ = run_cli(capsys, "rewrite", "--dump", *files)
     reports = {report["unit"]: report["chain"] for report in json_blocks(out)}
     for unit in units:
-        winner, _ = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
+        found = implicit_candidates(graph, unit, REWRITER_MARKER)
         if unit.source_name in reports:
-            assert reports[unit.source_name] == ([] if winner is None else expected(winner.fqn))
+            assert reports[unit.source_name] == (expected(found[0].fqn) if len(found) == 1 else [])
     if project in COMPOSE_REPROS:
         shadowed = project == "member_compose_shadows_builtin"  # binds hub.rewriter, which is unregistered
         assert reports.get(files[-1]) == (None if shadowed else ["go.defer.rewriter", "demo.upper.rewriter"])

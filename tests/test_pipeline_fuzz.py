@@ -25,5 +25,6 @@ def test_random_projects_never_crash_the_pipeline():
                 export_closure(graph, fqn)
         resolve_units(graph, units)
         for unit in units:
-            implicit_candidates(graph, unit, REWRITER_MARKER)
+            found = implicit_candidates(graph, unit, REWRITER_MARKER)
+            assert found == tuple(sorted(set(found), key=lambda sym: sym.fqn))
         check_context_consistency(graph, REWRITER_MARKER)

@@ -15,7 +15,6 @@ from ml1.resolve import (
     erase_import_annotations,
     implicit_candidates,
     resolve_units,
-    select_implicit,
 )
 from ml1.scopes import (
     BUILTIN,
@@ -49,6 +48,10 @@ def ref_symbols(resolution, name):
         for rec in resolution.records
         if rec.name == name
     ]
+
+
+def implicit_fqns(graph, unit, marker=REWRITER_MARKER):
+    return tuple(sym.fqn for sym in implicit_candidates(graph, unit, marker))
 
 
 def resolve_project(*units):
@@ -572,8 +575,7 @@ def test_parent_names_see_no_inherited_names_in_any_file_order(order):
 def test_an_inherited_rewriter_clause_activates_the_rewriter():
     *_, app = units = parents_project("rewriter")
     graph = build_project(*units)
-    candidates = implicit_candidates(graph, app, REWRITER_MARKER)
-    assert [(c.symbol.fqn, c.tier) for c in candidates] == [("go.defer.rewriter", "import-wildcard")]
+    assert implicit_fqns(graph, app) == ("go.defer.rewriter",)
 
 
 # Erasure ----------------------------------------------------------------------
@@ -641,23 +643,19 @@ def test_wildcard_import_of_rewriter_package_yields_one_candidate():
     lib = parse_fixture("lib", "go_defer.ml1")
     unit = parse_source("import go.defer._\n\nobject Main {\n}", "main.ml1")
     graph = build_project(lib, unit)
-    candidates = implicit_candidates(graph, unit, REWRITER_MARKER)
-    assert [(c.symbol.fqn, c.tier) for c in candidates] == [
-        ("go.defer.rewriter", "import-wildcard")
-    ]
+    assert implicit_fqns(graph, unit) == ("go.defer.rewriter",)
 
 
 def test_unit_without_imports_has_no_candidates():
     unit = parse_source("object Main {\n}", "main.ml1")
     graph = build_project(unit)
-    assert implicit_candidates(graph, unit, REWRITER_MARKER) == []
+    assert implicit_candidates(graph, unit, REWRITER_MARKER) == ()
 
 
 def test_hide_selectors_suppress_inner_rewriters(compose_units):
     graph = build_project(*compose_units)
     client = compose_units[-1]
-    candidates = implicit_candidates(graph, client, REWRITER_MARKER)
-    assert [c.symbol.fqn for c in candidates] == ["com.ext.AwithB.rewriter"]
+    assert implicit_fqns(graph, client) == ("com.ext.AwithB.rewriter",)
 
 
 def test_last_import_wins_among_rewriters():
@@ -667,9 +665,7 @@ def test_last_import_wins_among_rewriters():
         "import go.defer._\nimport demo.upper._\n\nobject Main {\n}", "main.ml1"
     )
     graph = build_project(lib_a, lib_b, unit)
-    winner, tied = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
-    assert tied == ()
-    assert winner.fqn == "demo.upper.rewriter"
+    assert implicit_fqns(graph, unit) == ("demo.upper.rewriter",)
 
 
 def test_candidates_come_in_precedence_order():
@@ -684,16 +680,14 @@ def test_candidates_come_in_precedence_order():
             "import demo.upper._\n\nobject Main {\n}",
             "main.ml1",
         ),
+        parse_source("package demo.app\n\nobject Other {\n}", "other.ml1"),
     ]
     graph = build_project(*units)
-    candidates = implicit_candidates(graph, units[-1], REWRITER_MARKER)
-    assert [(c.symbol.fqn, c.tier, c.position) for c in candidates] == [
-        ("demo.upper.rewriter", "import-named", 1),
-        ("demo.upper.rewriter", "import-wildcard", 2),
-        ("go.defer.rewriter", "import-wildcard", 0),
-        ("demo.near", "package", 1),
-    ]
-    assert select_implicit(candidates) == (candidates[0].symbol, ())
+    # The named import at index 1 comes first in the precedence list
+    # (`test_a_template_site_has_one_precedence_list`); the scan stops there.
+    assert implicit_fqns(graph, units[-2]) == ("demo.upper.rewriter",)
+    # With no import, the enclosing package `demo` provides the winner.
+    assert implicit_fqns(graph, units[-1]) == ("demo.near",)
 
 
 def test_implicit_scan_uses_the_first_selector_of_a_name():
@@ -702,7 +696,7 @@ def test_implicit_scan_uses_the_first_selector_of_a_name():
         "import go.defer.{rewriter => _, rewriter}\n\nobject Main {\n}", "main.ml1"
     )
     graph = build_project(lib, unit)
-    assert implicit_candidates(graph, unit, REWRITER_MARKER) == []
+    assert implicit_candidates(graph, unit, REWRITER_MARKER) == ()
 
 
 def test_two_rewriters_at_one_position_tie():
@@ -713,9 +707,7 @@ def test_two_rewriters_at_one_position_tie():
     )
     unit = parse_source("import duo._\n\nobject Main {\n}", "main.ml1")
     graph = build_project(impl, unit)
-    winner, tied = select_implicit(implicit_candidates(graph, unit, REWRITER_MARKER))
-    assert winner is None
-    assert [s.fqn for s in tied] == ["duo.first", "duo.second"]
+    assert implicit_fqns(graph, unit) == ("duo.first", "duo.second")
 
 
 def test_marker_match_is_transitive():
@@ -726,12 +718,12 @@ def test_marker_match_is_transitive():
         parse_source("import impls._\n\nobject Main {\n}", "main.ml1"),
     ]
     graph = build_project(*units)
-    candidates = implicit_candidates(graph, units[-1], "Marker")
-    assert [c.symbol.fqn for c in candidates] == ["impls.deep"]
+    assert implicit_fqns(graph, units[-1], "Marker") == ("impls.deep",)
 
 
-def scan(graph, unit, marker):
-    return [(c.symbol, c.tier, c.position) for c in implicit_candidates(graph, unit, marker)]
+def first_position(found):
+    """The symbols at the first position of an `implicit_scan_oracle` result."""
+    return tuple(sym for sym, tier, index in found if (tier, index) == found[0][1:])
 
 
 def test_the_implicit_scan_equals_the_scan_by_names_on_implicit_heavy_projects():
@@ -745,7 +737,8 @@ def test_the_implicit_scan_equals_the_scan_by_names_on_implicit_heavy_projects()
         for unit in units:
             for marker in IMPLICIT_MARKERS:
                 expected = implicit_scan_oracle(graph, unit, marker)
-                assert scan(graph, unit, marker) == expected, ([u.source_name for u in units], unit.source_name)
+                where = ([u.source_name for u in units], unit.source_name)
+                assert implicit_candidates(graph, unit, marker) == first_position(expected), where
                 scans += 1
                 found += bool(expected)
     assert (scans, found) == (10326, 2319)
@@ -760,7 +753,8 @@ def test_the_implicit_scan_equals_the_scan_by_names_on_the_fixtures():
         for marker in graph.members:
             for unit in units:
                 expected = implicit_scan_oracle(graph, unit, marker)
-                assert scan(graph, unit, marker) == expected, (files, marker, unit.source_name)
+                where = (files, marker, unit.source_name)
+                assert implicit_candidates(graph, unit, marker) == first_position(expected), where
                 scans += 1
                 found += bool(expected)
     assert (scans, found) == (296, 15)
@@ -796,11 +790,13 @@ def test_the_implicit_scan_costs_the_same_on_a_wider_hub(monkeypatch):
         graph = build_project(*units)
         calls.clear()
         for unit in units[4:]:
-            assert [c.symbol.fqn for c in implicit_candidates(graph, unit, REWRITER_MARKER)] == ["go.defer.rewriter"]
-            assert [c.symbol.fqn for c in implicit_candidates(graph, unit, "k.Context")] == ["k.c1"]
+            assert implicit_fqns(graph, unit) == ("go.defer.rewriter",)
+            assert implicit_fqns(graph, unit, "k.Context") == ("k.c1",)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 20 * 20  # at most 20 lookups per client
-    assert counts == [300, 300]
+    # Each scan stops at its first providing position: the rewriter scan asks
+    # `go.defer._` for two names, the Context scan asks it and `h.Hub._` for
+    # one each, so 4 lookups per client.
+    assert counts == [80, 80]
 
 
 # Divergence linting -----------------------------------------------------------

@@ -20,6 +20,7 @@ from gen import (
     closure_oracle,
     closure_witness_oracle,
     dense_family_sources,
+    diamond_ladder_spec,
     graph_spec_sources,
     layered_family_spec,
     random_graph_spec,
@@ -327,6 +328,44 @@ def test_a_dense_family_closes_within_a_state_budget(monkeypatch):
     monkeypatch.setattr(scopes.ScopeGraph, "edges_of", counting)
     closure = export_closure(graph, "D0")
     assert closure.pairs() == {(f"v{j}_{m}", f"D{j}.v{j}_{m}") for j in range(1, k) for m in range(2)}
+
+
+def test_an_export_free_diamond_ladder_resolves_within_a_budget():
+    # No template of the k=24 ladder has an `@exported` clause, so no
+    # `extends` chain needs following. Resolving `T72.nope` asks
+    # `graph.inherits` 148 times; following each of the 2^24 chains from
+    # T72 to T0 would ask once per chain, so the spy stops at the budget.
+    k = 24
+    spec = diamond_ladder_spec(k)
+    client = ("c.ml1", f"object C {{\n  val y = T{3 * k}.nope\n}}\n")
+    units = [parse_source(src, name) for name, src in [*graph_spec_sources(spec), client]]
+    graph = build_project(*units)
+
+    class Counting(dict):
+        calls = 0
+
+        def get(self, *args):
+            Counting.calls += 1
+            assert Counting.calls <= 1_000, "the k=24 ladder took more than 1,000 inherits lookups"
+            return super().get(*args)
+
+    graph.inherits = Counting(graph.inherits)
+    resolution = resolve_units(graph, units)
+    assert [d.render() for d in resolution.diagnostics] == ["c.ml1:21-29: E_UNRESOLVED: T72.nope is not in scope"]
+
+
+@pytest.mark.parametrize("clause", [False, True])
+def test_diamond_ladders_match_the_oracles(clause):
+    # With the clause on T0, each of the 2^k chains from T(3k) to T0 is
+    # its own edge step; without it there is none.
+    for k in range(6):
+        spec = diamond_ladder_spec(k, clause)
+        graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+        assert len(graph.edges_of(spec.template_name(3 * k))) == (2**k if clause else 0)
+        for index in range(len(spec.members)):
+            closure = export_closure(graph, spec.template_name(index))
+            assert closure.pairs() == closure_oracle(spec, index), (k, index)
+            assert witnesses(closure) == closure_witness_oracle(spec, index), (k, index)
 
 
 def test_unknown_scope_has_no_closure():
