@@ -2,36 +2,24 @@
 
 A scope is made of its parts (`ScopeGraph.parts`): a template and its
 linearized parents, or a package's package object and that object's
-parents. A scope's members and edges are those of all its parts, so a
-template provides what it inherits, to its own body and to every other
-site alike. A part's `@exported` imports become edges; the names they make
-visible (directly or through further exported imports) form the scope's
-export closure. A closure path may enter each scope at most once, so cyclic
-edges terminate while every finitely derivable name is still found.
-Entering a package enters its package object too, and a package object's
-closure starts inside it, so it never re-enters its own package; taking a
-clause of an inherited part enters the parents on the `extends` chain to
-that part, as a path of that parent's own closure would. What each clause
-enters is derived once per graph (`ScopeGraph.edges_of`) and shared by
-every closure.
+parents. A scope's members and `@exported` clauses are those of all its
+parts, each clause once, so a template provides what it inherits, to its
+own body and to every other site alike. The names the clauses make
+visible, directly or through further clauses, form its export closure.
 
+A closure is a least fixpoint over (scope, source name, visible name)
+states: a template's closure is what its own clauses reach plus its
+parents' closures, and a package's is its package object's. A path may
+pass a scope again under another name, but it never enters its root again
+(nor, for a package object, its package), so cycles terminate.
 `export_closure` is the one closure engine. It keeps a single witness path
-per (visible name, symbol) pair: the shortest, then the lowest by its list
-of edge labels. Paths are expanded breadth-first in that order; a path's
-filter composes its clauses' selector tables. After taking an edge's pairs
-a path stops when that filter, restricted to the names a later edge can
-still deliver, keeps no name and no wildcard, or when an earlier path
-reached the same scope under the same restricted filter having visited a
-subset of the scopes this one visited and can still enter
-(`ScopeGraph.reach`). No pair or witness is lost. On an acyclic graph no
-visited scope can be entered again, so each scope is expanded at most once
-per restricted filter and closures cost polynomial work. A cycle through the
-root keeps every scope enterable, so incomparable visited sets are all
-expanded there, and that work stays exponential in the cycle's length.
-Closures are memoized on the graph; the memos built while parents are
-linked are dropped, so every closure is built from the finished graph. The
-graph holds only memos of its own queries: what a later phase derives from
-it, such as a resolution, stays with that phase.
+per (visible name, symbol) pair, the shortest, then the lowest by its edge
+labels, found breadth-first; a path carries on only the states no earlier
+path reached, so closures cost polynomial work, cycles included. Closures
+are memoized on the graph; the memos built while parents are linked are
+dropped, so every closure is built from the finished graph. The graph
+holds only memos of its own queries: what a later phase derives from it,
+such as a resolution, stays with that phase.
 """
 
 from __future__ import annotations
@@ -129,6 +117,10 @@ class ExportClosure(Record, frozen=True):
         return self.by_name.get(name, ())
 
 
+# A closure pair's symbol and witness path.
+_Witness = tuple[SymbolId, tuple[ExportEdge, ...]]
+
+
 class ScopeGraph(Record):
     symbols: dict[str, SymbolId] = field(default_factory=dict)
     members: dict[str, list[SymbolId]] = field(default_factory=dict)
@@ -140,17 +132,16 @@ class ScopeGraph(Record):
     owner_unit: dict[str, str] = field(default_factory=dict)
     units: list[ast.CompilationUnit] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # Memos of `export_closure`, `parts`, `scope_members`, `edges_of` and
-    # `reach`, keyed by scope FQN. Each entry depends on `inherits`, so
-    # `build_scope_graph` clears the memos once every parent is linked; after
-    # that each entry is built once and shared read-only.
+    # Memos of `export_closure`, `_own_closure`, `parts`, `scope_members`,
+    # `edges_of` and `findable`, keyed by scope FQN. Each entry depends on
+    # `inherits`, so `build_scope_graph` clears the memos once every parent
+    # is linked; after that each entry is built once and shared read-only.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
+    own_closures: dict[str, dict[tuple[str, str], _Witness]] = field(default_factory=dict, repr=False, compare=False)
     scope_parts: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
     member_maps: dict[str, Mapping[str, SymbolId]] = field(default_factory=dict, repr=False, compare=False)
-    scope_edges: dict[str, tuple[tuple[ExportEdge, frozenset[str]], ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    scope_reach: dict[str, frozenset[str]] = field(default_factory=dict, repr=False, compare=False)
+    scope_edges: dict[str, tuple[ExportEdge, ...]] = field(default_factory=dict, repr=False, compare=False)
+    scope_findable: dict[str, set[str]] = field(default_factory=dict, repr=False, compare=False)
 
     def parts(self, fqn: str) -> tuple[str, ...]:
         """The templates whose members and `@exported` clauses make up
@@ -179,48 +170,52 @@ class ScopeGraph(Record):
             found = self.member_maps[fqn] = MappingProxyType(out)
         return found
 
-    def edges_of(self, fqn: str) -> tuple[tuple[ExportEdge, frozenset[str]], ...]:
-        """The `@exported` clauses of scope `fqn`'s parts in label order,
-        once per `extends` chain from the first part to the clause's part,
-        each with what taking it enters: the parents on that chain, the
-        clause's target and the target's package object. A clause that
-        targets its own chain is left out. A chain goes up only to a part
-        that has a clause among its own parts (`live`)."""
+    def edges_of(self, fqn: str) -> tuple[ExportEdge, ...]:
+        """The `@exported` clauses of scope `fqn`'s parts, each once, in
+        label order."""
         found = self.scope_edges.get(fqn)
         if found is None:
-            parts, heirs = self.parts(fqn), {}
-            for part in parts:
-                for up in self.inherits.get(part, ()):
-                    heirs.setdefault(up, []).append(part)
-            down = [part for part in parts if self.exports.get(part)]
-            for part in down:
-                down += heirs.pop(part, ())
-            live = set(down)
-            steps, pending = [], [(part, frozenset()) for part in parts[:1]]
-            while pending:
-                part, chain = pending.pop()
-                for edge in self.exports.get(part, ()):
-                    target = edge.resolved_target
-                    if target not in chain:
-                        steps.append((edge, chain | {target, *self.parts(target)[:1]}))
-                pending += [(up, chain | {up}) for up in self.inherits.get(part, ()) if up in live]
-            found = self.scope_edges[fqn] = tuple(sorted(steps, key=lambda step: step[0].label()))
+            edges = [edge for part in self.parts(fqn) for edge in self.exports[part]]
+            found = self.scope_edges[fqn] = tuple(sorted(edges, key=ExportEdge.label))
         return found
 
-    def reach(self, fqn: str) -> frozenset[str]:
-        """The scopes a closure path at scope `fqn` can still enter: what
-        each edge reachable from `fqn` enters."""
-        found = self.scope_reach.get(fqn)
+    def findable(self, fqn: str) -> set[str]:
+        """The FQNs of the members of scope `fqn` and of every scope its
+        clauses lead to, transitively: what a closure path at `fqn` can
+        still find, under whatever name. A least fixpoint, built for the
+        scopes `fqn` reaches, each of which keeps its entry."""
+        found = self.scope_findable.get(fqn)
         if found is None:
-            out, seen, pending = set(), {fqn}, [fqn]
-            while pending:
-                for edge, entered in self.edges_of(pending.pop()):
-                    out |= entered
-                    if edge.resolved_target not in seen:
-                        seen.add(edge.resolved_target)
-                        pending.append(edge.resolved_target)
-            found = self.scope_reach[fqn] = frozenset(out)
+            order = [fqn]
+            for scope in order:
+                self.scope_findable[scope] = {sym.fqn for sym in self.scope_members(scope).values()}
+                for edge in self.edges_of(scope):
+                    if edge.resolved_target not in self.scope_findable:
+                        self.scope_findable[edge.resolved_target] = set()
+                        order.append(edge.resolved_target)
+            size = -1  # until no entry grows
+            while size != (size := sum(len(self.scope_findable[scope]) for scope in order)):
+                for scope in reversed(order):
+                    for edge in self.edges_of(scope):
+                        self.scope_findable[scope] |= self.scope_findable[edge.resolved_target]
+            found = self.scope_findable[fqn]
         return found
+
+    @cached_property
+    def known_as(self) -> dict[str, set[str]]:
+        """Each name with the FQNs of the symbols a closure can make visible
+        under it: those of that short name and, transitively, those of a
+        name a selector renames to it. It does not depend on `inherits`."""
+        known: dict[str, set[str]] = {}
+        for sym in self.symbols.values():
+            known.setdefault(sym.short_name(), set()).add(sym.fqn)
+        tables = [edge.selectors.table for edges in self.exports.values() for edge in edges]
+        renames = [(source, to) for table in tables for source, to in table.items() if to not in (None, source)]
+        size = -1
+        while size != (size := sum(map(len, known.values()))):
+            for source, to in renames:
+                known.setdefault(to, set()).update(known.get(source, ()))
+        return known
 
     def linearized_parents(self, tfqn: str) -> list[str]:
         """Transitive parents, left-to-right depth-first, first occurrence
@@ -238,18 +233,26 @@ class ScopeGraph(Record):
 def export_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
     """Every (visible name, symbol) pair reachable from `fqn` through
     exported imports, each with its witness path: the shortest edge path
-    that yields the pair, then the lowest by edge labels.
-
-    Each path may enter a scope at most once; selector filters compose
-    along the path, so a rename or hide on an outer edge applies to every
-    name carried through it. The result is memoized on the graph.
+    that yields the pair, then the lowest by edge labels. It is the union of
+    what the clauses of each of `fqn`'s parts reach (`_own_closure`), where
+    a pair keeps its lowest witness. The result is memoized on the graph.
     """
     closure = graph.closures.get(fqn)
     if closure is None:
         if fqn not in graph.symbols:
             raise KeyError(f"unknown scope: {fqn}")
-        closure = graph.closures[fqn] = _witness_closure(graph, fqn)
+        best: dict[tuple[str, str], _Witness] = {}
+        for part in graph.parts(fqn):
+            for key, found in _own_closure(graph, part).items():
+                if key not in best or _rank(found[1]) < _rank(best[key][1]):
+                    best[key] = found
+        entries = (ClosureEntry(name, sym, path) for (name, _), (sym, path) in sorted(best.items()))
+        closure = graph.closures[fqn] = ExportClosure(tuple(entries))
     return closure
+
+
+def _rank(path: tuple[ExportEdge, ...]) -> tuple[int, list[str]]:
+    return len(path), [edge.label() for edge in path]
 
 
 # A combined selector filter: (wildcard, explicit map). A name in the map
@@ -286,67 +289,78 @@ def _compose(outer: _Filter, inner: _Filter) -> _Filter:
     return wild, out
 
 
-def _witness_closure(graph: ScopeGraph, fqn: str) -> ExportClosure:
-    # A name can reach a path's filter from a later edge only as a member of
-    # a scope the path has not visited yet, or as the new name a selector
-    # gives it on an edge of the path's last scope or of an unvisited one:
-    # name -> (scope, whether by a rename) for each such source. The table
-    # covers `fqn` and the scopes its paths can enter (`ScopeGraph.reach`,
-    # shared by every closure): over the whole graph it would count scopes
-    # no path of this root reaches, and prune less.
-    arrives: dict[str, list[tuple[str, bool]]] = {}
-    for scope in graph.reach(fqn) | {fqn}:
-        for name in graph.scope_members(scope):
-            arrives.setdefault(name, []).append((scope, False))
-        for edge, _ in graph.edges_of(scope):
-            for name, to in edge.selectors.table.items():
-                if to is not None and to != name:
-                    arrives.setdefault(to, []).append((scope, True))
-
-    # Breadth-first over simple edge paths, each level in label order: the
-    # first path to yield a pair is its witness.
-    expanded: dict[tuple, list[frozenset[str]]] = {}
-    witness: dict[tuple[str, str], tuple[SymbolId, tuple[ExportEdge, ...]]] = {}
-    frontier = [(fqn, _IDENTITY, frozenset((fqn, *graph.parts(fqn)[:1])), ())]
+def _own_closure(graph: ScopeGraph, root: str) -> dict[tuple[str, str], _Witness]:
+    """(visible name, symbol FQN) -> (symbol, witness) for what template
+    `root`'s own `@exported` clauses reach, never entering `root` again
+    (nor, for a package object, its package)."""
+    witness = graph.own_closures.get(root)
+    if witness is not None:
+        return witness
+    witness = graph.own_closures[root] = {}
+    package = root.rpartition(".")[0]
+    barred = {root, package} if graph.package_objects.get(package) == root else {root}
+    # The (source, visible) states reached at each scope: those an explicit
+    # map carried there, and, once a wildcard got there (`opened`), every
+    # name as itself but the names its map decides.
+    reached: dict[str, set[tuple[str, str]]] = {}
+    opened: dict[str, set[str]] = {}
+    # Breadth-first, each level in label order: the first path to reach a
+    # state is its witness, so a later path carries only the states it
+    # reaches first.
+    frontier = [(_IDENTITY, sorted(graph.exports[root], key=ExportEdge.label), ())]
     while frontier:
         next_frontier = []
-        for scope, path_filter, visited, path in frontier:
-            for edge, entered in graph.edges_of(scope):
-                if not entered.isdisjoint(visited):
+        for path_filter, edges, path in frontier:
+            for edge in edges:
+                target = edge.resolved_target
+                if target in barred:
                     continue
                 wild, names = _compose(path_filter, (edge.selectors.wildcard, edge.selectors.table))
-                target = edge.resolved_target
-                target_path = path + (edge,)
-                found = graph.scope_members(target)
-                if wild:
-                    visible_syms = ((names.get(name, name), sym) for name, sym in found.items())
-                else:
-                    visible_syms = ((visible, found.get(name)) for name, visible in names.items())
-                for visible, sym in visible_syms:
-                    if visible is not None and sym is not None:
-                        key = (visible, sym.fqn)
-                        if key not in witness:
-                            witness[key] = (sym, target_path)
-                target_visited = visited | entered
-                carried = {
+                # A name under which `target` can find no symbol leads nowhere.
+                findable, known = graph.findable(target), graph.known_as
+                names = {name: names[name] for name in names if not findable.isdisjoint(known.get(name, ()))}
+                states, unopened = reached.setdefault(target, set()), opened.get(target)
+                if wild and unopened is not None:
+                    # An earlier wildcard carried every name as itself but
+                    # those its map decided: only these can be new so.
+                    wild, names = False, names | {name: name for name in unopened - names.keys()}
+                fresh = {
                     name: visible
                     for name, visible in names.items()
-                    if any(s not in target_visited or renamed and s == target for s, renamed in arrives.get(name, ()))
+                    if visible is not None
+                    and (name, visible) not in states
+                    and (unopened is None or name != visible or name in unopened)
                 }
-                if not wild and not carried:
-                    continue  # nothing further can pass
-                seen = expanded.setdefault((target, wild, frozenset(carried.items())), [])
-                if any(earlier <= target_visited for earlier in seen):
-                    continue  # an earlier, smaller path reaches all this one can
-                seen.append(target_visited & graph.reach(target))
-                next_frontier.append((target, (wild, carried), target_visited, target_path))
+                if wild:
+                    opened[target] = set(names)
+                    carried = dict.fromkeys(names) | fresh
+                elif fresh:
+                    carried = fresh
+                else:
+                    continue
+                states.update(fresh.items())
+                target_path = path + (edge,)
+                members = graph.scope_members(target)
+                if wild:
+                    visible_syms = ((carried.get(name, name), sym) for name, sym in members.items())
+                else:
+                    visible_syms = ((visible, members.get(name)) for name, visible in carried.items())
+                for visible, sym in visible_syms:
+                    if visible is not None and sym is not None:
+                        witness.setdefault((visible, sym.fqn), (sym, target_path))
+                if not wild:
+                    # A name whose every findable symbol has its witness
+                    # leads nowhere new.
+                    carried = {
+                        name: visible
+                        for name, visible in carried.items()
+                        if any((visible, fqn) not in witness for fqn in known[name] & findable)
+                    }
+                    if not carried:
+                        continue
+                next_frontier.append(((wild, carried), graph.edges_of(target), target_path))
         frontier = next_frontier
-    return ExportClosure(
-        tuple(
-            ClosureEntry(name, sym, path)
-            for (name, _), (sym, path) in sorted(witness.items())
-        )
-    )
+    return witness
 
 
 # Graph construction ---------------------------------------------------------
@@ -363,20 +377,21 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
     # Parent names resolve without inherited names: every parent is looked
     # up before any is linked, and the memos built meanwhile are dropped.
     # A link that would close a cycle is reported and left out (SLS §5.1),
-    # so `inherits` is acyclic.
+    # so `inherits` is acyclic. Only a template that an accepted link names
+    # as a parent is anyone's ancestor, so only its links need the walk.
     parents = dict(link for unit in units for link in _resolve_parents(graph, unit))
+    ancestors: set[str] = set()
     for tfqn, (unit_name, span, resolved) in parents.items():
         for parent in resolved:
-            if parent == tfqn or tfqn in graph.linearized_parents(parent):
+            if parent == tfqn or tfqn in ancestors and tfqn in graph.linearized_parents(parent):
                 message = f"parent {parent} of {tfqn} closes an inheritance cycle"
                 graph.diagnostics.append(Diagnostic(E_CYCLIC_INHERITANCE, message, unit_name, span))
             else:
                 graph.inherits[tfqn].append(parent)
-    graph.closures.clear()
-    graph.scope_parts.clear()
-    graph.member_maps.clear()
-    graph.scope_edges.clear()
-    graph.scope_reach.clear()
+                ancestors.add(parent)
+    for memo in (graph.closures, graph.own_closures, graph.scope_parts, graph.member_maps, graph.scope_edges):
+        memo.clear()
+    graph.scope_findable.clear()
     return graph
 
 
@@ -387,13 +402,8 @@ def _ensure_package(graph: ScopeGraph, path: ast.QualName, unit: ast.Compilation
         existing = graph.symbols.get(fqn)
         if existing is not None:
             if existing.kind != PACKAGE:
-                graph.diagnostics.append(
-                    Diagnostic(
-                        E_DUPLICATE_SYMBOL,
-                        f"package {fqn} collides with a {existing.kind} of the same name",
-                        unit.source_name,
-                    )
-                )
+                message = f"package {fqn} collides with a {existing.kind} of the same name"
+                graph.diagnostics.append(Diagnostic(E_DUPLICATE_SYMBOL, message, unit.source_name))
             continue
         sym = SymbolId(fqn, PACKAGE)
         graph.symbols[fqn] = sym
@@ -404,14 +414,8 @@ def _ensure_package(graph: ScopeGraph, path: ast.QualName, unit: ast.Compilation
 
 def _declare_symbol(graph: ScopeGraph, sym: SymbolId, decl, unit_name: str) -> bool:
     if sym.fqn in graph.symbols:
-        graph.diagnostics.append(
-            Diagnostic(
-                E_DUPLICATE_SYMBOL,
-                f"{sym.fqn} is already defined",
-                unit_name,
-                getattr(decl, "span", None),
-            )
-        )
+        message = f"{sym.fqn} is already defined"
+        graph.diagnostics.append(Diagnostic(E_DUPLICATE_SYMBOL, message, unit_name, getattr(decl, "span", None)))
         return False
     graph.symbols[sym.fqn] = sym
     graph.decls[sym.fqn] = decl
@@ -467,14 +471,8 @@ def _link_imports(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
     def resolve_clause(clause: ast.ImportClause) -> str | None:
         target = resolve_import_path(graph, clause.path)
         if target is None:
-            graph.diagnostics.append(
-                Diagnostic(
-                    E_UNRESOLVED_IMPORT_PATH,
-                    f"import path {ast.dotted(clause.path)} does not name a template or package",
-                    unit.source_name,
-                    clause.span,
-                )
-            )
+            message = f"import path {ast.dotted(clause.path)} does not name a template or package"
+            graph.diagnostics.append(Diagnostic(E_UNRESOLVED_IMPORT_PATH, message, unit.source_name, clause.span))
         return target
 
     for clause in unit.top_imports():

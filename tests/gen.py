@@ -1,11 +1,12 @@
 """Seeded random generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the production code paths: the export
-closure oracle enumerates simple edge paths over a plain description of
-the graph, the defer oracle simulates traces with a list-as-stack, and the
-reference lexer scans one character at a time. The implicit scan oracle
-keeps the scan's first definition: it lists every name a position
-provides and looks each one up.
+closure oracle searches (scope, name) states breadth-first, one visible
+name at a time, over a plain description of the graph, the defer oracle
+simulates traces with a list-as-stack, and the reference lexer scans one
+character at a time. The implicit scan oracle keeps the scan's first
+definition: it lists every name a position provides and looks each one
+up.
 """
 
 from __future__ import annotations
@@ -72,14 +73,6 @@ class GraphSpec:
         for parent in self.parents[index] if self.parents else ():
             order += [p for p in self.parts(parent) if p not in order]
         return order
-
-    def edge_chains(self, index: int, chain: frozenset[int] = frozenset()) -> list[tuple[EdgeSpec, frozenset[int]]]:
-        """Each edge of a part of `index`, with the templates an `extends`
-        path from `index` to the edge's origin passes, once per such path."""
-        found = [(edge, chain) for edge in self.edges if edge.origin == index]
-        for parent in self.parents[index] if self.parents else ():
-            found += self.edge_chains(parent, chain | {parent})
-        return found
 
     def scope_members(self, index: int) -> dict[str, str]:
         """Visible member name -> FQN: the first part that declares it provides it."""
@@ -179,33 +172,56 @@ def _edge_filter(edge: EdgeSpec, name: str) -> str | None:
     return name if edge.wildcard else None
 
 
-def _closure_pairs(spec: GraphSpec, start: int):
-    """Every simple edge path from `start`, by exhaustive worklist
-    enumeration, with each (visible name, member FQN) pair it yields. A
-    scope is its parts: a path follows the edges of every part, and taking an
-    inherited part's edge visits the templates on the `extends` path to it."""
-    worklist: list[tuple[int, frozenset[int], tuple[EdgeSpec, ...]]] = [(start, frozenset({start}), ())]
-    while worklist:
-        scope, visited, path = worklist.pop()
-        for edge, chain in spec.edge_chains(scope):
-            if edge.target in visited | chain or chain & visited:
-                continue
-            new_path = path + (edge,)
-            for member, fqn in spec.scope_members(edge.target).items():
-                visible: str | None = member
-                for step in reversed(new_path):
-                    visible = _edge_filter(step, visible)
-                    if visible is None:
-                        break
-                if visible is not None:
-                    yield new_path, (visible, fqn)
-            worklist.append((edge.target, visited | chain | {edge.target}, new_path))
+def _own_witnesses(spec: GraphSpec, start: int, labels: dict[int, str]) -> dict[tuple[str, str], tuple]:
+    """(visible name, member FQN) -> (length, labels) of the first path, in
+    (length, labels) order, by which the edges of template `start` itself
+    reach the pair. For each visible name, a breadth-first search over
+    (scope, source name) states, each level sorted by labels: the first
+    visit of a state wins, and no path enters `start` again."""
+    names = {member for members in spec.members for member in members}
+    names.update(name for edge in spec.edges for pair in edge.named for name in pair if name is not None)
+    best: dict[tuple[str, str], tuple] = {}
+    for visible in sorted(names):
+        seen: set[tuple[int, str]] = set()
+        level: list[tuple[tuple[str, ...], int, str]] = [((), start, visible)]
+        while level:
+            candidates = []
+            for path, scope, source in level:
+                origins = [start] if not path else spec.parts(scope)
+                for edge in spec.edges:
+                    if edge.origin in origins and edge.target != start:
+                        candidates += [
+                            (path + (labels[id(edge)],), edge.target, name)
+                            for name in names
+                            if _edge_filter(edge, name) == source
+                        ]
+            level = []
+            for path, scope, source in sorted(candidates):
+                if (scope, source) not in seen:
+                    seen.add((scope, source))
+                    level.append((path, scope, source))
+                    fqn = spec.scope_members(scope).get(source)
+                    if fqn is not None:
+                        best.setdefault((visible, fqn), (len(path), path))
+    return best
+
+
+def _closure_witnesses(spec: GraphSpec, start: int) -> dict[tuple[str, str], tuple]:
+    """What `start`'s own edges reach, merged with its parents' closures: a
+    pair keeps its lowest (length, labels)."""
+    labels = {id(edge): edge_label(spec, edge) for edge in spec.edges}
+    best = _own_witnesses(spec, start, labels)
+    for parent in spec.parents[start] if spec.parents else ():
+        for pair, rank in _closure_witnesses(spec, parent).items():
+            if pair not in best or rank < best[pair]:
+                best[pair] = rank
+    return best
 
 
 def closure_oracle(spec: GraphSpec, start: int) -> set[tuple[str, str]]:
     """(visible name, defining template member FQN) pairs reachable from
     `start`."""
-    return {pair for _, pair in _closure_pairs(spec, start)}
+    return set(_closure_witnesses(spec, start))
 
 
 def edge_label(spec: GraphSpec, edge: EdgeSpec) -> str:
@@ -218,14 +234,9 @@ def edge_label(spec: GraphSpec, edge: EdgeSpec) -> str:
 
 def closure_witness_oracle(spec: GraphSpec, start: int) -> dict[tuple[str, str], tuple[str, ...]]:
     """(visible name, member FQN) -> edge labels of the witness path: the
-    minimum by (length, labels) over every simple edge path from `start`
-    that yields the pair."""
-    best: dict[tuple[str, str], tuple[int, tuple[str, ...]]] = {}
-    for path, pair in _closure_pairs(spec, start):
-        rank = (len(path), tuple(edge_label(spec, e) for e in path))
-        if pair not in best or rank < best[pair]:
-            best[pair] = rank
-    return {pair: labels for pair, (_, labels) in best.items()}
+    minimum by (length, labels) over the paths from `start`, and from each
+    of its parents, that yield the pair."""
+    return {pair: path for pair, (_, path) in _closure_witnesses(spec, start).items()}
 
 
 def dense_family_sources(k: int, vals: int = 2) -> list[tuple[str, str]]:

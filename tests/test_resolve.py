@@ -741,7 +741,7 @@ def test_the_implicit_scan_equals_the_scan_by_names_on_implicit_heavy_projects()
                 assert implicit_candidates(graph, unit, marker) == first_position(expected), where
                 scans += 1
                 found += bool(expected)
-    assert (scans, found) == (10326, 2319)
+    assert (scans, found) == (10326, 2320)
 
 
 def test_the_implicit_scan_equals_the_scan_by_names_on_the_fixtures():

@@ -17,6 +17,7 @@ from conftest import build_project, parse_fixture, parse_source
 from gen import (
     NAME_POOL,
     RENAME_POOL,
+    _edge_filter,
     closure_oracle,
     closure_witness_oracle,
     dense_family_sources,
@@ -85,10 +86,12 @@ def test_unresolved_parent_is_reported():
 
 def test_a_hierarchy_deeper_than_the_recursion_limit_links_and_resolves(monkeypatch):
     depth = sys.getrecursionlimit() + 100
-    # Linking and resolving ask for the linearization of every template of
-    # the chain, d(d-1)/2 parents in all (604,450 at depth 1,100). The spy
-    # pins that quadratic growth: more parents than that fail.
-    budget = depth * (depth - 1) // 2
+    # Linking walks no ancestry: no template of the chain is a parent when
+    # its own link is checked. Resolving `T1099.x` linearizes the chain
+    # once, so the linearizations return d-1 parents (1,099 at depth
+    # 1,100). Checking every link with a walk would return d(d-1)/2, so
+    # the spy fails past 4d.
+    budget = 4 * depth
     parents = 0
     linearized_parents = scopes.ScopeGraph.linearized_parents
 
@@ -115,11 +118,77 @@ def test_two_template_cycle_terminates_and_shares_names():
     p = parse_source("object P {\n  @exported import Q._\n  val x = 1\n}", "p.ml1")
     q = parse_source("object Q {\n  @exported import P._\n  val y = 2\n}", "q.ml1")
     graph = build_project(p, q)
-    # Hand-derived by breadth-first reachability with a visited set:
-    # from P the only extendable edge reaches Q (members {y}); the edge
-    # back to P is pruned because P is already on the path.
+    # Hand-derived: from P the only edge reaches Q (members {y}); Q's
+    # edge leads back to P, the root, which no path enters again.
     assert export_closure(graph, "P").pairs() == {("y", "Q.y")}
     assert export_closure(graph, "Q").pairs() == {("x", "P.x")}
+
+
+def test_a_path_may_pass_a_scope_again_under_another_name():
+    # T1 re-exports its own `c` as `f`. From T0, the state (T1, f) leads on
+    # through that clause to (T1, c): T1 again, under another name. A path
+    # that entered each scope at most once could not take it.
+    units = [
+        parse_source("object T0 {\n  @exported import T1._\n}", "t0.ml1"),
+        parse_source("object T1 {\n  @exported import T1.{c => f}\n  val c = 0\n}", "t1.ml1"),
+        parse_source("import T0._\n\nobject C {\n  def g() = {\n    f\n  }\n}", "c.ml1"),
+    ]
+    graph = build_project(*units)
+    assert witnesses(export_closure(graph, "T0")) == {
+        ("c", "T1.c"): ("T0[0]=>T1",),
+        ("f", "T1.c"): ("T0[0]=>T1", "T1[0]=>T1"),
+    }
+    assert export_closure(graph, "T1").entries == ()  # its one clause enters its root
+    resolution = resolve_units(graph, units)
+    assert not resolution.diagnostics
+    assert [rec.symbol.fqn for rec in resolution.records if rec.name == "f"] == ["T1.c"]
+
+
+def simple_path_pairs(spec, start):
+    """The closure pairs under the rule that closures followed before they
+    were a fixpoint over states: every simple edge path from `start`, where
+    taking an inherited part's edge also enters the templates on the
+    `extends` chain to that part."""
+
+    def chains(index, chain=frozenset()):
+        found = [(edge, chain) for edge in spec.edges if edge.origin == index]
+        for parent in spec.parents[index] if spec.parents else ():
+            found += chains(parent, chain | {parent})
+        return found
+
+    pairs, worklist = set(), [(start, frozenset({start}), ())]
+    while worklist:
+        scope, visited, path = worklist.pop()
+        for edge, chain in chains(scope):
+            if edge.target in visited | chain or chain & visited:
+                continue
+            new_path = path + (edge,)
+            for member, fqn in spec.scope_members(edge.target).items():
+                visible = member
+                for step in reversed(new_path):
+                    visible = visible and _edge_filter(step, visible)
+                if visible:
+                    pairs.add((visible, fqn))
+            worklist.append((edge.target, visited | chain | {edge.target}, new_path))
+    return pairs
+
+
+@pytest.mark.parametrize("max_parents, gained", [(0, 186), (2, 552)])
+def test_states_only_add_pairs_to_simple_paths(max_parents, gained):
+    # Every pair a simple path yields, a path over states yields too; of
+    # the 1,327 closures without parents, 186 gain pairs, and of the 1,335
+    # with up to two parents per template, 552.
+    rng = random.Random(37)
+    grown = 0
+    for _ in range(300):
+        spec = random_graph_spec(rng, max_parents=max_parents)
+        graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+        for index in range(len(spec.members)):
+            before = simple_path_pairs(spec, index)
+            after = export_closure(graph, spec.template_name(index)).pairs()
+            assert before <= after
+            grown += before != after
+    assert grown == gained
 
 
 def test_closure_of_template_without_exports_is_empty():
@@ -291,77 +360,111 @@ def test_layered_families_match_the_oracles(back_edge, largest):
             assert witnesses(closure) == closure_witness_oracle(spec, index), (k, index)
 
 
+def count_edge_steps(monkeypatch, budget, what):
+    """Spy on the closure engine's unit of work, the edge step: a carried
+    path taking one clause, which composes the clause's selectors into the
+    path's filter. Fails past `budget` steps; returns the running count."""
+    steps = [0]
+    compose = scopes._compose
+
+    def counting(outer, inner):
+        steps[0] += 1
+        assert steps[0] <= budget, f"{what} took more than {budget:,} edge steps"
+        return compose(outer, inner)
+
+    monkeypatch.setattr(scopes, "_compose", counting)
+    return steps
+
+
 def test_a_layered_family_closes_within_a_state_budget(monkeypatch):
-    # Each expanded path and each scope a reach walk visits costs one
-    # `edges_of` call: L(40) from T0 takes 3,443. Expanding every simple
-    # path would take about 2^40, so the spy stops at the budget.
+    # A path carries on only the states no earlier path reached, so each
+    # template of L(40) is expanded once from T0: 158 edge steps. Expanding
+    # every path would take about 2^40, so the spy stops at the budget.
     spec = layered_family_spec(40)
     graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
-    calls = 0
-    edges_of = scopes.ScopeGraph.edges_of
-
-    def counting(self, fqn):
-        nonlocal calls
-        calls += 1
-        assert calls <= 5_000, "L(40) took more than 5,000 edges_of calls"
-        return edges_of(self, fqn)
-
-    monkeypatch.setattr(scopes.ScopeGraph, "edges_of", counting)
+    steps = count_edge_steps(monkeypatch, 500, "L(40)")
     closure = export_closure(graph, spec.template_name(0))
     assert closure.pairs() == {(f"v{i}", f"T{i}.v{i}") for i in range(2, 82)}
+    assert steps == [158]
 
 
 def test_a_dense_family_closes_within_a_state_budget(monkeypatch):
-    # A clique of k wildcard hubs closes from D0 in k(k+2) `edges_of`
-    # calls: 80, 288 and 840 at k = 8, 16 and 28.
+    # A clique of k wildcard hubs closes from D0 in (k-1)^2 edge steps: D0
+    # takes its k-1 clauses, then each hub its clauses but the one back to
+    # D0, and finds every state reached. 49, 225 and 729 at k = 8, 16, 28.
     k = 28
     graph = build_project(*[parse_source(src, name) for name, src in dense_family_sources(k)])
-    calls = 0
-    edges_of = scopes.ScopeGraph.edges_of
-
-    def counting(self, fqn):
-        nonlocal calls
-        calls += 1
-        assert calls <= 1_000, "the k=28 clique took more than 1,000 edges_of calls"
-        return edges_of(self, fqn)
-
-    monkeypatch.setattr(scopes.ScopeGraph, "edges_of", counting)
+    steps = count_edge_steps(monkeypatch, 1_000, "the k=28 clique")
     closure = export_closure(graph, "D0")
     assert closure.pairs() == {(f"v{j}_{m}", f"D{j}.v{j}_{m}") for j in range(1, k) for m in range(2)}
+    assert steps == [(k - 1) ** 2]
+
+
+def test_a_layered_family_with_a_back_edge_closes_within_a_budget(monkeypatch):
+    # With the back edge every template but T1 is reached from every other
+    # through T0, and the paths to layer i have pairwise incomparable visited
+    # sets, so a rule that enters each scope once per path expands about
+    # 2^i of them. By states, all 24 closures of k=11 take 1,014 edge steps.
+    spec = layered_family_spec(11, back_edge=True)
+    graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+    steps = count_edge_steps(monkeypatch, 2_000, "closing layered_family_spec(11, back_edge=True)")
+    for index in range(len(spec.members)):
+        closure = export_closure(graph, spec.template_name(index))
+        assert closure.pairs() == {(f"v{i}", f"T{i}.v{i}") for i in range(24) if i not in (1, index)}
+    assert steps == [1_014]
+
+
+class CountingInherits(dict):
+    """`graph.inherits` under a spy: fails past `budget` `get` calls."""
+
+    def __init__(self, inherits, budget, what):
+        super().__init__(inherits)
+        self.calls, self.budget, self.what = 0, budget, what
+
+    def get(self, *args):
+        self.calls += 1
+        assert self.calls <= self.budget, f"{self.what} took more than {self.budget:,} inherits lookups"
+        return super().get(*args)
 
 
 def test_an_export_free_diamond_ladder_resolves_within_a_budget():
     # No template of the k=24 ladder has an `@exported` clause, so no
-    # `extends` chain needs following. Resolving `T72.nope` asks
-    # `graph.inherits` 148 times; following each of the 2^24 chains from
-    # T72 to T0 would ask once per chain, so the spy stops at the budget.
+    # part's clauses need a walk. Resolving `T72.nope` asks
+    # `graph.inherits` 74 times, to linearize T72; following each of the
+    # 2^24 chains from T72 to T0 would ask once per chain, so the spy stops
+    # at the budget.
     k = 24
     spec = diamond_ladder_spec(k)
     client = ("c.ml1", f"object C {{\n  val y = T{3 * k}.nope\n}}\n")
     units = [parse_source(src, name) for name, src in [*graph_spec_sources(spec), client]]
     graph = build_project(*units)
 
-    class Counting(dict):
-        calls = 0
-
-        def get(self, *args):
-            Counting.calls += 1
-            assert Counting.calls <= 1_000, "the k=24 ladder took more than 1,000 inherits lookups"
-            return super().get(*args)
-
-    graph.inherits = Counting(graph.inherits)
+    graph.inherits = CountingInherits(graph.inherits, 1_000, "the k=24 ladder")
     resolution = resolve_units(graph, units)
     assert [d.render() for d in resolution.diagnostics] == ["c.ml1:21-29: E_UNRESOLVED: T72.nope is not in scope"]
+    assert graph.inherits.calls == 74
+
+
+def test_a_diamond_ladder_with_a_clause_closes_within_a_budget():
+    # T0's one clause is one edge of every rung's scope, however many
+    # `extends` chains lead to it. Closing T48 of the k=16 ladder asks
+    # `graph.inherits` 50 times, to linearize T48; a step per chain would
+    # ask once per each of the 2^16 chains, so the spy stops at the budget.
+    spec = diamond_ladder_spec(16, clause=True)
+    graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
+    graph.inherits = CountingInherits(graph.inherits, 1_000, "closing T48 of the k=16 ladder")
+    assert witnesses(export_closure(graph, "T48")) == {("x", "T49.x"): ("T0[0]=>T49",)}
+    assert graph.inherits.calls == 50
 
 
 @pytest.mark.parametrize("clause", [False, True])
 def test_diamond_ladders_match_the_oracles(clause):
-    # With the clause on T0, each of the 2^k chains from T(3k) to T0 is
-    # its own edge step; without it there is none.
+    # With the clause on T0, the top template's scope has that one clause,
+    # however many of the 2^k chains lead to T0; without it there is none.
     for k in range(6):
         spec = diamond_ladder_spec(k, clause)
         graph = build_project(*[parse_source(src, name) for name, src in graph_spec_sources(spec)])
-        assert len(graph.edges_of(spec.template_name(3 * k))) == (2**k if clause else 0)
+        assert len(graph.edges_of(spec.template_name(3 * k))) == (1 if clause else 0)
         for index in range(len(spec.members)):
             closure = export_closure(graph, spec.template_name(index))
             assert closure.pairs() == closure_oracle(spec, index), (k, index)
