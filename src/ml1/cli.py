@@ -12,19 +12,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING
 
 from ml1 import ast
 from ml1.parser import ParseError, parse_unit
 from ml1.record import replace
-from ml1.tokens import LexError, Span, tokenize
+from ml1.tokens import LexError, tokenize
 
-# The semantic phases, the printer and the diagnostics are imported where
-# they are used, so `parse` loads only the lexer, the parser and the AST.
+# The semantic phases, the printer, the `resolve --dump` writer and the
+# diagnostics are imported where they are used, so `parse` loads only the
+# lexer, the parser and the AST.
 if TYPE_CHECKING:
-    from ml1.resolve import RefRecord, Resolution
+    from ml1.resolve import Resolution
     from ml1.rewrite import RewriteReport
-    from ml1.scopes import ClosureEntry, ScopeGraph
+    from ml1.scopes import ScopeGraph
 
 OK = 0
 SEMANTIC = 1
@@ -65,96 +66,13 @@ def _report_diagnostics(graph: ScopeGraph, resolution: Resolution | None = None)
 
 def _dump(document: object) -> str:
     """A generic tree as JSON, for `parse --dump-ast` and `rewrite --dump`.
-    `resolve --dump` has its own writer (`_write_resolution`): `indent=2`
-    makes `json.dumps` use its pure-Python encoder, which costs most of
-    that command's time on large closures. `json` loads here, not at
-    start-up, because no other command needs it."""
+    `resolve --dump` has its own writer (`ml1.dump`): `indent=2` makes
+    `json.dumps` use its pure-Python encoder, which costs most of that
+    command's time on large closures. `json` loads here, not at start-up,
+    because no other command needs it."""
     import json
 
     return json.dumps(document, indent=2)
-
-
-def _records_by_unit(resolution: Resolution) -> list[tuple[str, list[RefRecord]]]:
-    """The reference records of each unit, in resolution order, units
-    sorted by name."""
-    by_unit: dict[str, list[RefRecord]] = {}
-    for record in resolution.records:
-        by_unit.setdefault(record.unit, []).append(record)
-    return sorted(by_unit.items())
-
-
-def _array(items: list[str], level: int) -> str:
-    """A JSON array of encoded items whose opening line is indented `level`
-    steps, laid out as `json.dumps(indent=2)` lays it out."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
-
-
-def _object_format(keys: tuple[str, ...], level: int) -> str:
-    """A `str.format` template of a JSON object with these keys, one `{}`
-    per encoded value, in `_array`'s layout. The keys are plain ASCII names,
-    which need no escaping."""
-    pad = "\n" + "  " * (level + 1)
-    return "{{" + ",".join(f'{pad}"{key}": {{}}' for key in keys) + "\n" + "  " * level + "}}"
-
-
-def _write_array(out: TextIO, items: Iterable[str], level: int) -> None:
-    """`_array`, written one item at a time."""
-    pad = "\n" + "  " * (level + 1)
-    sep = "[" + pad
-    for item in items:
-        out.write(sep + item)
-        sep = "," + pad
-    out.write("[]" if sep[0] == "[" else "\n" + "  " * level + "]")
-
-
-def _write_resolution(out: TextIO, graph: ScopeGraph, resolution: Resolution) -> None:
-    """Write the `resolve --dump` document: the bytes `json.dumps(document,
-    indent=2)` gives for it, every string escaped by the same C encoder,
-    written from the resolution and the closures as it goes, one unit or
-    template at a time."""
-    from json.encoder import encode_basestring_ascii as enc
-
-    from ml1.scopes import TEMPLATE, export_closure
-
-    # Each edge's label, encoded once: witness paths repeat edges many times.
-    labels = {id(edge): enc(edge.label()) for edges in graph.exports.values() for edge in edges}
-
-    ref_object = _object_format(("span", "name", "symbol"), 4).format
-    unit_object = _object_format(("unit", "refs"), 2).format
-    entry_object = _object_format(("name", "symbol", "path"), 4).format
-    closure_object = _object_format(("template", "entries"), 2).format
-    erased_object = _object_format(("unit", "path", "span"), 2).format
-
-    def ref(record: RefRecord) -> str:
-        span = _array([str(record.span.start), str(record.span.end)], 5)
-        return ref_object(span, enc(record.name), "null" if record.symbol is None else enc(record.symbol.fqn))
-
-    def unit(name: str, records: list[RefRecord]) -> str:
-        return unit_object(enc(name), _array(list(map(ref, records)), 3))
-
-    def entry(e: ClosureEntry) -> str:
-        return entry_object(enc(e.visible_name), enc(e.symbol.fqn), _array([labels[id(edge)] for edge in e.path], 5))
-
-    def closure(fqn: str) -> str:
-        return closure_object(enc(fqn), _array(list(map(entry, export_closure(graph, fqn).entries)), 3))
-
-    def erased(unit_name: str, path: ast.QualName, span: Span) -> str:
-        return erased_object(enc(unit_name), enc(ast.dotted(path)), _array([str(span.start), str(span.end)], 3))
-
-    templates = sorted(fqn for fqn, sym in graph.symbols.items() if sym.kind == TEMPLATE)
-    diagnostics = sorted(d.render() for d in graph.diagnostics + resolution.diagnostics)
-    out.write('{\n  "units": ')
-    _write_array(out, (unit(*group) for group in _records_by_unit(resolution)), 1)
-    out.write(',\n  "closures": ')
-    _write_array(out, map(closure, templates), 1)
-    out.write(',\n  "erasedImports": ')
-    _write_array(out, (erased(*imp) for imp in resolution.erased_imports), 1)
-    out.write(',\n  "diagnostics": ')
-    _write_array(out, map(enc, diagnostics), 1)
-    out.write("\n}\n")
 
 
 # Subcommands -----------------------------------------------------------------
@@ -181,12 +99,14 @@ def cmd_resolve(args) -> int:
     graph = build_scope_graph(units)
     resolution = resolve_units(graph, units)
     if args.dump and args.format == "pretty":
-        for unit, records in _records_by_unit(resolution):
+        for unit, records in resolution.records_by_unit():
             for record in records:
                 target = record.symbol.fqn if record.symbol else "<unresolved>"
                 print(f"{unit}:{record.span.start}-{record.span.end} {record.name} -> {target}")
     elif args.dump:
-        _write_resolution(sys.stdout, graph, resolution)
+        from ml1.dump import write_resolution
+
+        write_resolution(sys.stdout, graph, resolution)
     had = _report_diagnostics(graph, resolution)
     return SEMANTIC if had else OK
 

@@ -69,6 +69,14 @@ class Resolution(Record):
     def symbol_for(self, node: ast.Ref) -> SymbolId | None:
         return self.per_reference.get(id(node))
 
+    def records_by_unit(self) -> list[tuple[str, list[RefRecord]]]:
+        """The reference records of each unit, in resolution order, units
+        sorted by name."""
+        by_unit: dict[str, list[RefRecord]] = {}
+        for record in self.records:
+            by_unit.setdefault(record.unit, []).append(record)
+        return sorted(by_unit.items())
+
 
 def resolve_units(graph: ScopeGraph, units: list[ast.CompilationUnit]) -> Resolution:
     resolution = Resolution()
@@ -233,23 +241,36 @@ def erase_import_annotations(units: list[ast.CompilationUnit]) -> list[ast.Compi
 # Implicit-object scanning ----------------------------------------------------
 
 
+def _implicit_targets(graph: ScopeGraph, marker_fqn: str) -> tuple[frozenset[SymbolId], frozenset[str]]:
+    """The implicit objects extending `marker_fqn`, and the names such an
+    object can be visible under: its short name and each name a selector
+    renames to (see `ImportPosition`); both empty when there is no such
+    object. Built once per graph and marker, and memoized on the graph."""
+    found = graph.implicit_targets.get(marker_fqn)
+    if found is None:
+        objects = frozenset(
+            graph.symbols[fqn]
+            for fqn in graph.members
+            if graph.decls[fqn].is_implicit and marker_fqn in graph.parts(fqn)[1:]
+        )
+        names: frozenset[str] = frozenset()
+        if objects:
+            tables = [edge.selectors.table for edges in graph.exports.values() for edge in edges]
+            names = frozenset({to for table in tables for to in table.values() if to} | {o.short_name() for o in objects})
+        found = graph.implicit_targets[marker_fqn] = (objects, names)
+    return found
+
+
 def implicit_candidates(graph: ScopeGraph, unit: ast.CompilationUnit, marker_fqn: str) -> tuple[SymbolId, ...]:
     """The implicit objects extending `marker_fqn` at the first position of
     the unit's top-scope precedence list (`scopes.import_positions`) that
     provides any, ordered by FQN, or () when no position does: one symbol
     is the unit's winner, several tie. Each position is asked only for the
-    names such an object can be visible under (see `ImportPosition`): its
-    short name and each name a selector renames to. That finds what asking
+    names in `_implicit_targets` and its own renames. That finds what asking
     for every visible name would."""
-    objects = {
-        graph.symbols[fqn]
-        for fqn in graph.members
-        if graph.decls[fqn].is_implicit and marker_fqn in graph.parts(fqn)[1:]
-    }
+    objects, names = _implicit_targets(graph, marker_fqn)
     if not objects:
         return ()
-    names = {to for edges in graph.exports.values() for edge in edges for to in edge.selectors.table.values() if to}
-    names.update(sym.short_name() for sym in objects)
     for position in import_positions(graph, unit):
         symbols = {
             sym for name in names.union(position.renames) for sym in position.lookup(graph, name) if sym in objects

@@ -133,7 +133,8 @@ class ScopeGraph(Record):
     units: list[ast.CompilationUnit] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     # Memos of `export_closure`, `_own_closure`, `parts`, `scope_members`,
-    # `edges_of` and `findable`, keyed by scope FQN. Each entry depends on
+    # `edges_of` and `findable`, keyed by scope FQN, and of
+    # `resolve._implicit_targets`, keyed by marker FQN. Each entry depends on
     # `inherits`, so `build_scope_graph` clears the memos once every parent
     # is linked; after that each entry is built once and shared read-only.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
@@ -142,6 +143,9 @@ class ScopeGraph(Record):
     member_maps: dict[str, Mapping[str, SymbolId]] = field(default_factory=dict, repr=False, compare=False)
     scope_edges: dict[str, tuple[ExportEdge, ...]] = field(default_factory=dict, repr=False, compare=False)
     scope_findable: dict[str, set[str]] = field(default_factory=dict, repr=False, compare=False)
+    implicit_targets: dict[str, tuple[frozenset[SymbolId], frozenset[str]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def parts(self, fqn: str) -> tuple[str, ...]:
         """The templates whose members and `@exported` clauses make up
@@ -392,6 +396,7 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
     for memo in (graph.closures, graph.own_closures, graph.scope_parts, graph.member_maps, graph.scope_edges):
         memo.clear()
     graph.scope_findable.clear()
+    graph.implicit_targets.clear()
     return graph
 
 

@@ -11,12 +11,16 @@ up.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator
 
 from ml1 import ast
+from ml1.parser import ParseError, parse_unit
 from ml1.scopes import (
     BUILTIN_SCOPE,
     BUILTINS,
@@ -40,6 +44,7 @@ from ml1.tokens import (
     PUNCT,
     LexError,
     Span,
+    tokenize,
 )
 
 NAME_POOL = ["a", "b", "c", "d"]
@@ -910,3 +915,53 @@ def reference_tokenize(source: str) -> list[tuple[str, str, int, int, int]]:
             continue
         raise LexError(Span(i, i + 1), f"illegal character {ch!r}", E_ILLEGAL_CHARACTER)
     return tokens
+
+
+# Front-end golden -----------------------------------------------------------------
+
+# Every fixture cut before each of its tokens (and kept whole), and with each
+# single token deleted, mapped to what lexing and parsing it gives. The
+# golden file pins these outcomes, so a change to `tokens.py` or `parser.py`
+# must keep every tree and every error byte for byte.
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FRONT_END_GOLDEN = Path(__file__).parent / "golden" / "front_end.json"
+
+
+def front_end_cases() -> Iterator[tuple[str, str, list[str]]]:
+    """(fixture path relative to the fixtures, case kind, the case sources
+    in token order): "cuts" holds each text before token i and then the whole
+    text, "deletions" the text without token i."""
+    for path in sorted(FIXTURES.rglob("*.ml1")):
+        source = path.read_text(encoding="utf-8")
+        tokens = tokenize(source)
+        name = path.relative_to(FIXTURES).as_posix()
+        yield name, "cuts", [source[: token.start] for token in tokens] + [source]
+        yield name, "deletions", [source[: token.start] + source[token.end :] for token in tokens]
+
+
+def front_end_outcome(source: str, name: str) -> str | list:
+    """A digest of the parse's `ast.to_dict` form, or the error's class,
+    code, span and message."""
+    try:
+        unit = parse_unit(tokenize(source), name)
+    except (LexError, ParseError) as err:
+        return [type(err).__name__, err.code, err.span.start, err.span.end, str(err)]
+    return hashlib.sha256(json.dumps(ast.to_dict(unit)).encode()).hexdigest()[:16]
+
+
+def front_end_rows() -> list[list]:
+    """One [fixture, case kind, outcome] row per case, as the golden holds them."""
+    return [
+        [name, kind, front_end_outcome(source, name)]
+        for name, kind, sources in front_end_cases()
+        for source in sources
+    ]
+
+
+if __name__ == "__main__":
+    # Regenerate the front-end golden, one case per line:
+    #     PYTHONPATH=src python tests/gen.py
+    FRONT_END_GOLDEN.parent.mkdir(exist_ok=True)
+    rows = ",\n".join(json.dumps(row) for row in front_end_rows())
+    FRONT_END_GOLDEN.write_text(f"[\n{rows}\n]\n", encoding="utf-8")

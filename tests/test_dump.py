@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ml1 import ast, cli
+from ml1 import ast, cli, dump
 from ml1.parser import parse_unit
 from ml1.printer import pretty_print
 from ml1.resolve import RefRecord, Resolution, resolve_units
@@ -128,7 +128,7 @@ def test_empty_sections_match_the_oracle(tmp_path, capsys, section):
 def test_a_graph_without_templates_matches_the_oracle(resolution):
     graph = ScopeGraph()
     out = io.StringIO()
-    cli._write_resolution(out, graph, resolution)
+    dump.write_resolution(out, graph, resolution)
     assert out.getvalue() == json.dumps(oracle_document(graph, resolution), indent=2) + "\n"
 
 

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from ml1.printer import pretty_print
 from ml1.tokens import tokenize
 
 from conftest import parse_fixture, parse_source
+from gen import FRONT_END_GOLDEN, front_end_rows
 
 
 def test_import_hub_listing_parses_to_three_annotated_clauses():
@@ -284,3 +286,10 @@ def test_errors_at_the_end_of_input(source, expected):
     with pytest.raises(ParseError) as info:
         parse_source(source)
     assert (info.value.code, (info.value.span.start, info.value.span.end), str(info.value)) == expected
+
+
+def test_the_front_end_matches_its_golden():
+    # Each fixture cut before every token and with every token deleted; see
+    # `gen.front_end_cases`. Regenerate with `python tests/gen.py` only when
+    # a tree or an error is meant to change.
+    assert front_end_rows() == json.loads(FRONT_END_GOLDEN.read_text(encoding="utf-8"))

@@ -16,6 +16,7 @@ from ml1.resolve import (
     implicit_candidates,
     resolve_units,
 )
+from ml1.rewrite import DEFER_REWRITER, bind_rewriter
 from ml1.scopes import (
     BUILTIN,
     BUILTIN_NAMES,
@@ -797,6 +798,30 @@ def test_the_implicit_scan_costs_the_same_on_a_wider_hub(monkeypatch):
     # `go.defer._` for two names, the Context scan asks it and `h.Hub._` for
     # one each, so 4 lookups per client.
     assert counts == [80, 80]
+
+
+class CountingBuilds(dict):
+    """A memo under a spy: counts each key's stores, one per build."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = {}
+
+    def __setitem__(self, key, value):
+        self.builds[key] = self.builds.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+def test_the_implicit_scan_builds_its_targets_once_per_marker():
+    # The lint check of each marker and every unit's rewriter binding share
+    # the marker's implicit objects and the names they can be visible under.
+    units = wide_hub_units(10, clients=5)
+    graph = build_project(*units)
+    graph.implicit_targets = CountingBuilds()
+    for marker in ("k.Context", REWRITER_MARKER, "k.Context"):
+        check_context_consistency(graph, marker)
+    assert [bind_rewriter(graph, unit) for unit in units[4:]] == [(DEFER_REWRITER,)] * 5
+    assert graph.implicit_targets.builds == {"k.Context": 1, REWRITER_MARKER: 1}
 
 
 # Divergence linting -----------------------------------------------------------

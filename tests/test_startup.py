@@ -31,18 +31,25 @@ CHILD = (
 DEFER = fixture_paths("lib/go_defer.ml1", "defer/copy.ml1")
 SALAT = fixture_paths(*SALAT_AFTER)
 
-# (command line, exit status, whether it loads `json`)
+# The ml1 modules every command loads: `parse` loads only these.
+FRONT_END = {"ml1", "ml1.cli", "ml1.ast", "ml1.parser", "ml1.tokens", "ml1.record"}
+RESOLVE = FRONT_END | {"ml1.scopes", "ml1.resolve", "ml1.diagnostics"}
+REWRITE = RESOLVE | {"ml1.rewrite", "ml1.printer"}
+
+# (command line, exit status, whether it loads `json`, the ml1 modules it loads)
 COMMANDS = [
-    (["parse", *DEFER], 0, False),
-    (["parse", "--dump-ast", *DEFER], 0, True),
-    (["parse", "--dump-ast", "--format", "pretty", *DEFER], 0, False),
-    (["resolve", *DEFER], 0, False),
-    (["resolve", "--dump", *DEFER], 0, True),
-    (["rewrite", *DEFER], 0, False),
-    (["rewrite", "--dump", *DEFER], 0, True),
-    (["run", "--entry", "copyfile.Main.main", *DEFER], 0, False),
-    (["lint", "--marker", "Context", *SALAT], 0, False),
+    (["parse", *DEFER], 0, False, FRONT_END),
+    (["parse", "--dump-ast", *DEFER], 0, True, FRONT_END),
+    (["parse", "--dump-ast", "--format", "pretty", *DEFER], 0, False, FRONT_END | {"ml1.printer"}),
+    (["resolve", *DEFER], 0, False, RESOLVE),
+    (["resolve", "--dump", *DEFER], 0, True, RESOLVE | {"ml1.dump"}),
+    (["resolve", "--dump", "--format", "pretty", *DEFER], 0, False, RESOLVE),
+    (["rewrite", *DEFER], 0, False, REWRITE),
+    (["rewrite", "--dump", *DEFER], 0, True, REWRITE),
+    (["run", "--entry", "copyfile.Main.main", *DEFER], 0, False, REWRITE - {"ml1.printer"} | {"ml1.interp"}),
+    (["lint", "--marker", "Context", *SALAT], 0, False, RESOLVE),
 ]
+IDS = [" ".join(word for word in command if not word.endswith(".ml1")) for command, *_ in COMMANDS]
 
 
 def _modules(*argv: str) -> list[str]:
@@ -62,17 +69,33 @@ def bare() -> set[str]:
     return set(_modules("-c", "import sys; print(*sys.modules, sep='\\n')"))
 
 
-@pytest.mark.parametrize(
-    "command, status, loads_json",
-    COMMANDS,
-    ids=[" ".join(word for word in command if not word.endswith(".ml1")) for command, _, _ in COMMANDS],
-)
-def test_start_up_loads_no_dataclasses_and_json_only_to_dump(bare, command, status, loads_json):
-    got_status, *loaded = _modules("-c", CHILD, *command)
-    assert int(got_status) == status
-    new = set(loaded) - bare
+@pytest.fixture(scope="module")
+def start_up(bare):
+    """A command line's exit status and the modules it loads beyond a bare
+    interpreter's, each command line run once."""
+    runs: dict[tuple[str, ...], tuple[int, set[str]]] = {}
+
+    def run(command: list[str]) -> tuple[int, set[str]]:
+        if tuple(command) not in runs:
+            status, *loaded = _modules("-c", CHILD, *command)
+            runs[tuple(command)] = int(status), set(loaded) - bare
+        return runs[tuple(command)]
+
+    return run
+
+
+@pytest.mark.parametrize("command, status, loads_json, modules", COMMANDS, ids=IDS)
+def test_start_up_loads_no_dataclasses_and_json_only_to_dump(start_up, command, status, loads_json, modules):
+    got_status, new = start_up(command)
+    assert got_status == status
     assert not {"dataclasses", "inspect"} & new
     assert ("json" in new) == loads_json
+
+
+@pytest.mark.parametrize("command, status, loads_json, modules", COMMANDS, ids=IDS)
+def test_each_command_loads_exactly_its_ml1_modules(start_up, command, status, loads_json, modules):
+    _, new = start_up(command)
+    assert {name for name in new if name.split(".")[0] == "ml1"} == modules
 
 
 def test_importing_the_package_loads_only_the_package(bare):
