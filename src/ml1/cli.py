@@ -9,9 +9,10 @@ identical invocations produce identical output bytes.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from ml1 import ast
@@ -23,6 +24,8 @@ from ml1.tokens import LexError, tokenize
 # diagnostics are imported where they are used, so `parse` loads only the
 # lexer, the parser and the AST.
 if TYPE_CHECKING:
+    from typing import Iterable, NoReturn
+
     from ml1.resolve import Resolution
     from ml1.rewrite import RewriteReport
     from ml1.scopes import ScopeGraph
@@ -206,40 +209,152 @@ def cmd_lint(args) -> int:
     return SEMANTIC if lines else OK
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ml1", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line ------------------------------------------------------------
 
-    def add(name: str, fn, **flags):
-        p = sub.add_parser(name)
-        p.add_argument("files", nargs="+", metavar="FILE")
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
+# An option's kind: a flag; a single value; a value that may be given again,
+# each time adding to a list; or one of a fixed set of choices. The second
+# field of an option is the value's metavar, or the choices. A value and a
+# repeated value are required, and a choice defaults to its first.
+FLAG, VALUE, REPEAT, CHOICE = "flag", "value", "repeat", "choice"
 
-    # Only the commands that dump have a format to choose.
-    formats = {"--format": {"choices": ("json", "pretty"), "default": "json"}}
-    add("parse", cmd_parse, **formats, **{"--dump-ast": {"action": "store_true", "dest": "dump_ast"}})
-    add("resolve", cmd_resolve, **formats, **{"--dump": {"action": "store_true"}})
-    add("rewrite", cmd_rewrite, **formats, **{"--dump": {"action": "store_true"}})
-    add("run", cmd_run, **{"--entry": {"required": True, "metavar": "FQN"}})
-    add("lint", cmd_lint, **{"--marker": {"action": "append", "required": True, "metavar": "FQN"}})
-    return parser
+# Only the commands that dump have a format to choose.
+_FORMAT = (CHOICE, ("json", "pretty"))
+
+# Each command's function and its options.
+COMMANDS = {
+    "parse": (cmd_parse, {"--format": _FORMAT, "--dump-ast": (FLAG, None)}),
+    "resolve": (cmd_resolve, {"--format": _FORMAT, "--dump": (FLAG, None)}),
+    "rewrite": (cmd_rewrite, {"--format": _FORMAT, "--dump": (FLAG, None)}),
+    "run": (cmd_run, {"--entry": (VALUE, "FQN")}),
+    "lint": (cmd_lint, {"--marker": (REPEAT, "FQN")}),
+}
+_HELP = ("-h", "--help")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: ml1 [-h] {{{','.join(COMMANDS)}}} ..."
+    words = ["usage: ml1", command, "[-h]"]
+    for option, (kind, takes) in COMMANDS[command][1].items():
+        if kind == FLAG:
+            words.append(f"[{option}]")
+        elif kind == CHOICE:
+            words.append(f"[{option} {{{','.join(takes)}}}]")
+        else:
+            words.append(f"{option} {takes}")
+    words.append("FILE [FILE ...]")
+    return " ".join(words)
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    sys.stderr.write(f"{_usage(command)}\nml1: error: {message}\n")
+    raise SystemExit(FAILURE)
+
+
+def _option(word: str, names: Iterable[str]) -> str | None:
+    """The option among `names` that a word gives, by the part before any
+    `=`: the option's name, or a prefix of it that starts with `--` and no
+    other option has. A word that starts with `-` but gives no option is
+    returned whole, as unrecognized. None for a FILE: a word that does not
+    start with `-`, `-` alone, a negative number or a word with a space."""
+    if not word.startswith("-") or word == "-":
+        return None
+    name = word.partition("=")[0]
+    if name in names:
+        return name
+    if word.startswith("--"):
+        found = [option for option in names if option.startswith(name)]
+        if len(found) == 1:
+            return found[0]
+    if " " in word or re.match(r"^-\d+$|^-\d*\.\d+$", word):
+        return None
+    return word
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command's function as `fn`, its FILE words as `files`, and each
+    option as the attribute named after it, read in one pass over the words
+    after the command. FILE words may stand before, between and after the
+    options; every word after the first `--` is a FILE. An option's value is
+    the next word, or follows a `=`. `-h` or `--help` prints the usage and
+    exits 0. An argument error prints the usage and an `ml1: error:` line
+    and exits 2."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        if _option(command, _HELP) in _HELP and "=" not in command:
+            print(f"{_usage(None)}\n\n{__doc__ or ''}\ncommands:")  # `python -OO` drops `__doc__`
+            for name in COMMANDS:
+                print(f"  {_usage(name).removeprefix('usage: ')}")
+            raise SystemExit(OK)
+        if not argv:
+            _fail(None, "the following arguments are required: command")
+        choices = ", ".join(repr(name) for name in COMMANDS)
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    fn, options = COMMANDS[command]
+    names = (*options, *_HELP)
+    files: list[str] = []
+    values: dict[str, object] = {}
+    unrecognized = []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--":
+            files += words
+            break
+        option = _option(word, names)
+        if option is None:
+            files.append(word)
+            continue
+        if option not in names:
+            unrecognized.append(word)
+            continue
+        value = word.partition("=")[2] if "=" in word else None
+        kind, takes = options.get(option, (FLAG, None))  # `-h` and `--help` take no value
+        if kind == FLAG:
+            if value is not None:
+                _fail(command, f"argument {option}: ignored explicit argument {value!r}")
+            if option in _HELP:
+                print(_usage(command))
+                raise SystemExit(OK)
+            values[option] = True
+            continue
+        if value is None:
+            value = next(words, None)
+            if value is None or _option(value, names) is not None:
+                _fail(command, f"argument {option}: expected one argument")
+        if kind == CHOICE and value not in takes:
+            choices = ", ".join(repr(choice) for choice in takes)
+            _fail(command, f"argument {option}: invalid choice: {value!r} (choose from {choices})")
+        if kind == REPEAT:
+            values.setdefault(option, []).append(value)
+        else:
+            values[option] = value
+    missing = [option for option, (kind, _) in options.items() if kind in (VALUE, REPEAT) and option not in values]
+    if not files:
+        missing.append("FILE")
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _fail(command, f"unrecognized arguments: {' '.join(unrecognized)}")
+    args = SimpleNamespace(fn=fn, files=files)
+    for option, (kind, takes) in options.items():  # every value is given by now
+        default = takes[0] if kind == CHOICE else False
+        setattr(args, option[2:].replace("-", "_"), values.get(option, default))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        # An unknown option's value may have been taken as a FILE, pushing
-        # a real file into the leftovers: name only the option words then.
-        options = [word for word in extras if word.startswith("-")]
-        parser.error(f"unrecognized arguments: {' '.join(options or extras)}")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
     except _Exit as stop:
         return stop.status
+    except BrokenPipeError:
+        # The reader of stdout went away (`ml1 ... | head`). Point stdout at
+        # the null device so that the interpreter's last flush fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAILURE
     except Exception as err:  # keep the 0/1/2 contract even for surprises
         print(f"ml1: internal error: {err}", file=sys.stderr)
         if os.environ.get("ML1_DEBUG") == "1":

@@ -28,6 +28,7 @@ from conftest import (
     parse_source,
     write_compose_repro,
 )
+from gen import dense_family_sources
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +240,46 @@ def test_format_is_an_option_of_the_dumping_commands_only(command, capsys):
         assert err.startswith("usage: ml1 ")
         assert err.endswith("ml1: error: unrecognized arguments: --format\n")
         assert not any(path in err for path in files)
+
+
+def test_files_may_stand_on_both_sides_of_an_option(capsys):
+    library, program = fixture_paths("lib/go_defer.ml1", "defer/copy.ml1")
+    run = run_cli(capsys, "run", "--entry", "copyfile.Main.main", library, program)
+    assert run[0] == 0
+    assert run_cli(capsys, "run", library, "--entry", "copyfile.Main.main", program) == run
+    parse = run_cli(capsys, "parse", "--dump-ast", library, program)
+    assert parse[0] == 0
+    assert run_cli(capsys, "parse", library, "--dump-ast", program) == parse
+
+
+@pytest.mark.parametrize("read", [100, 0], ids=["while-writing", "at-the-last-flush"])
+def test_a_reader_that_stops_early_is_no_internal_error(tmp_path, read):
+    """`ml1 ... | head -c 100`: stdout's pipe closes while ml1 writes a
+    dump larger than the pipe holds, or before ml1 writes its few lines at
+    all. Either way ml1 exits 2 and prints nothing more."""
+    if read:
+        files = []
+        for name, text in dense_family_sources(4, vals=100):  # about 160 kB of dump
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            files.append(str(tmp_path / name))
+        command = ["resolve", "--dump", *files]
+    else:
+        command = ["run", "--entry", "copyfile.Main.main", *fixture_paths("lib/go_defer.ml1", "defer/copy.ml1")]
+    src = str(Path(ml1.__file__).resolve().parent.parent)
+    # Buffered, as stdout on a pipe is by default, so that the few lines
+    # stay in the buffer until it is flushed.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "ml1", *command],
+        env={**env, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert len(child.stdout.read(read)) == read
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 2
+    assert err == b""
 
 
 def test_resolve_dump_shows_shared_context(capsys):
@@ -530,6 +571,20 @@ def test_help_states_the_exit_contract_and_its_lint_exception(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "Exit codes: 0 success, 1 semantic diagnostics (ambiguity, divergence), 2 lex/parse/runtime failure." in text
     assert "lint exits 2 when the project has scope or resolution diagnostics" in text
+
+
+def test_help_without_docstrings_still_lists_the_commands():
+    src = str(Path(ml1.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-OO", "-B", "-m", "ml1", "--help"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "None" not in done.stdout
+    assert "  ml1 lint [-h] --marker FQN FILE [FILE ...]\n" in done.stdout
 
 
 # A call to each builtin, to the template def `f` of `unit_with_calls` and

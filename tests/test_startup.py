@@ -93,6 +93,14 @@ def test_start_up_loads_no_dataclasses_and_json_only_to_dump(start_up, command, 
 
 
 @pytest.mark.parametrize("command, status, loads_json, modules", COMMANDS, ids=IDS)
+def test_start_up_loads_no_argument_parser_library(start_up, command, status, loads_json, modules):
+    """`cli.parse_args` reads the command line itself: `argparse` and the
+    `gettext` and `locale` it loads for its messages stay out."""
+    _, new = start_up(command)
+    assert not {"argparse", "gettext", "locale"} & new
+
+
+@pytest.mark.parametrize("command, status, loads_json, modules", COMMANDS, ids=IDS)
 def test_each_command_loads_exactly_its_ml1_modules(start_up, command, status, loads_json, modules):
     _, new = start_up(command)
     assert {name for name in new if name.split(".")[0] == "ml1"} == modules
