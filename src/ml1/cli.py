@@ -364,5 +364,19 @@ def main(argv: list[str] | None = None) -> int:
         return FAILURE
 
 
-def script_main() -> None:
-    sys.exit(main())
+def script_main() -> NoReturn:
+    """The entry point of `python -m ml1` and of the `ml1` script. It
+    flushes stdout and stderr and ends the process with `os._exit`, so the
+    interpreter's teardown (a last garbage collection, then freeing every
+    module and object) is not paid for; `atexit` handlers do not run. A
+    flush that fails exits 2 and prints nothing more. `-h`, argument errors
+    and exceptions that `main` does not catch propagate as before."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # the descriptor was closed when Python started
+            continue
+        try:
+            stream.flush()
+        except OSError:  # a closed pipe or a full disk
+            status = FAILURE
+    os._exit(status)

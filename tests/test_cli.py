@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -252,26 +254,38 @@ def test_files_may_stand_on_both_sides_of_an_option(capsys):
     assert run_cli(capsys, "parse", library, "--dump-ast", program) == parse
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a `python -m ml1` child: this tree's `ml1`, and
+    stdout buffered as it is by default on a pipe or a file, so that output
+    left in a buffer at exit would show as lost."""
+    src = str(Path(ml1.__file__).resolve().parent.parent)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": src}
+
+
+def dense_family_files(tmp_path) -> list[str]:
+    """A re-export family whose `resolve --dump` is about 160 kB."""
+    files = []
+    for name, text in dense_family_sources(4, vals=100):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        files.append(str(tmp_path / name))
+    return files
+
+
 @pytest.mark.parametrize("read", [100, 0], ids=["while-writing", "at-the-last-flush"])
 def test_a_reader_that_stops_early_is_no_internal_error(tmp_path, read):
     """`ml1 ... | head -c 100`: stdout's pipe closes while ml1 writes a
     dump larger than the pipe holds, or before ml1 writes its few lines at
     all. Either way ml1 exits 2 and prints nothing more."""
     if read:
-        files = []
-        for name, text in dense_family_sources(4, vals=100):  # about 160 kB of dump
-            (tmp_path / name).write_text(text, encoding="utf-8")
-            files.append(str(tmp_path / name))
-        command = ["resolve", "--dump", *files]
+        command = ["resolve", "--dump", *dense_family_files(tmp_path)]
     else:
         command = ["run", "--entry", "copyfile.Main.main", *fixture_paths("lib/go_defer.ml1", "defer/copy.ml1")]
-    src = str(Path(ml1.__file__).resolve().parent.parent)
     # Buffered, as stdout on a pipe is by default, so that the few lines
     # stay in the buffer until it is flushed.
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     with subprocess.Popen(
         [sys.executable, "-m", "ml1", *command],
-        env={**env, "PYTHONPATH": src},
+        env=child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as child:
@@ -585,6 +599,110 @@ def test_help_without_docstrings_still_lists_the_commands():
     assert (done.returncode, done.stderr) == (0, "")
     assert "None" not in done.stdout
     assert "  ml1 lint [-h] --marker FQN FILE [FILE ...]\n" in done.stdout
+
+
+def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """`cli.main` on `argv` in this process: its status, or the code of the
+    `SystemExit` that `-h` and argument errors raise, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as stop:
+            status = stop.code
+    return status, out.getvalue().encode(), err.getvalue().encode()
+
+
+# The `run` entry of each fixture group that has one; the others' runs fail
+# for want of `Main.main`, which the comparison covers as well.
+RUN_ENTRIES = {"defer": "copyfile.Main.main", "compose": "App.work", "parents_rewriter": "App.main"}
+ARGUMENT_FORMS = [["-h"], ["resolve", "-h"], ["run", "--entry"], ["lint", "--bogus", "x.ml1"], []]
+
+
+def commands_of(group: str) -> list[list[str]]:
+    if group == "arguments":
+        return ARGUMENT_FORMS
+    files = fixture_paths(*FIXTURE_GROUPS[group])
+    return [
+        ["parse", "--dump-ast", *files],
+        ["resolve", "--dump", *files],
+        ["rewrite", *files],
+        ["run", "--entry", RUN_ENTRIES.get(group, "Main.main"), *files],
+        ["lint", "--marker", "Context", *files],
+    ]
+
+
+@pytest.mark.parametrize("group", [*sorted(FIXTURE_GROUPS), "arguments"])
+def test_the_script_gives_what_main_gives(group):
+    """`python -m ml1` ends with `os._exit` after flushing, where `cli.main`
+    returns: the exit status, stdout and stderr must not differ."""
+    commands = commands_of(group)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "ml1", *argv], env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        for argv in commands
+    ]
+    for argv, child in zip(commands, children):
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out, err) == in_process(argv), argv
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_a_large_dump_loses_no_byte_at_exit(tmp_path, stdout):
+    argv = ["resolve", "--dump", *dense_family_files(tmp_path)]
+    with open(tmp_path / "dump.json", "w+b") as file:
+        done = subprocess.run(
+            [sys.executable, "-m", "ml1", *argv],
+            env=child_env(),
+            stdout=subprocess.PIPE if stdout == "pipe" else file,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+        file.seek(0)
+        out = done.stdout if stdout == "pipe" else file.read()
+    expected = in_process(argv)
+    assert len(expected[1]) > 150_000
+    assert (done.returncode, out, done.stderr) == expected
+
+
+def test_the_script_skips_the_interpreter_teardown():
+    """An `atexit` handler runs only if the interpreter tears down."""
+    child = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write('teardown\\n'))\n"
+        f"sys.argv = ['ml1', 'parse', {fixture_paths('salat/marker.ml1')[0]!r}]\n"
+        "from ml1.cli import script_main\n"
+        "script_main()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", child], env=child_env(), capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+
+
+@pytest.mark.parametrize("reader", ["reads", "stops"])
+def test_the_script_flushes_what_an_internal_error_leaves_unwritten(reader):
+    """`main` flushes stdout only when a command returns; after an internal
+    error the script's own flush writes what the command printed, or, when
+    the reader has closed stdout's pipe, fails and prints nothing more."""
+    child = (
+        "from ml1 import cli\n"
+        "def fail(args):\n"
+        "    print('partial')\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.COMMANDS['parse'] = (fail, {})\n"
+        "cli.script_main()\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", child, "parse", "x.ml1"], env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        if reader == "reads":
+            out = proc.stdout.read()
+        else:
+            proc.stdout.close()
+            out = b""
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert (out, err) == (b"partial\n" if reader == "reads" else b"", b"ml1: internal error: boom\n")
 
 
 # A call to each builtin, to the template def `f` of `unit_with_calls` and

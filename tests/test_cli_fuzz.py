@@ -4,8 +4,10 @@ bytes that need not be UTF-8 go through `cli.main` for all five
 subcommands. Whatever the input, the exit code is 0, 1 or 2 and stderr
 never reports an internal error.
 
-Hypothesis runs derandomized, so the suite sees the same inputs on every
-run."""
+Hypothesis runs derandomized, so one tree's inputs repeat from run to run.
+They depend on the `src` under test, though: a change to `ml1` can change
+which inputs Hypothesis draws. A byte-identity check between two trees must
+therefore replay the union of both trees' inputs on each tree."""
 
 import contextlib
 import io
