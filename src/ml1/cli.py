@@ -40,6 +40,18 @@ class _Exit(Exception):
         self.status = status
 
 
+class _ClosedStdout:
+    """`sys.stdout` while `main` runs with file descriptor 1 closed at
+    start-up, when Python sets `sys.stdout` to None: a write fails as it
+    does on a pipe whose reader went away."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError("stdout is closed")
+
+    def flush(self) -> None:
+        pass
+
+
 def _load_units(paths: list[str]) -> list[ast.CompilationUnit]:
     units = []
     for path in paths:
@@ -343,17 +355,26 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    closed = sys.stdout is None
+    if closed:
+        sys.stdout = _ClosedStdout()
     try:
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+        except SystemExit:
+            sys.stdout.flush()  # `-h` printed the help: a closed pipe shows here
+            raise
         status = args.fn(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return status
     except _Exit as stop:
         return stop.status
     except BrokenPipeError:
-        # The reader of stdout went away (`ml1 ... | head`). Point stdout at
-        # the null device so that the interpreter's last flush fails no more.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader of stdout went away (`ml1 ... | head`), or stdout was
+        # closed from the start. Point a real stdout at the null device so
+        # that the interpreter's last flush fails no more.
+        if not closed:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return FAILURE
     except Exception as err:  # keep the 0/1/2 contract even for surprises
         print(f"ml1: internal error: {err}", file=sys.stderr)
@@ -362,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
 
             traceback.print_exc()
         return FAILURE
+    finally:
+        if closed:
+            sys.stdout = None
 
 
 def script_main() -> NoReturn:

@@ -2,16 +2,18 @@
 
 Each expression node is compiled once, the first time it is needed, into a
 Python closure from an environment to a value (Feeley and Lapalme, "Using
-closures for code generation", 1987): a def's body when the def is first
-called, a thunk's body with the expression around it, a template val's
-body when it is first read. The closures are cached per interpreter by
-node identity. Each reference is classified once by its resolved symbol,
-constant results are built once, and a block becomes its steps run in
-order; a block that declares nothing and has one step is that step. A
-call is classified once by its callee's symbol, as a call of a builtin
-or of a template def; only a local or `val` callee is dispatched when the
-call runs. Errors are raised when a closure runs, never when it is
-compiled, so an ill-formed node in code that never runs does no harm.
+closures for code generation", 1987): a def's body at its first call, a
+thunk's body with the expression around it, a template val's body at its
+first read, cached per interpreter by node identity. Each reference is
+classified once by its resolved symbol, constants are built once, and a
+block becomes its steps run in order; a block of one step that declares
+nothing is that step. A call is classified once by its callee's symbol;
+only a local or `val` callee is dispatched when the call runs. Each
+argument of a call is classified once as a literal, a slot of the current
+frame or other code, and the call reads a literal or a slot itself
+(superinstructions, Ertl and Gregg, 2003); `print` and `concat` apply
+inline. Errors are raised when a closure runs, never when it is compiled,
+so ill-formed code that never runs does no harm.
 
 A value is what the resolver bound where it can be: an integer or a
 string is a Python `int` or `str`, unit is the empty tuple `UNIT`, and an
@@ -28,18 +30,18 @@ reads the slot at the address `resolve` gave it. A template `val` is
 evaluated at its first read in a run; a read while its body runs is the
 coded error E_CYCLIC_VAL.
 
-`__frame { ... }` pushes a frame for the duration of the body; thunks
-registered via `__defer(thunk { ... })` run when the frame is left, in
-reverse registration order, on normal and failing exits alike. The frame
-stays active while it unwinds, so a thunk's own defers run right after
-that thunk (Go order for nested defers). The frame's result (or its
-original error) is fixed before any thunk runs; errors raised by thunks
-are kept on the suppressed list of the primary error, and on a normal
-exit the first thunk error becomes the primary one. When
-Python's stack runs out (deep expressions inside deep calls), the
-innermost frame or call turns the RecursionError into the error
-"evaluation nested too deeply", so every frame entered still runs its
-thunks.
+`__frame { ... }` pushes a frame while its body runs (a body block that
+declares nothing, step by step); thunks registered via
+`__defer(thunk { ... })` run when the frame is left, in reverse
+registration order, on normal and failing exits alike. The frame stays
+active while it unwinds, so a thunk's own defers run right after that
+thunk (Go order for nested defers). The frame's result (or its original
+error) is fixed before any thunk runs; errors raised by thunks are kept on
+the suppressed list of the primary error, and on a normal exit the first
+thunk error becomes the primary one. When Python's stack runs out (deep
+expressions inside deep calls), the innermost frame or call turns the
+RecursionError into the error "evaluation nested too deeply", so every
+frame entered still runs its thunks.
 """
 
 from __future__ import annotations
@@ -57,10 +59,9 @@ from ml1.tokens import Span
 _MAX_CALL_DEPTH = 200
 # Python frames one call may take, with room for nested arguments and
 # blocks. A template def call takes one, its call closure, plus one per
-# frame, block or argument list on the way to the next call; a block of
-# one step that declares nothing is that step and takes none. A `go.defer`
-# chain takes three (the call, the `__frame` that is the def's body, and
-# the frame's block, which registers a thunk and calls on). `run` raises
+# frame, block or argument list on the way to the next call. A block that
+# declares nothing takes none if it has one step or is a `__frame`'s body,
+# so a `go.defer` chain takes two: the call and its `__frame`. `run` raises
 # Python's recursion limit to at least the default of 1000 plus this much
 # per allowed call, so the interpreter's own depth limit is reached first.
 _FRAMES_PER_CALL = 20
@@ -102,7 +103,7 @@ class Trace(Record):
 
 Frame = list  # [parent frame or None, slot 0, slot 1, ...]
 Code = Callable[[Frame | None], Value]
-Args = tuple[Code, ...]  # a call's compiled arguments
+Operands = tuple[tuple[bool | None, object], ...]  # a call's arguments, by `Interpreter.operand`
 
 
 def _constant(value: Value) -> Code:
@@ -306,13 +307,28 @@ class Interpreter:
             return read_val
         return _constant(DefV(None, self.graph.decls[symbol.fqn]) if symbol.kind == DEF else symbol)
 
+    def operand(self, node: ast.Expr) -> tuple[bool | None, object]:
+        """Classify a call's argument once: (True, index) for a slot of the
+        current frame, (False, value) for a literal, (None, closure) for
+        other code. A read tests for a slot first, by truth: the cheapest."""
+        if isinstance(node, (ast.IntLit, ast.StrLit)):
+            return False, node.value
+        address = self.resolution.addresses.get(id(node))
+        if address is not None and address[0] == 0:
+            return True, address[1] + 1
+        return None, self.compile(node)
+
     def _compile_call(self, node: ast.Call) -> Code:
-        """Classify the call once, by its callee's symbol."""
-        args = tuple(self.compile(arg) for arg in node.args)
-        ref, span = node.callee, node.span
+        """Classify the call once, by its callee's symbol, and its arguments."""
+        ref, span, args = node.callee, node.span, tuple(map(self.operand, node.args))
         symbol = None if id(ref) in self.resolution.addresses else self.resolution.symbol_for(ref)
         if symbol and symbol.kind == BUILTIN:
-            return self._compile_apply(_builtin(symbol.short_name(), len(args)), args, span)
+            name = symbol.short_name()
+            if name == "print" and len(args) == 1:
+                return self._compile_print(args, span)
+            if name == "concat" and len(args) == 2:
+                return self._compile_concat(args, span)
+            return self._compile_apply(_builtin(name, len(args)), args, span)
         if symbol and symbol.kind == DEF:
             return self._compile_def_call(self.graph.decls[symbol.fqn], None, args, span)
         # A local or val callee: what it holds is known only when the call runs.
@@ -324,24 +340,43 @@ class Interpreter:
                 return self._compile_def_call(fn.decl, fn.env, args, span)(env)
             if isinstance(fn, SymbolId) and fn.kind == BUILTIN:
                 return self._compile_apply(_builtin(fn.short_name(), len(args)), args, span)(env)
-            for arg in args:
-                arg(env)
+            self._compile_apply(lambda *values: UNIT, args, span)(env)  # the arguments' effects
             raise EvalError(f"{render(fn, span)} is not callable", span)
 
         return call
 
-    def _compile_apply(self, fn: Callable[..., Value], args: Args, span: Span) -> Code:
-        """Evaluate the arguments in order, then return `fn(self, span, *values)`."""
-        interp = self
-        if len(args) == 1:
-            (a,) = args
-            return lambda env: fn(interp, span, a(env))
-        if len(args) == 2:
-            a, b = args
-            return lambda env: fn(interp, span, a(env), b(env))
-        return lambda env: fn(interp, span, *[arg(env) for arg in args])
+    def _compile_print(self, args: Operands, span: Span) -> Code:
+        ((slot, a),) = args
 
-    def _compile_def_call(self, decl: ast.DefDecl, parent: Frame | None, args: Args, span: Span) -> Code:
+        def print_(env: Frame | None) -> Value:
+            value = env[a] if slot else a(env) if slot is None else a
+            self.events.append(value if isinstance(value, str) else render(value, span))
+            return UNIT
+
+        return print_
+
+    def _compile_concat(self, args: Operands, span: Span) -> Code:
+        (slot_a, a), (slot_b, b) = args
+
+        def concat(env: Frame | None) -> Value:
+            x = env[a] if slot_a else a(env) if slot_a is None else a
+            y = env[b] if slot_b else b(env) if slot_b is None else b
+            return (x if isinstance(x, str) else render(x, span)) + (y if isinstance(y, str) else render(y, span))
+
+        return concat
+
+    def _compile_apply(self, fn: Callable[..., Value], args: Operands, span: Span) -> Code:
+        """Evaluate the arguments in order, then return `fn(self, span, *values)`."""
+
+        def apply(env: Frame | None) -> Value:
+            values = []
+            for slot, a in args:  # on CPython 3.11 a comprehension would add a frame per call
+                values.append(env[a] if slot else a(env) if slot is None else a)
+            return fn(self, span, *values)
+
+        return apply
+
+    def _compile_def_call(self, decl: ast.DefDecl, parent: Frame | None, args: Operands, span: Span) -> Code:
         """Enter `decl` in a frame under `parent`: check the arity and the
         depth, then run the body, compiled at the first call."""
         if len(args) != len(decl.params):
@@ -352,8 +387,8 @@ class Interpreter:
         def call_def(env: Frame | None) -> Value:
             nonlocal body
             frame = [parent]
-            for arg in args:  # on CPython 3.11 a comprehension would add a frame per call
-                frame.append(arg(env))
+            for slot, a in args:  # as in `_compile_apply`
+                frame.append(env[a] if slot else a(env) if slot is None else a)
             if interp.depth >= _MAX_CALL_DEPTH:
                 raise EvalError("call depth exceeded", span)
             if body is None:
@@ -414,7 +449,9 @@ class Interpreter:
     # Deferred frames ----------------------------------------------------------
 
     def _compile_frame(self, node: ast.FrameExpr) -> Code:
-        body, frames, span = self.compile(node.body), self.frames, node.span
+        body, frames, span = node.body, self.frames, node.span
+        plain = isinstance(body, ast.Block) and not any(isinstance(stat, ast.DefDecl) for stat in body.stats)
+        steps = tuple(map(self.compile, body.stats)) if plain else (self.compile(body),)
 
         def run_frame(env: Frame | None) -> Value:
             frame: list[tuple[Code, Frame | None, Span]] = []
@@ -423,7 +460,8 @@ class Interpreter:
             value: Value = UNIT
             try:
                 try:
-                    value = body(env)
+                    for step in steps:
+                        value = step(env)
                 except (EvalError, RecursionError) as err:
                     primary = _eval_error(err, span)
                 # The frame stays active while it unwinds: a thunk's own

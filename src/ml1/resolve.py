@@ -3,10 +3,10 @@
 Precedence, innermost first: locals, then the site's precedence list in
 the order `scopes.import_positions` gives it (the enclosing template's
 member tier, named selectors, wildcards, enclosing packages, builtins).
-`scopes.lookup_qualified` walks that list for every reference that is not
-a local. The implicit scan walks the list of a unit's top scope in the
-same order and stops at the first position that provides an implicit
-object.
+`scopes.lookup_qualified` walks that list once per template for each
+name referenced there that is not a local. The implicit scan walks the
+list of a unit's top scope in the same order and stops at the first
+position that provides an implicit object.
 
 Only this module decides what a local name means: it gives each local
 reference the (depth, slot) of its binder (SICP §5.5.6) in the frames the
@@ -105,11 +105,14 @@ class _UnitWalker:
         self.unit = unit
         self.taken: set[str] = set()  # local FQNs given out in this unit
         self.positions: tuple[ImportPosition, ...] = ()  # the current template's
+        # `lookup_qualified` at the current template's positions, per name.
+        self.lookups: dict[ast.QualName, tuple[tuple[SymbolId, ...], int]] = {}
         self.scopes: list[LocalScope] = []  # one per enclosing run-time frame, innermost last
 
     def walk_template(self, tpl: ast.TemplateDef) -> None:
         tfqn = template_fqn(self.graph, self.unit, tpl)
         self.positions = import_positions(self.graph, self.unit, tfqn)
+        self.lookups = {}
         for stat in tpl.stats:
             if isinstance(stat, ast.DefDecl):
                 self.walk_def(stat, f"{tfqn}.{stat.name}" if tfqn else stat.name)
@@ -201,7 +204,10 @@ class _UnitWalker:
             if len(parts) > 1:  # a local is no package or template
                 return None, None, self._unresolved(ast.dotted(parts), span)
             return symbol, (depth, slot), None
-        hits, failed = lookup_qualified(self.graph, self.positions, parts)
+        found = self.lookups.get(parts)
+        if found is None:
+            found = self.lookups[parts] = lookup_qualified(self.graph, self.positions, parts)
+        hits, failed = found
         if len(hits) == 1:
             return hits[0], None, None
         if hits:

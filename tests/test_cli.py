@@ -296,6 +296,59 @@ def test_a_reader_that_stops_early_is_no_internal_error(tmp_path, read):
     assert err == b""
 
 
+@pytest.mark.parametrize("command", [["-h"], ["--help"], ["parse", "--help"]], ids=" ".join)
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_help_into_a_closed_pipe_is_no_internal_error(command, buffered):
+    """`ml1 -h | head -c 0`: the help meets a pipe whose reader has gone,
+    at the write when stdout is unbuffered, else at the flush. Either way
+    ml1 exits 2 and prints nothing more."""
+    env = child_env() if buffered else {**child_env(), "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "ml1", *command], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 2
+    assert err == b""
+
+
+# Runs `python -m ml1` with the arguments after it and file descriptor 1
+# closed, as `ml1 ... >&-` does.
+WITH_STDOUT_CLOSED = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, '-m', 'ml1', *sys.argv[1:]])"
+COPY = fixture_paths("lib/go_defer.ml1", "defer/copy.ml1")
+AMBIGUOUS = fixture_paths("ambiguous/providers.ml1", "ambiguous/client.ml1")
+
+
+@pytest.mark.parametrize(
+    "command, writes",
+    [
+        (["parse", COPY[1]], False),
+        (["parse", "--dump-ast", COPY[1]], True),
+        (["run", "--entry", "copyfile.Main.main", *COPY], True),
+        (["run", "--entry", "copyfile.Main.nope", *COPY], False),
+        (["resolve", *AMBIGUOUS], False),
+        (["-h"], True),
+    ],
+    ids=["parse", "parse-dump", "run", "run-no-entry", "resolve-ambiguous", "help"],
+)
+def test_a_stdout_closed_at_start_is_no_internal_error(command, writes):
+    """`ml1 ... >&-`: Python starts with `sys.stdout` None. A command that
+    writes to stdout exits 2 and prints nothing more, as when the reader of
+    its pipe went away; one that writes nothing keeps its own status and
+    stderr."""
+    closed = subprocess.run(
+        [sys.executable, "-c", WITH_STDOUT_CLOSED, *command], env=child_env(), stderr=subprocess.PIPE, timeout=60
+    )
+    if writes:
+        assert (closed.returncode, closed.stderr) == (2, b"")
+    else:
+        plain = subprocess.run(
+            [sys.executable, "-m", "ml1", *command], env=child_env(), capture_output=True, timeout=60
+        )
+        assert plain.stdout == b""
+        assert (closed.returncode, closed.stderr) == (plain.returncode, plain.stderr)
+
+
 def test_resolve_dump_shows_shared_context(capsys):
     status, out, _ = run_cli(
         capsys, "resolve", "--dump", *fixture_paths(*SALAT_AFTER)

@@ -569,20 +569,120 @@ def count_interp_calls(fn):
     return result, calls
 
 
-def test_a_deferring_call_costs_at_most_eleven_interpreter_calls():
-    # Per `go.defer` call, about 10.5: the def call, its frame, its block
-    # (inner calls only) and the registration; the deferred print's
-    # application, its read of `p` and the builtin; the concat that made
-    # `p`, with its two arguments. That holds only while `print` and
-    # `concat` skip `render` for a string and the one-step thunk block
-    # `{ print(p) }` is its step; without them it is about 15.
+def test_a_deferring_call_costs_at_most_six_interpreter_calls():
+    # Per `go.defer` call, about 5.2: the def call, which reads its
+    # argument itself; the concat that made `p`, which reads `p` and its
+    # literal itself; the def's frame, which runs its block's steps itself;
+    # the registration; and the deferred print, which reads `p` itself.
+    # That holds only while `print`, `concat` and a def call read literal
+    # and slot operands in place and the one-step thunk block `{ print(p) }`
+    # is its step; without the operand reads it is about 10.7.
     depth = 10
     lowered, _ = apply_rewriter(("go.defer.rewriter",), gen.defer_tree_unit(depth))
     graph, resolution = resolved(GO_DEFER, lowered)
     trace, calls = count_interp_calls(lambda: run(graph, resolution, "Main.main"))
     assert not trace.failed
     assert trace.events == gen.defer_tree_events(depth)
-    assert calls / len(trace.events) <= 11, calls / len(trace.events)
+    assert calls / len(trace.events) <= 6, calls / len(trace.events)
+
+
+# Every kind of operand for `print`, `concat`, a one-parameter def call
+# (`echo`) and a builtin of the generic path (`add`). `kinds` gets a
+# string, an integer, unit, a def and a builtin in its parameters (slots of
+# the current frame); the inner block's reads of them are locals of an
+# outer frame; `tv` is a template val; `f()` and `concat(...)` are calls.
+OPERANDS_SOURCE = """object Main {
+  val tv = "tv"
+  def f() = { "f" }
+  def echo(v) = { print(v) }
+  def kinds(s, i, u, d, b) = {
+    print("lit")
+    print(7)
+    print(s)
+    print(i)
+    print(u)
+    print(d)
+    print(b)
+    print(tv)
+    print(f())
+    print(concat("lit", 7))
+    print(concat(s, i))
+    print(concat(u, d))
+    print(concat(b, tv))
+    print(concat(f(), concat(1, 2)))
+    print(add(i, add(1, 2)))
+    echo("lit")
+    echo(7)
+    echo(s)
+    echo(i)
+    echo(u)
+    echo(d)
+    echo(b)
+    echo(tv)
+    echo(concat("n", "c"))
+    {
+      val local = "local"
+      print(s)
+      print(concat(i, local))
+      echo(b)
+    }
+    TAIL
+  }
+  def main() = { kinds("s", 3, {}, f, print) }
+}"""
+
+OPERAND_EVENTS = [
+    "lit", "7", "s", "3", "()", "<def f>", "<builtin print>", "tv", "f",
+    "lit7", "s3", "()<def f>", "<builtin print>tv", "f12", "6",
+    "lit", "7", "s", "3", "()", "<def f>", "<builtin print>", "tv", "nc",
+    "s", "3local", "<builtin print>",
+]  # fmt: skip
+
+
+def test_every_operand_kind_reads_the_same_value_in_each_consumer():
+    source = OPERANDS_SOURCE.replace("TAIL", '"done"')
+    unit = parse_source(source, "m.ml1")
+    graph, resolution = resolved(unit)
+    interp = Interpreter(graph, resolution)
+    consumers = [
+        node
+        for node in ast.walk(unit)
+        if isinstance(node, ast.Call) and node.callee.parts[0] in ("print", "concat", "echo", "add")
+    ]
+    kinds = {interp.operand(arg)[0] for call in consumers for arg in call.args}
+    assert len(kinds) == 3  # literals, slots of the current frame and other code
+    trace = interp.run("Main.main")
+    assert not trace.failed
+    assert trace.events == OPERAND_EVENTS
+    assert trace.value == "done"
+
+
+@pytest.mark.parametrize(
+    "tail, events, failing",
+    [
+        ("print(big())", [], "print(big())"),
+        ("echo(big())", [], "print(v)"),
+        ("{ val n = big(); print(n) }", [], "print(n)"),
+        ("concat(s, big())", [], "concat(s, big())"),
+        ("{ val n = big(); concat(n, s) }", [], "concat(n, s)"),
+        ('concat(big(), print("second"))', ["second"], 'concat(big(), print("second"))'),
+        ('concat(print("first"), error("second"))', ["first"], 'error("second")'),
+    ],
+)
+def test_a_failing_operand_fails_at_the_span_of_its_call(tail, events, failing):
+    """An over-long integer fails at the span of the builtin call that
+    renders it, after every operand of that call has run."""
+    limit = sys.get_int_max_str_digits()
+    big = f"  def big() = {{ add({'9' * limit}, {'9' * limit}) }}\n"
+    source = OPERANDS_SOURCE.replace("TAIL", tail).replace("  def f() =", big + "  def f() =")
+    trace = run_program(parse_source(source, "m.ml1"), entry="Main.main")
+    assert trace.events == OPERAND_EVENTS + events
+    if "error" in failing:
+        assert trace.error.message == "second"
+    else:
+        assert trace.error.message == f"integer too long to render (more than {limit} digits)"
+    span = trace.error.span
+    assert source[span.start : span.end] == failing
 
 
 def test_a_block_of_one_step_is_worth_that_step():

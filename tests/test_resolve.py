@@ -424,6 +424,36 @@ def test_resolve_name_is_deterministic():
     assert [sym.fqn for sym in first[0]] == ["Lib.x"]
 
 
+def test_each_name_is_looked_up_once_per_template(monkeypatch):
+    """Each reference keeps its own record and its own diagnostic, but a
+    template looks each name up once; another template looks it up again."""
+    import ml1.resolve
+
+    looked_up = []
+
+    def spy(graph, positions, parts):
+        looked_up.append(parts)
+        return lookup_qualified(graph, positions, parts)
+
+    monkeypatch.setattr(ml1.resolve, "lookup_qualified", spy)
+    source = (
+        "object A {\n  def f() = {\n    print(nope)\n    print(nope)\n  }\n}\n"
+        "object B {\n  def g() = { print(1) }\n}"
+    )
+    unit = parse_source(source, "a.ml1")
+    _, resolution = resolve_project(unit)
+    assert looked_up == [("print",), ("nope",), ("print",)]
+    assert [(rec.name, rec.symbol and rec.symbol.fqn) for rec in resolution.records] == [
+        ("print", "<builtin>.print"), ("nope", None), ("print", "<builtin>.print"), ("nope", None),
+        ("print", "<builtin>.print"),
+    ]  # fmt: skip
+    assert [d.render() for d in resolution.diagnostics] == [
+        "a.ml1:35-39: E_UNRESOLVED: nope is not in scope",
+        "a.ml1:51-55: E_UNRESOLVED: nope is not in scope",
+    ]
+    assert [source[d.span.start : d.span.end] for d in resolution.diagnostics] == ["nope", "nope"]
+
+
 def test_a_template_site_has_one_precedence_list():
     lib = parse_source("package p\n\nobject Lib {\n  val x = 1\n}", "lib.ml1")
     unit = parse_source(
