@@ -7,13 +7,13 @@ thunk's body with the expression around it, a template val's body at its
 first read, cached per interpreter by node identity. Each reference is
 classified once by its resolved symbol, constants are built once, and a
 block becomes its steps run in order; a block of one step that declares
-nothing is that step. A call is classified once by its callee's symbol;
-only a local or `val` callee is dispatched when the call runs. Each
-argument of a call is classified once as a literal, a slot of the current
-frame or other code, and the call reads a literal or a slot itself
-(superinstructions, Ertl and Gregg, 2003); `print` and `concat` apply
-inline. Errors are raised when a closure runs, never when it is compiled,
-so ill-formed code that never runs does no harm.
+nothing is that step. `_compile_callee` turns a callee's value into call
+code, when the call is compiled for a callee known by its symbol, and for
+a local or `val` callee when it runs, once per def or symbol met. Each
+argument is classified once as a literal, a frame slot or other code, and
+the call reads a literal or a slot itself (superinstructions, Ertl and
+Gregg, 2003). Errors are raised when a closure runs, never when it is
+compiled, so ill-formed code that never runs does no harm.
 
 A value is what the resolver bound where it can be: an integer or a
 string is a Python `int` or `str`, unit is the empty tuple `UNIT`, and an
@@ -119,7 +119,7 @@ def _failure(message: str, span: Span | None) -> Code:
 
 
 def _raise(message: str) -> Callable[..., Value]:
-    return lambda interp, span, *values: _fail(span, message)
+    return lambda span, *values: _fail(span, message)
 
 
 def _arity_error(name: str, arity: int, count: int) -> Callable[..., Value]:
@@ -169,18 +169,47 @@ def render(value: Value, span: Span | None) -> str:
     return "<thunk>"  # a ThunkExpr
 
 
-# Builtins: each is a function of the interpreter, the call's span and the
-# argument values, listed in `_BUILTINS` with its arity (None: any).
+def _compile_apply(fn: Callable[..., Value], args: Operands, span: Span) -> Code:
+    """Evaluate the arguments in order, then return `fn(span, *values)`."""
+
+    def apply(env: Frame | None, parent: Frame | None = None) -> Value:  # a def's entry takes `parent`
+        values = []
+        for slot, a in args:  # on CPython 3.11 a comprehension would add a frame per call
+            values.append(env[a] if slot else a(env) if slot is None else a)
+        return fn(span, *values)
+
+    return apply
+
+
+# Builtins: each is compiled by a function of the interpreter, the call's
+# operands and span, listed in `_BUILTINS` with its arity (None: any).
 # `print` and `concat` take a string as it is, without a call of `render`.
 
 
-def _print(interp: Interpreter, span: Span, value: Value) -> Value:
-    interp.events.append(value if isinstance(value, str) else render(value, span))
-    return UNIT
+def _compile_print(interp: Interpreter, args: Operands, span: Span) -> Code:
+    ((slot, a),) = args
+
+    def print_(env: Frame | None) -> Value:
+        value = env[a] if slot else a(env) if slot is None else a
+        interp.events.append(value if isinstance(value, str) else render(value, span))
+        return UNIT
+
+    return print_
 
 
-def _concat(interp: Interpreter, span: Span, a: Value, b: Value) -> str:
-    return (a if isinstance(a, str) else render(a, span)) + (b if isinstance(b, str) else render(b, span))
+def _compile_concat(interp: Interpreter, args: Operands, span: Span) -> Code:
+    (slot_a, a), (slot_b, b) = args
+
+    def concat(env: Frame | None) -> Value:
+        x = env[a] if slot_a else a(env) if slot_a is None else a
+        y = env[b] if slot_b else b(env) if slot_b is None else b
+        return (x if isinstance(x, str) else render(x, span)) + (y if isinstance(y, str) else render(y, span))
+
+    return concat
+
+
+def _applying(fn: Callable[..., Value]) -> Callable[[Interpreter, Operands, Span], Code]:
+    return lambda interp, args, span: _compile_apply(fn, args, span)
 
 
 def _integer(span: Span, name: str, value: Value) -> int:
@@ -189,20 +218,14 @@ def _integer(span: Span, name: str, value: Value) -> int:
     raise EvalError(f"{name} needs integer arguments", span)
 
 
-_BUILTINS: dict[str, tuple[int | None, Callable[..., Value]]] = {
-    "print": (1, _print),
-    "error": (1, lambda interp, span, value: _fail(span, render(value, span))),
-    "concat": (2, _concat),
-    "add": (2, lambda interp, span, a, b: _integer(span, "add", a) + _integer(span, "add", b)),
-    "sub": (2, lambda interp, span, a, b: _integer(span, "sub", a) - _integer(span, "sub", b)),
-    "compose": (None, _raise("compose is interpreted at rewrite time, not at runtime")),
+_BUILTINS: dict[str, tuple[int | None, Callable[[Interpreter, Operands, Span], Code]]] = {
+    "print": (1, _compile_print),
+    "error": (1, _applying(lambda span, value: _fail(span, render(value, span)))),
+    "concat": (2, _compile_concat),
+    "add": (2, _applying(lambda span, a, b: _integer(span, "add", a) + _integer(span, "add", b))),
+    "sub": (2, _applying(lambda span, a, b: _integer(span, "sub", a) - _integer(span, "sub", b))),
+    "compose": (None, _applying(_raise("compose is interpreted at rewrite time, not at runtime"))),
 }
-
-
-def _builtin(name: str, count: int) -> Callable[..., Value]:
-    """The function a call of builtin `name` with `count` arguments applies."""
-    arity, fn = _BUILTINS[name]
-    return fn if arity in (None, count) else _arity_error(name, arity, count)
 
 
 class Interpreter:
@@ -226,12 +249,9 @@ class Interpreter:
         self.events = []
         self.vals.clear()
         trace = Trace(events=self.events)
-        sym = self.graph.symbols.get(entry_fqn)
-        decl = self.graph.decls.get(entry_fqn)
+        sym, decl = self.graph.symbols.get(entry_fqn), self.graph.decls.get(entry_fqn)
         if sym is None or sym.kind != DEF or decl.params:
-            trace.error = EvalError(
-                f"{entry_fqn} is not a zero-argument def", code=E_NO_ENTRY
-            )
+            trace.error = EvalError(f"{entry_fqn} is not a zero-argument def", code=E_NO_ENTRY)
             return trace
         # The recursion limit is process-wide, so `run` is not thread-safe.
         # It only ever raises the limit to one fixed value, so a run started
@@ -240,7 +260,7 @@ class Interpreter:
         if limit < _RECURSION_LIMIT:
             sys.setrecursionlimit(_RECURSION_LIMIT)
         try:
-            trace.value = self._compile_def_call(decl, None, (), decl.span)(None)
+            trace.value = self._compile_def_call(decl, (), decl.span)(None)
         except EvalError as err:
             trace.error = err
         finally:
@@ -305,7 +325,11 @@ class Interpreter:
                 return value
 
             return read_val
-        return _constant(DefV(None, self.graph.decls[symbol.fqn]) if symbol.kind == DEF else symbol)
+        return _constant(self.symbol_value(symbol))
+
+    def symbol_value(self, symbol: SymbolId) -> Value:
+        """The value of a symbol that is neither a local nor a template `val`."""
+        return DefV(None, self.graph.decls[symbol.fqn]) if symbol.kind == DEF else symbol
 
     def operand(self, node: ast.Expr) -> tuple[bool | None, object]:
         """Classify a call's argument once: (True, index) for a slot of the
@@ -322,69 +346,45 @@ class Interpreter:
         """Classify the call once, by its callee's symbol, and its arguments."""
         ref, span, args = node.callee, node.span, tuple(map(self.operand, node.args))
         symbol = None if id(ref) in self.resolution.addresses else self.resolution.symbol_for(ref)
-        if symbol and symbol.kind == BUILTIN:
-            name = symbol.short_name()
-            if name == "print" and len(args) == 1:
-                return self._compile_print(args, span)
-            if name == "concat" and len(args) == 2:
-                return self._compile_concat(args, span)
-            return self._compile_apply(_builtin(name, len(args)), args, span)
-        if symbol and symbol.kind == DEF:
-            return self._compile_def_call(self.graph.decls[symbol.fqn], None, args, span)
-        # A local or val callee: what it holds is known only when the call runs.
-        callee = self.compile_ref(ref)
+        if symbol and symbol.kind != VAL:
+            return self._compile_callee(self.symbol_value(symbol), args, span)
+        # A local or val callee: compiled per def declaration or symbol met.
+        callee, compile_callee, codes = self.compile_ref(ref), self._compile_callee, {}
 
         def call(env: Frame | None) -> Value:
             fn = callee(env)
             if isinstance(fn, DefV):
-                return self._compile_def_call(fn.decl, fn.env, args, span)(env)
-            if isinstance(fn, SymbolId) and fn.kind == BUILTIN:
-                return self._compile_apply(_builtin(fn.short_name(), len(args)), args, span)(env)
-            self._compile_apply(lambda *values: UNIT, args, span)(env)  # the arguments' effects
-            raise EvalError(f"{render(fn, span)} is not callable", span)
+                entry = codes.get(id(fn.decl)) or codes.setdefault(id(fn.decl), compile_callee(fn, args, span))
+                return entry(env, fn.env)
+            if isinstance(fn, SymbolId):
+                code = codes.get(fn) or codes.setdefault(fn, compile_callee(fn, args, span))
+                return code(env)
+            return compile_callee(fn, args, span)(env)
 
         return call
 
-    def _compile_print(self, args: Operands, span: Span) -> Code:
-        ((slot, a),) = args
+    def _compile_callee(self, fn: Value, args: Operands, span: Span) -> Code:
+        """The code of a call of `fn`: a def's entry, a builtin's code, or code that
+        evaluates the arguments, then fails with `_arity_error` or as not callable."""
+        if isinstance(fn, DefV):
+            name, arity = fn.decl.name, len(fn.decl.params)
+            if arity == len(args):
+                return self._compile_def_call(fn.decl, args, span)
+        elif isinstance(fn, SymbolId) and fn.kind == BUILTIN:
+            arity, compile = _BUILTINS[name := fn.short_name()]
+            if arity in (None, len(args)):
+                return compile(self, args, span)
+        else:
+            return _compile_apply(lambda span, *values: _fail(span, f"{render(fn, span)} is not callable"), args, span)
+        return _compile_apply(_arity_error(name, arity, len(args)), args, span)
 
-        def print_(env: Frame | None) -> Value:
-            value = env[a] if slot else a(env) if slot is None else a
-            self.events.append(value if isinstance(value, str) else render(value, span))
-            return UNIT
-
-        return print_
-
-    def _compile_concat(self, args: Operands, span: Span) -> Code:
-        (slot_a, a), (slot_b, b) = args
-
-        def concat(env: Frame | None) -> Value:
-            x = env[a] if slot_a else a(env) if slot_a is None else a
-            y = env[b] if slot_b else b(env) if slot_b is None else b
-            return (x if isinstance(x, str) else render(x, span)) + (y if isinstance(y, str) else render(y, span))
-
-        return concat
-
-    def _compile_apply(self, fn: Callable[..., Value], args: Operands, span: Span) -> Code:
-        """Evaluate the arguments in order, then return `fn(self, span, *values)`."""
-
-        def apply(env: Frame | None) -> Value:
-            values = []
-            for slot, a in args:  # on CPython 3.11 a comprehension would add a frame per call
-                values.append(env[a] if slot else a(env) if slot is None else a)
-            return fn(self, span, *values)
-
-        return apply
-
-    def _compile_def_call(self, decl: ast.DefDecl, parent: Frame | None, args: Operands, span: Span) -> Code:
-        """Enter `decl` in a frame under `parent`: check the arity and the
-        depth, then run the body, compiled at the first call."""
-        if len(args) != len(decl.params):
-            return self._compile_apply(_arity_error(decl.name, len(decl.params), len(args)), args, span)
+    def _compile_def_call(self, decl: ast.DefDecl, args: Operands, span: Span) -> Code:
+        """The entry of `decl`: given the frame it closes over, if any, it
+        checks the depth, then runs the body, compiled at the first call."""
         interp, compile = self, self.compile
         body: Code | None = None
 
-        def call_def(env: Frame | None) -> Value:
+        def call_def(env: Frame | None, parent: Frame | None = None) -> Value:
             nonlocal body
             frame = [parent]
             for slot, a in args:  # as in `_compile_apply`

@@ -249,21 +249,15 @@ def erase_import_annotations(units: list[ast.CompilationUnit]) -> list[ast.Compi
 
 def _implicit_targets(graph: ScopeGraph, marker_fqn: str) -> tuple[frozenset[SymbolId], frozenset[str]]:
     """The implicit objects extending `marker_fqn`, and the names such an
-    object can be visible under: its short name and each name a selector
-    renames to (see `ImportPosition`); both empty when there is no such
-    object. Built once per graph and marker, and memoized on the graph."""
+    object can be visible under: those whose `ScopeGraph.known_as` entry
+    holds one of them; both empty when there is no such object. Built once
+    per graph and marker, and memoized on the graph."""
     found = graph.implicit_targets.get(marker_fqn)
     if found is None:
-        objects = frozenset(
-            graph.symbols[fqn]
-            for fqn in graph.members
-            if graph.decls[fqn].is_implicit and marker_fqn in graph.parts(fqn)[1:]
-        )
-        names: frozenset[str] = frozenset()
-        if objects:
-            tables = [edge.selectors.table for edges in graph.exports.values() for edge in edges]
-            names = frozenset({to for table in tables for to in table.values() if to} | {o.short_name() for o in objects})
-        found = graph.implicit_targets[marker_fqn] = (objects, names)
+        fqns = {fqn for fqn in graph.members if graph.decls[fqn].is_implicit and marker_fqn in graph.parts(fqn)[1:]}
+        known_as = graph.known_as.items() if fqns else ()
+        names = frozenset(name for name, known in known_as if not known.isdisjoint(fqns))
+        found = graph.implicit_targets[marker_fqn] = (frozenset(map(graph.symbols.get, fqns)), names)
     return found
 
 

@@ -393,10 +393,9 @@ def build_scope_graph(units: list[ast.CompilationUnit]) -> ScopeGraph:
             else:
                 graph.inherits[tfqn].append(parent)
                 ancestors.add(parent)
-    for memo in (graph.closures, graph.own_closures, graph.scope_parts, graph.member_maps, graph.scope_edges):
+    memos = (graph.closures, graph.own_closures, graph.scope_parts, graph.member_maps, graph.scope_edges)
+    for memo in (*memos, graph.scope_findable, graph.implicit_targets):
         memo.clear()
-    graph.scope_findable.clear()
-    graph.implicit_targets.clear()
     return graph
 
 

@@ -841,6 +841,14 @@ def test_a_call_through_an_alias_behaves_like_the_direct_call(tmp_path, capsys, 
         assert source[trace.error.span.start : trace.error.span.end] == failing, path
 
 
+def test_a_call_site_that_meets_a_def_again_calls_it_in_its_own_frame(tmp_path, capsys):
+    # `h()` meets the local def `get` closing over two frames, then a builtin.
+    members = "  def mk(x) = {\n    def get() = {\n      print(x)\n    }\n    get\n  }\n  def apply(h) = {\n    h()\n  }\n"
+    unit = unit_with_calls(tmp_path, 'apply(mk("a"))\n    apply(mk("b"))\n    apply(print)', members)
+    message = "error: print expects 1 arguments, got 0\n"
+    assert run_cli(capsys, "run", "--entry", "Main.main", str(unit)) == (2, "a\nb\n", message)
+
+
 def test_calls_that_would_fail_compile_and_never_run_in_a_def_never_called(tmp_path, capsys):
     unused = "\n    ".join(call for call, _ in BUILTIN_FAILURES.values())
     members = f"  def unused() = {{\n    {unused}\n  }}\n"

@@ -586,6 +586,38 @@ def test_a_deferring_call_costs_at_most_six_interpreter_calls():
     assert calls / len(trace.events) <= 6, calls / len(trace.events)
 
 
+def local_tree_source(depth: int) -> str:
+    """`main` declares `t0` to `t<depth>` in its block and calls `t0("r")`;
+    each `t<i>` calls `t<i+1>` on "l" and on "r", and `t<depth>` prints."""
+    defs = [f"    def t{depth}(p) = {{ print(p) }}\n"]
+    defs += [f'    def t{i}(p) = {{ t{i + 1}("l"); t{i + 1}("r") }}\n' for i in range(depth)]
+    return "object Main {\n  def main() = {\n" + "".join(defs) + '    t0("r")\n  }\n}\n'
+
+
+def test_a_call_of_a_local_def_compiles_its_entry_once_per_call_site(monkeypatch):
+    # Per printed event, about 8.9: each call of a local def is its call
+    # closure, the read of the callee one frame out and the def's entry,
+    # and half of them run a two-step block or a print. Compiling the
+    # callee's code at every call would cost about 12.6.
+    compile_def_call = Interpreter._compile_def_call
+    compiled = []
+
+    def spy(interp, decl, *rest):
+        compiled.append((decl.name, rest[-1]))  # the def and the call's span
+        return compile_def_call(interp, decl, *rest)
+
+    monkeypatch.setattr(Interpreter, "_compile_def_call", spy)
+    depth = 8
+    graph, resolution = resolved(parse_source(local_tree_source(depth), "m.ml1"))
+    trace, calls = count_interp_calls(lambda: run(graph, resolution, "Main.main"))
+    assert not trace.failed
+    assert trace.events == ["l", "r"] * 2 ** (depth - 1)
+    assert calls / len(trace.events) <= 10, calls / len(trace.events)
+    # The entry `main`, then each of the 2 * depth + 1 call sites once,
+    # though they make 2 ** (depth + 1) - 1 calls between them.
+    assert len(compiled) == len(set(compiled)) == 2 * depth + 2
+
+
 # Every kind of operand for `print`, `concat`, a one-parameter def call
 # (`echo`) and a builtin of the generic path (`add`). `kinds` gets a
 # string, an integer, unit, a def and a builtin in its parameters (slots of

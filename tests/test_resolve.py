@@ -825,9 +825,10 @@ def test_the_implicit_scan_costs_the_same_on_a_wider_hub(monkeypatch):
             assert implicit_fqns(graph, unit, "k.Context") == ("k.c1",)
         counts.append(len(calls))
     # Each scan stops at its first providing position: the rewriter scan asks
-    # `go.defer._` for two names, the Context scan asks it and `h.Hub._` for
-    # one each, so 4 lookups per client.
-    assert counts == [80, 80]
+    # `go.defer._` for `rewriter` alone, the only name an object extending
+    # the marker is known as, and the Context scan asks it and `h.Hub._` for
+    # `c1`, so 3 lookups per client.
+    assert counts == [60, 60]
 
 
 class CountingBuilds(dict):
