@@ -41,8 +41,8 @@ class _Exit(Exception):
 
 
 class _ClosedStdout:
-    """`sys.stdout` while `main` runs with file descriptor 1 closed at
-    start-up, when Python sets `sys.stdout` to None: a write fails as it
+    """`sys.stdout` under `script_main` when file descriptor 1 was closed
+    at start-up and Python set `sys.stdout` to None: a write fails as it
     does on a pipe whose reader went away."""
 
     def write(self, text: str) -> int:
@@ -355,26 +355,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    closed = sys.stdout is None
-    if closed:
-        sys.stdout = _ClosedStdout()
+    """The status of the command that `argv` (by default `sys.argv[1:]`)
+    names. It flushes nothing. A write into a pipe whose reader went away
+    gives 2; `-h` and argument errors raise `SystemExit`."""
     try:
-        try:
-            args = parse_args(sys.argv[1:] if argv is None else argv)
-        except SystemExit:
-            sys.stdout.flush()  # `-h` printed the help: a closed pipe shows here
-            raise
-        status = args.fn(args)
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-        return status
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return args.fn(args)
     except _Exit as stop:
         return stop.status
-    except BrokenPipeError:
-        # The reader of stdout went away (`ml1 ... | head`), or stdout was
-        # closed from the start. Point a real stdout at the null device so
-        # that the interpreter's last flush fails no more.
-        if not closed:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # `ml1 ... | head`, or a stream closed from the start
         return FAILURE
     except Exception as err:  # keep the 0/1/2 contract even for surprises
         print(f"ml1: internal error: {err}", file=sys.stderr)
@@ -383,22 +372,28 @@ def main(argv: list[str] | None = None) -> int:
 
             traceback.print_exc()
         return FAILURE
-    finally:
-        if closed:
-            sys.stdout = None
 
 
 def script_main() -> NoReturn:
-    """The entry point of `python -m ml1` and of the `ml1` script. It
-    flushes stdout and stderr and ends the process with `os._exit`, so the
+    """The entry point of `python -m ml1` and of the `ml1` script: the one
+    place that knows about the process. A stdout closed at start-up becomes
+    `_ClosedStdout` and a stderr the null device; a real stdout writes
+    UTF-8, as ml1 reads sources, whatever the locale. Once `main` returns
+    or raises `SystemExit`, it flushes both streams (a failed flush exits 2
+    and prints nothing more) and ends with `os._exit`, skipping the
     interpreter's teardown (a last garbage collection, then freeing every
-    module and object) is not paid for; `atexit` handlers do not run. A
-    flush that fails exits 2 and prints nothing more. `-h`, argument errors
-    and exceptions that `main` does not catch propagate as before."""
-    status = main()
+    object): `atexit` handlers do not run. Only interrupts propagate."""
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
+    else:
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", errors="backslashreplace")
+    try:
+        status = main()
+    except SystemExit as stop:
+        status = stop.code
     for stream in (sys.stdout, sys.stderr):
-        if stream is None:  # the descriptor was closed when Python started
-            continue
         try:
             stream.flush()
         except OSError:  # a closed pipe or a full disk

@@ -349,6 +349,73 @@ def test_a_stdout_closed_at_start_is_no_internal_error(command, writes):
         assert (closed.returncode, closed.stderr) == (plain.returncode, plain.stderr)
 
 
+# Runs `python -m ml1` with the arguments after it and file descriptor 2
+# closed, as `ml1 ... 2>&-` does.
+WITH_STDERR_CLOSED = WITH_STDOUT_CLOSED.replace("os.close(1)", "os.close(2)")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["resolve", *AMBIGUOUS], ["lint", "--bogus", "x.ml1"], ["run", "--entry", "copyfile.Main.main", *COPY], ["-h"]],
+    ids=["resolve-ambiguous", "lint-bogus", "run", "help"],
+)
+def test_a_stderr_closed_at_start_puts_no_diagnostic_on_stdout(command):
+    """`ml1 ... 2>&-`: Python starts with `sys.stderr` None, and `print`
+    to None writes to stdout. The script discards what goes to stderr
+    instead, so the status and stdout are those with stderr open."""
+    closed = subprocess.run(
+        [sys.executable, "-c", WITH_STDERR_CLOSED, *command], env=child_env(), stdout=subprocess.PIPE, timeout=60
+    )
+    plain = subprocess.run([sys.executable, "-m", "ml1", *command], env=child_env(), capture_output=True, timeout=60)
+    assert (closed.returncode, closed.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_a_reader_of_stderr_that_has_gone_is_no_internal_error():
+    """An ambiguous `resolve` whose stderr pipe has no reader: its
+    diagnostic cannot be written, so it exits 2 and prints nothing."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "ml1", "resolve", *AMBIGUOUS],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        child.stderr.close()
+        out = child.stdout.read()
+        assert child.wait(timeout=60) == 2
+    assert out == b""
+
+
+@pytest.mark.parametrize(
+    "variables",
+    [{"PYTHONIOENCODING": "ascii"}, {"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONIOENCODING": "utf-8:strict"}],
+    ids=["ascii", "c-locale", "strict-utf-8"],
+)
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, variables):
+    """ml1 reads sources as UTF-8 and file names as the file system gives
+    them, and writes both back as the same bytes: a printed string that is
+    not ASCII, and a file name with a byte that is not UTF-8."""
+    (tmp_path / "u.ml1").write_text('object M {\n  def main() = {\n    print("café")\n  }\n}\n', encoding="utf-8")
+    named = tmp_path / os.fsdecode(b"n\xe9.ml1")
+    named.write_text('object N {\n  def main() = {\n    print("x")\n  }\n}\n', encoding="utf-8")
+    env = {name: value for name, value in child_env().items() if not name.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(variables)
+    run = subprocess.run(
+        [sys.executable, "-m", "ml1", "run", "--entry", "M.main", str(tmp_path / "u.ml1")],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "café\n".encode(), b"")
+    dump = subprocess.run(
+        [sys.executable, "-m", "ml1", "resolve", "--dump", "--format", "pretty", str(named)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    expected = os.fsencode(named) + b":32-37 print -> <builtin>.print\n"
+    assert (dump.returncode, dump.stdout, dump.stderr) == (0, expected, b"")
+
+
 def test_resolve_dump_shows_shared_context(capsys):
     status, out, _ = run_cli(
         capsys, "resolve", "--dump", *fixture_paths(*SALAT_AFTER)
@@ -719,24 +786,31 @@ def test_a_large_dump_loses_no_byte_at_exit(tmp_path, stdout):
     assert (done.returncode, out, done.stderr) == expected
 
 
-def test_the_script_skips_the_interpreter_teardown():
-    """An `atexit` handler runs only if the interpreter tears down."""
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["parse", fixture_paths("salat/marker.ml1")[0]], 0), (["-h"], 0), (["lint", "--bogus", "x.ml1"], 2)],
+    ids=["parse", "help", "lint-bogus"],
+)
+def test_the_script_skips_the_interpreter_teardown(argv, status):
+    """An `atexit` handler runs only if the interpreter tears down. `-h`
+    and argument errors too leave through the script's flush and
+    `os._exit`, with the output that `cli.main` gives."""
     child = (
         "import atexit, sys\n"
         "atexit.register(lambda: sys.stderr.write('teardown\\n'))\n"
-        f"sys.argv = ['ml1', 'parse', {fixture_paths('salat/marker.ml1')[0]!r}]\n"
+        f"sys.argv = ['ml1', *{argv!r}]\n"
         "from ml1.cli import script_main\n"
         "script_main()\n"
     )
     done = subprocess.run([sys.executable, "-c", child], env=child_env(), capture_output=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert (done.returncode, done.stdout, done.stderr) == (status, *in_process(argv)[1:])
 
 
 @pytest.mark.parametrize("reader", ["reads", "stops"])
 def test_the_script_flushes_what_an_internal_error_leaves_unwritten(reader):
-    """`main` flushes stdout only when a command returns; after an internal
-    error the script's own flush writes what the command printed, or, when
-    the reader has closed stdout's pipe, fails and prints nothing more."""
+    """`main` flushes no stream; after an internal error the script's
+    flush writes what the command printed, or, when the reader has closed
+    stdout's pipe, fails and prints nothing more."""
     child = (
         "from ml1 import cli\n"
         "def fail(args):\n"
