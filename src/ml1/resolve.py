@@ -81,9 +81,9 @@ class Resolution(Record):
 def resolve_units(graph: ScopeGraph, units: list[ast.CompilationUnit]) -> Resolution:
     resolution = Resolution()
     for unit in units:
-        clauses = [*unit.top_imports(), *(s for tpl in unit.templates() for s in tpl.stats)]
+        stats = [s for tpl in unit.templates() for s in tpl.stats]  # the parser allows no top-level annotation
         resolution.erased_imports += [
-            (unit.source_name, s.path, s.span) for s in clauses if isinstance(s, ast.ImportClause) and s.annotations
+            (unit.source_name, s.path, s.span) for s in stats if isinstance(s, ast.ImportClause) and s.annotations
         ]
         walker = _UnitWalker(graph, resolution, unit)
         for tpl in unit.templates():

@@ -18,8 +18,9 @@ labels, found breadth-first; a path carries on only the states no earlier
 path reached, so closures cost polynomial work, cycles included. Closures
 are memoized on the graph; the memos built while parents are linked are
 dropped, so every closure is built from the finished graph. The graph
-holds only memos of its own queries: what a later phase derives from it,
-such as a resolution, stays with that phase.
+also stores each site's precedence list, made as its clauses are resolved,
+and otherwise memos of its own queries only: what a later phase derives
+from it, such as a resolution, stays with that phase.
 """
 
 from __future__ import annotations
@@ -132,11 +133,15 @@ class ScopeGraph(Record):
     owner_unit: dict[str, str] = field(default_factory=dict)
     units: list[ast.CompilationUnit] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # Each site's precedence list (`import_positions`): a template body's
+    # under the template's FQN, a unit's top scope's under what decides it,
+    # the unit's package and top-level clauses, as units may share a name.
+    positions: dict[str | tuple, tuple[ImportPosition, ...]] = field(default_factory=dict)
     # Memos of `export_closure`, `_own_closure`, `parts`, `scope_members`,
     # `edges_of` and `findable`, keyed by scope FQN, and of
     # `resolve._implicit_targets`, keyed by marker FQN. Each entry depends on
-    # `inherits`, so `build_scope_graph` clears the memos once every parent
-    # is linked; after that each entry is built once and shared read-only.
+    # `inherits`, as no precedence list does, so `build_scope_graph` clears
+    # them once every parent is linked; each is then built once, read-only.
     closures: dict[str, ExportClosure] = field(default_factory=dict, repr=False, compare=False)
     own_closures: dict[str, dict[tuple[str, str], _Witness]] = field(default_factory=dict, repr=False, compare=False)
     scope_parts: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
@@ -472,35 +477,54 @@ def resolve_import_path(graph: ScopeGraph, path: ast.QualName) -> str | None:
 
 
 def _link_imports(graph: ScopeGraph, unit: ast.CompilationUnit) -> None:
-    def resolve_clause(clause: ast.ImportClause) -> str | None:
-        target = resolve_import_path(graph, clause.path)
-        if target is None:
-            message = f"import path {ast.dotted(clause.path)} does not name a template or package"
-            graph.diagnostics.append(Diagnostic(E_UNRESOLVED_IMPORT_PATH, message, unit.source_name, clause.span))
-        return target
+    """Resolve each import clause of `unit` once: report an unknown
+    annotation or a path that names nothing, add the edge of an `@exported`
+    clause, and store the precedence list of the unit's top scope and of
+    each template's body (`import_positions`). Linking parents changes no
+    list: a path goes through packages and at most one template, by
+    membership, and a package's templates and subpackages come before its
+    parts' members."""
 
-    for clause in unit.top_imports():
-        resolve_clause(clause)
-    for tpl in unit.templates():
-        tfqn = template_fqn(graph, unit, tpl)
-        for stat in tpl.stats:
-            if not isinstance(stat, ast.ImportClause):
-                continue
-            if stat.annotations and stat.annotations != ("exported",):
-                graph.diagnostics.append(
-                    Diagnostic(
-                        E_UNKNOWN_IMPORT_ANNOTATION,
-                        "only @exported is understood on imports, found "
-                        + ", ".join(f"@{a}" for a in stat.annotations),
-                        unit.source_name,
-                        stat.span,
-                    )
-                )
-                continue
-            target = resolve_clause(stat)
-            if stat.annotations == ("exported",) and target is not None and tfqn is not None:
+    def positions(clauses: list[ast.ImportClause], first: int, tfqn: str | None):
+        named: list[ImportPosition] = []
+        wildcards: list[ImportPosition] = []
+        for index, stat in enumerate(clauses, first):
+            target = resolve_import_path(graph, stat.path)
+            if stat.annotations not in ((), ("exported",)):
+                found = ", ".join(f"@{a}" for a in stat.annotations)
+                message = f"only @exported is understood on imports, found {found}"
+                graph.diagnostics.append(Diagnostic(E_UNKNOWN_IMPORT_ANNOTATION, message, unit.source_name, stat.span))
+            elif target is None:
+                message = f"import path {ast.dotted(stat.path)} does not name a template or package"
+                graph.diagnostics.append(Diagnostic(E_UNRESOLVED_IMPORT_PATH, message, unit.source_name, stat.span))
+            elif stat.annotations and tfqn is not None:
                 edges = graph.exports[tfqn]
                 edges.append(ExportEdge(tfqn, len(edges), target, stat.selectors))
+            if target is None:
+                continue  # a clause whose path does not resolve provides nothing
+            selected = stat.selectors.table
+            renames = {visible: source for source, visible in selected.items() if visible is not None}
+            if renames:
+                named.append(ImportPosition(IMPORT_NAMED, index, target, renames=renames))
+            if stat.selectors.wildcard:
+                wildcards.append(ImportPosition(IMPORT_WILDCARD, index, target, excluded=frozenset(selected)))
+        return named[::-1], wildcards[::-1]
+
+    path = unit.package_path
+    prefixes = [".".join(path[:depth]) for depth in range(len(path), -1, -1)]
+    # A prefix that a template took (E_DUPLICATE_SYMBOL) encloses nothing.
+    outer = [ImportPosition(ENCLOSING_PACKAGE, i, fqn) for i, fqn in enumerate(prefixes) if fqn not in graph.members]
+    outer.append(ImportPosition(BUILTIN_SCOPE, 0, ""))
+    clauses = list(unit.top_imports())
+    named, wildcards = positions(clauses, 0, None)
+    graph.positions[(unit.package_path, *clauses)] = (*named, *wildcards, *outer)
+    for tpl in unit.templates():
+        tfqn = template_fqn(graph, unit, tpl)
+        own = [stat for stat in tpl.stats if isinstance(stat, ast.ImportClause)]
+        own_named, own_wildcards = positions(own, len(clauses), tfqn)
+        if tfqn is not None:
+            site = (ImportPosition(ENCLOSING_TEMPLATE, 0, tfqn), *own_named, *named, *own_wildcards, *wildcards, *outer)
+            graph.positions.setdefault(tfqn, site)  # the first is the declaring template's
 
 
 def template_fqn_of(unit: ast.CompilationUnit, tpl: ast.TemplateDef) -> str:
@@ -606,9 +630,6 @@ class ImportPosition(Record, frozen=True):
         return tuple(sorted(inherited, key=lambda sym: sym.fqn))
 
 
-_BUILTIN_POSITION = ImportPosition(BUILTIN_SCOPE, 0, "")
-
-
 def import_positions(
     graph: ScopeGraph, unit: ast.CompilationUnit, template: str | None = None
 ) -> tuple[ImportPosition, ...]:
@@ -617,31 +638,9 @@ def import_positions(
     member tier of `template`, if any; each clause's named selectors, then
     each clause's wildcard, a later clause before an earlier one in both,
     the template's clauses after the unit's top-level ones; the enclosing
-    packages, innermost first; last, the builtins. Each clause's target is
-    resolved here, once; a clause whose path does not resolve provides
-    nothing."""
-    clauses = list(unit.top_imports())
-    members = ()
-    if template is not None:
-        clauses += (s for s in graph.decls[template].stats if isinstance(s, ast.ImportClause))
-        members = (ImportPosition(ENCLOSING_TEMPLATE, 0, template),)
-    named: list[ImportPosition] = []
-    wildcards: list[ImportPosition] = []
-    for index, clause in reversed(list(enumerate(clauses))):
-        target = resolve_import_path(graph, clause.path)
-        if target is None:
-            continue
-        selected = clause.selectors.table
-        renames = {visible: source for source, visible in selected.items() if visible is not None}
-        if renames:
-            named.append(ImportPosition(IMPORT_NAMED, index, target, renames=renames))
-        if clause.selectors.wildcard:
-            wildcards.append(ImportPosition(IMPORT_WILDCARD, index, target, excluded=frozenset(selected)))
-    path = unit.package_path
-    prefixes = [".".join(path[:depth]) for depth in range(len(path), -1, -1)]
-    # A prefix that a template took (E_DUPLICATE_SYMBOL) encloses nothing.
-    packages = [ImportPosition(ENCLOSING_PACKAGE, i, fqn) for i, fqn in enumerate(prefixes) if fqn not in graph.members]
-    return (*members, *named, *wildcards, *packages, _BUILTIN_POSITION)
+    packages, innermost first; last, the builtins. A clause whose path
+    does not resolve provides nothing. `_link_imports` stores the list."""
+    return graph.positions[template or (unit.package_path, *unit.top_imports())]
 
 
 def lookup_qualified(

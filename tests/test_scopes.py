@@ -3,14 +3,14 @@ import sys
 
 import pytest
 
-from ml1 import scopes
+from ml1 import ast, scopes
 from ml1.diagnostics import (
     E_DUPLICATE_SYMBOL,
     E_UNKNOWN_IMPORT_ANNOTATION,
     E_UNRESOLVED_IMPORT_PATH,
     E_UNRESOLVED_PARENT,
 )
-from ml1.resolve import resolve_units
+from ml1.resolve import check_context_consistency, resolve_units
 from ml1.scopes import build_scope_graph, export_closure
 
 from conftest import build_project, parse_fixture, parse_source
@@ -54,6 +54,14 @@ def test_unknown_import_annotation_is_rejected():
     unit = parse_source("object T {\n}\nobject A {\n  @foo import T._\n}")
     graph = build_scope_graph([unit])
     assert codes(graph) == [E_UNKNOWN_IMPORT_ANNOTATION]
+    # Such a clause is reported once, whether its path resolves or not, and
+    # still imports what its path names.
+    source = "object T {\n  val t = 1\n}\nobject A {\n  @foo import T._\n  @foo import missing._\n"
+    unit = parse_source(source + "  def f() = {\n    print(t)\n  }\n}")
+    graph = build_scope_graph([unit])
+    assert codes(graph) == [E_UNKNOWN_IMPORT_ANNOTATION] * 2
+    resolution = resolve_units(graph, [unit])
+    assert [(r.name, r.symbol.fqn) for r in resolution.records] == [("print", "<builtin>.print"), ("t", "T.t")]
 
 
 def test_doubled_exported_annotation_is_rejected():
@@ -469,6 +477,75 @@ def test_diamond_ladders_match_the_oracles(clause):
             closure = export_closure(graph, spec.template_name(index))
             assert closure.pairs() == closure_oracle(spec, index), (k, index)
             assert witnesses(closure) == closure_witness_oracle(spec, index), (k, index)
+
+
+# Families for the scaling test, by size n. A site's precedence list made
+# once per template made each template pay for all of its unit's top-level
+# statements and clauses: the first two families grew quadratically.
+SCALING_FAMILIES = {
+    "templates_under_clauses": lambda n: {
+        "wide.ml1": "import p.Lib._\n" * n
+        + "".join(f"object O{i} {{\n  def f() = {{\n    print(x)\n  }}\n}}\n" for i in range(n))
+    },
+    "deep_extends_chain": lambda n: {
+        "chain.ml1": "trait T0 {\n}\n" + "".join(f"trait T{i} extends T{i - 1} {{\n}}\n" for i in range(1, n))
+    },
+    "top_level_clauses": lambda n: {"clauses.ml1": "import p.Lib._\n" * n + "object O {\n  val y = x\n}\n"},
+    "units_importing_a_hub": lambda n: {
+        "hub.ml1": "package h\n\nobject H {\n  @exported import p.Lib._\n}\n",
+        **{f"c{i}.ml1": f"import h.H._\n\nobject C{i} {{\n  val y = x\n}}\n" for i in range(n)},
+    },
+}
+# Every family also has an implicit object, so the implicit scan reads
+# each unit's top-scope list.
+SCALING_LIB = "package p\n\ntrait Context {\n}\n\nimplicit object Lib extends Context {\n  val x = 1\n}\n"
+
+
+def count_resolution_work(monkeypatch):
+    """Spies that count the import paths resolved and the top-level
+    statements `top_imports` scans, and fail when resolution, the implicit
+    scan or parent lookup resolves a path."""
+    work = {"paths": 0, "scanned": 0}
+    resolve_import_path, top_imports = scopes.resolve_import_path, ast.CompilationUnit.top_imports
+
+    def resolving(graph, path):
+        work["paths"] += 1
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        phases = callers & {"resolve_units", "implicit_candidates", "_resolve_parents"}
+        assert not phases, f"{', '.join(sorted(phases))} resolved an import path"
+        return resolve_import_path(graph, path)
+
+    def scanning(unit):
+        work["scanned"] += len(unit.top_stats)
+        return top_imports(unit)
+
+    monkeypatch.setattr(scopes, "resolve_import_path", resolving)
+    monkeypatch.setattr(ast.CompilationUnit, "top_imports", scanning)
+    return work
+
+
+@pytest.mark.parametrize("family", sorted(SCALING_FAMILIES))
+def test_resolution_work_grows_linearly_in_the_program(monkeypatch, family):
+    # Builds the graph, resolves every unit and runs the implicit scan at
+    # sizes n and 2n: the counted work may at most double. Each import path
+    # is resolved once per graph built, so the count is the clause count.
+    work = count_resolution_work(monkeypatch)
+    counted = []
+    for n in (40, 80):
+        sources = {"lib.ml1": SCALING_LIB, **SCALING_FAMILIES[family](n)}
+        units = [parse_source(text, name) for name, text in sources.items()]
+        work.update(paths=0, scanned=0)
+        graph = build_scope_graph(units)
+        assert work["paths"] == sum(isinstance(node, ast.ImportClause) for unit in units for node in ast.walk(unit))
+        resolve_units(graph, units)
+        assert check_context_consistency(graph, "p.Context") == []
+        counted.append(dict(work))
+    small, large = counted
+    for what in work:
+        assert large[what] <= 2 * small[what], f"{what}: {small[what]:,} at n=40, {large[what]:,} at n=80"
 
 
 def test_unknown_scope_has_no_closure():
